@@ -171,8 +171,9 @@ class FractalCloudPipeline
      * Allocation-free steady-state inference: intermediates come
      * from the pipeline-owned workspace and @p out is rewritten
      * reusing its capacity. The second and later calls with the same
-     * network perform zero heap allocations when num_threads == 1
-     * (pooled dispatch allocates task closures only). Results are
+     * network perform zero heap allocations at any num_threads:
+     * pooled chunk tasks ride the pool's inline task ring, which
+     * stops growing once it has seen its peak backlog. Results are
      * bit-identical to infer(network) — warm or cold, at any thread
      * count. Thread-safe via an internal mutex (calls serialize).
      */

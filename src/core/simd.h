@@ -30,19 +30,17 @@
  *     the scalar evaluation order ((dx*dx + dy*dy) + dz*dz), min/max
  *     and argmax semantics match the scalar comparisons including NaN
  *     behaviour, and axpy is elementwise mul+add.
- *   - fp16RoundBuffer / fp32ToFp16Buffer / fp16ToFp32Buffer: bit-
- *     identical to the software converters in common/fp16.h for every
- *     non-NaN input; NaN payloads may differ (F16C propagates payload
- *     bits, the software path canonicalizes to 0x200) while staying
- *     NaN.
- *   - dotAcc / dotAccFp16: fp32 accumulation in a fixed two-register
- *     FMA scheme. Association differs from the scalar running sum, so
- *     results are ULP-bounded, not bit-equal: the error is at most
- *     ~(n/8 + 8) float ULP of sum_i |a_i * b_i|, and after binary16
- *     output rounding (how every MLP activation is stored) scalar and
- *     Avx2 agree to <= 1 fp16 ULP. The two dot variants share one
- *     accumulation scheme per level, so fp32-storage and fp16-storage
- *     MLPs produce bit-identical activations when fed equal values.
+ *   - fp16RoundBuffer: bit-identical to the software fp16Round in
+ *     common/fp16.h for every non-NaN input; NaN payloads may differ
+ *     (F16C propagates payload bits, the software path canonicalizes
+ *     to 0x200) while staying NaN.
+ *   - dotAcc: fp32 accumulation in a fixed two-register FMA scheme.
+ *     Association differs from the scalar running sum, so results are
+ *     ULP-bounded, not bit-equal: the error is at most ~(n/8 + 8)
+ *     float ULP of sum_i |a_i * b_i|, and after binary16 output
+ *     rounding (how every MLP activation is stored) scalar and Avx2
+ *     agree to <= 1 fp16 ULP. Within one level the scheme is fixed,
+ *     so MLP activations are bit-identical run to run.
  *
  * Threading: kernels are pure functions over caller-owned memory and
  * may run concurrently on disjoint ranges — they are called from
@@ -161,29 +159,12 @@ void distance2Range(const SoaView &pts, const PointIdx *order,
  */
 float dotAcc(float init, const float *a, const float *b, std::size_t n);
 
-/**
- * dotAcc over binary16-stored operands: lanes promote to fp32 and
- * accumulate in fp32, mirroring the accelerator's fp16 MACs. Uses the
- * same per-level accumulation scheme as dotAcc, so equal operand
- * values give bit-identical sums.
- */
-float dotAccFp16(float init, const std::uint16_t *a,
-                 const std::uint16_t *b, std::size_t n);
-
 /** y[i] += a * x[i], elementwise (bit-identical across levels). */
 void axpy(float a, const float *x, float *y, std::size_t n);
 
 /** Round @p n floats through binary16 in place (Tensor::quantizeFp16
  *  and the LinearRelu activation store). */
 void fp16RoundBuffer(float *values, std::size_t n);
-
-/** Convert @p n floats to binary16 bits (round-to-nearest-even). */
-void fp32ToFp16Buffer(const float *src, std::uint16_t *dst,
-                      std::size_t n);
-
-/** Widen @p n binary16 values to float (exact). */
-void fp16ToFp32Buffer(const std::uint16_t *src, float *dst,
-                      std::size_t n);
 
 namespace detail {
 
@@ -198,12 +179,8 @@ struct Kernels
                             std::uint32_t, const Vec3 &, std::uint32_t,
                             std::uint32_t, float *);
     float (*dot_acc)(float, const float *, const float *, std::size_t);
-    float (*dot_acc_fp16)(float, const std::uint16_t *,
-                          const std::uint16_t *, std::size_t);
     void (*axpy)(float, const float *, float *, std::size_t);
     void (*fp16_round)(float *, std::size_t);
-    void (*fp32_to_fp16)(const float *, std::uint16_t *, std::size_t);
-    void (*fp16_to_fp32)(const std::uint16_t *, float *, std::size_t);
 };
 
 /** The active table (atomic pointer swap under setActiveLevel). */

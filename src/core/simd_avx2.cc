@@ -20,13 +20,11 @@
  *   - The argmax keeps per-lane running bests with a strictly-greater
  *     compare, then resolves ties cross-lane by smallest index — the
  *     earliest maximal index, exactly the serial tie-break.
- *   - dotAcc / dotAccFp16 share one accumulation scheme (two 8-lane
- *     FMA accumulators, fixed-order horizontal sum, scalar remainder)
- *     so the fp32- and fp16-storage MLP paths agree bitwise on equal
- *     inputs; versus the scalar running sum they are ULP-bounded, not
- *     bit-equal.
- *   - F16C conversions round to nearest-even like the software
- *     converters; only NaN payloads may differ.
+ *   - dotAcc uses one fixed accumulation scheme (two 8-lane FMA
+ *     accumulators, fixed-order horizontal sum, scalar remainder);
+ *     versus the scalar running sum it is ULP-bounded, not bit-equal.
+ *   - fp16RoundBuffer's F16C round trip rounds to nearest-even like
+ *     the software converter; only NaN payloads may differ.
  */
 
 #include "core/simd.h"
@@ -43,8 +41,7 @@ namespace fc::core::simd {
 namespace {
 
 /** Fixed-order horizontal sum: (l0+l4)+(l2+l6) pairs first, then the
- *  two remaining partials — one deterministic association shared by
- *  both dot kernels. */
+ *  two remaining partials — one deterministic association. */
 inline float
 hsum8(__m256 acc)
 {
@@ -222,34 +219,6 @@ dotAccAvx2(float init, const float *a, const float *b, std::size_t n)
     return acc;
 }
 
-float
-dotAccFp16Avx2(float init, const std::uint16_t *a,
-               const std::uint16_t *b, std::size_t n)
-{
-    // Same scheme as dotAccAvx2, loads widening through F16C — equal
-    // operand values therefore give a bit-identical sum.
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    std::size_t i = 0;
-    const auto load8 = [](const std::uint16_t *src) {
-        return _mm256_cvtph_ps(
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(src)));
-    };
-    for (; i + 16 <= n; i += 16) {
-        acc0 = _mm256_fmadd_ps(load8(a + i), load8(b + i), acc0);
-        acc1 = _mm256_fmadd_ps(load8(a + i + 8), load8(b + i + 8),
-                               acc1);
-    }
-    if (i + 8 <= n) {
-        acc0 = _mm256_fmadd_ps(load8(a + i), load8(b + i), acc0);
-        i += 8;
-    }
-    float acc = init + hsum8(_mm256_add_ps(acc0, acc1));
-    for (; i < n; ++i)
-        acc += fp16BitsToFp32(a[i]) * fp16BitsToFp32(b[i]);
-    return acc;
-}
-
 void
 axpyAvx2(float a, const float *x, float *y, std::size_t n)
 {
@@ -282,32 +251,6 @@ fp16RoundAvx2(float *values, std::size_t n)
         values[i] = fp16Round(values[i]);
 }
 
-void
-fp32ToFp16Avx2(const float *src, std::uint16_t *dst, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m128i h =
-            _mm256_cvtps_ph(_mm256_loadu_ps(src + i), kRoundNearest);
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + i), h);
-    }
-    for (; i < n; ++i)
-        dst[i] = fp32ToFp16Bits(src[i]);
-}
-
-void
-fp16ToFp32Avx2(const std::uint16_t *src, float *dst, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m128i h = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(src + i));
-        _mm256_storeu_ps(dst + i, _mm256_cvtph_ps(h));
-    }
-    for (; i < n; ++i)
-        dst[i] = fp16BitsToFp32(src[i]);
-}
-
 } // namespace
 
 namespace detail {
@@ -317,8 +260,7 @@ avx2Kernels()
 {
     static const Kernels table = {
         &fpsUpdateAvx2, &distance2RangeAvx2, &dotAccAvx2,
-        &dotAccFp16Avx2, &axpyAvx2,          &fp16RoundAvx2,
-        &fp32ToFp16Avx2, &fp16ToFp32Avx2,
+        &axpyAvx2,      &fp16RoundAvx2,
     };
     static const bool supported = __builtin_cpu_supports("avx2") &&
                                   __builtin_cpu_supports("fma") &&

@@ -25,11 +25,6 @@ LinearRelu::LinearRelu(std::size_t in, std::size_t out,
     for (std::size_t o = 0; o < out; ++o)
         bias_[o] = rng.normal(0.0f, 0.01f);
     weights_.quantizeFp16();
-    // Exact bit-for-bit mirror: weights_ is fp16-valued after the
-    // quantize above, so this conversion loses nothing.
-    weights_fp16_.resize(out * in);
-    core::simd::fp32ToFp16Buffer(weights_.data().data(),
-                                 weights_fp16_.data(), out * in);
 }
 
 void
@@ -71,46 +66,6 @@ LinearRelu::forward(const Tensor &x, core::ThreadPool *pool) const
     return y;
 }
 
-void
-LinearRelu::forward(const HalfTensor &x, core::ThreadPool *pool,
-                    HalfTensor &y) const
-{
-    fc_assert(x.cols() == in_, "layer expects %zu channels, got %zu",
-              in_, x.cols());
-    fc_assert(&x != &y, "LinearRelu::forward cannot run in place");
-    y.resize(x.rows(), out_);
-    // Output neurons stage through a fixed stack tile so the binary16
-    // store runs through the vector converter, keeping the row loop
-    // allocation-free.
-    constexpr std::size_t kOutTile = 128;
-    core::parallelFor(
-        pool, 0, x.rows(), core::costGrain(in_ * out_),
-        [&](std::size_t rb, std::size_t re) {
-            float tile[kOutTile];
-            for (std::size_t r = rb; r < re; ++r) {
-                const std::uint16_t *xin = x.row(r).data();
-                std::uint16_t *yout = y.row(r).data();
-                for (std::size_t ob = 0; ob < out_; ob += kOutTile) {
-                    const std::size_t oe =
-                        std::min(out_, ob + kOutTile);
-                    for (std::size_t o = ob; o < oe; ++o) {
-                        // Same fp32 accumulation scheme as the fp32-
-                        // storage path (core/simd.h), so activations
-                        // match it bit for bit.
-                        float acc = core::simd::dotAccFp16(
-                            bias_[o], weights_fp16_.data() + o * in_,
-                            xin, in_);
-                        if (relu_ && acc < 0.0f)
-                            acc = 0.0f;
-                        tile[o - ob] = acc;
-                    }
-                    core::simd::fp32ToFp16Buffer(tile, yout + ob,
-                                                 oe - ob);
-                }
-            }
-        });
-}
-
 Mlp::Mlp(const std::vector<std::size_t> &widths, std::uint64_t seed)
 {
     fc_assert(widths.size() >= 2, "MLP needs at least in/out widths");
@@ -143,26 +98,6 @@ Mlp::forward(const Tensor &x, core::ThreadPool *pool,
     const Tensor *cur = &x;
     for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
         Tensor &dst = (i % 2 == 0) ? ping : pong;
-        layers_[i].forward(*cur, pool, dst);
-        cur = &dst;
-    }
-    layers_.back().forward(*cur, pool, out);
-}
-
-void
-Mlp::forward(const HalfTensor &x, core::ThreadPool *pool,
-             core::Workspace &ws, HalfTensor &out) const
-{
-    fc_assert(!layers_.empty(), "forward through empty MLP");
-    if (layers_.size() == 1) {
-        layers_.front().forward(x, pool, out);
-        return;
-    }
-    HalfTensor &ping = ws.slot<HalfTensor>("mlp.hping");
-    HalfTensor &pong = ws.slot<HalfTensor>("mlp.hpong");
-    const HalfTensor *cur = &x;
-    for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
-        HalfTensor &dst = (i % 2 == 0) ? ping : pong;
         layers_[i].forward(*cur, pool, dst);
         cur = &dst;
     }

@@ -44,23 +44,6 @@ class Registry;
 namespace fc::nn {
 
 /**
- * Numeric mode of the MLP pathway.
- *
- * Mixed is the historical path: activations live in fp32 tensors
- * whose values are fp16-rounded after every layer. Fp16 stores
- * activations as binary16 bits end to end (HalfTensor), halving
- * activation bandwidth like the accelerator's datapath. Both modes
- * accumulate in fp32 with the same core::simd scheme, and every MLP
- * input is fp16-valued before conversion, so the two modes produce
- * bit-identical results at a given dispatch level.
- */
-enum class Precision
-{
-    Mixed,
-    Fp16,
-};
-
-/**
  * Execution order of every set-abstraction stage (the
  * gather -> MLP -> pool pipeline of §II-A).
  *
@@ -84,12 +67,11 @@ enum class Precision
  * docs/ARCHITECTURE.md and tests/test_delayed_aggregation.cc).
  *
  * Within each mode every runtime invariant is preserved: results are
- * bit-identical across thread counts, shard counts, warm/cold
- * workspaces, and the Fp16/Mixed precision pair, and the warm
- * same-shape run performs zero heap allocations. Delayed executes
- * strictly fewer MLP row-forwards (InferenceResult::sa_mlp_rows:
- * unique-point count vs gathered count — bench_delayed_aggregation
- * reports both).
+ * bit-identical across thread counts, shard counts, and warm/cold
+ * workspaces, and the warm same-shape run performs zero heap
+ * allocations. Delayed executes strictly fewer MLP row-forwards
+ * (InferenceResult::sa_mlp_rows: unique-point count vs gathered
+ * count — bench_delayed_aggregation reports both).
  */
 enum class Aggregation
 {
@@ -122,16 +104,13 @@ struct BackendOptions
      */
     bool fixed_count_sampling = false;
 
-    /** Numeric mode of the MLP pathway (see Precision). */
-    Precision precision = Precision::Mixed;
-
     /**
      * Execution order of the set-abstraction stages (see
      * Aggregation). Eager = gather-then-compute (historical);
      * Delayed = unique-point MLPs before grouping, max-pool after —
      * strictly fewer MLP row-forwards at a documented radius-bounded
      * tolerance. Orthogonal to every other option: composes with
-     * block ops, precision, pool, root_partition, and metrics.
+     * block ops, pool, root_partition, and metrics.
      */
     Aggregation aggregation = Aggregation::Eager;
 
@@ -238,11 +217,12 @@ class Network
      * reorder scratch, MLP ping-pong rows) lives in named slots of
      * @p ws, and @p out is rewritten reusing its capacity. The
      * second and later calls with a same-shape cloud perform zero
-     * heap allocations when running sequentially (pooled dispatch
-     * still allocates its task closures). Results are bit-identical
-     * to the value-returning form — which wraps this one — at any
-     * thread count and any warm/cold state. @p ws is used
-     * single-owner; call ws.reset() between requests.
+     * heap allocations, sequential or pooled (chunk tasks ride the
+     * pool's inline task ring, which stops growing once it has seen
+     * its peak backlog). Results are bit-identical to the
+     * value-returning form — which wraps this one — at any thread
+     * count and any warm/cold state. @p ws is used single-owner;
+     * call ws.reset() between requests.
      */
     void run(const data::PointCloud &cloud,
              const BackendOptions &backend, core::Workspace &ws,

@@ -159,9 +159,7 @@ AsyncPipeline::notifyObserver(std::uint64_t id, Stage stage)
 std::unique_ptr<AsyncPipeline::ShardWorkspace>
 AsyncPipeline::checkoutWorkspace(unsigned shard)
 {
-    const unsigned owner =
-        options_.shard_local_workspaces ? shard : 0u;
-    ShardPool &pool = *pools_[owner];
+    ShardPool &pool = *pools_[shard];
     ws_checkouts_->add();
     pool.checkout->add();
     {
@@ -184,7 +182,7 @@ AsyncPipeline::checkoutWorkspace(unsigned shard)
         ws_created_total_.fetch_add(1, std::memory_order_relaxed) + 1;
     ws_created_gauge_->set(static_cast<std::int64_t>(total));
     auto ws = std::make_unique<ShardWorkspace>();
-    ws->owner = owner;
+    ws->owner = shard;
     return ws;
 }
 
@@ -193,8 +191,7 @@ AsyncPipeline::checkinWorkspace(std::unique_ptr<ShardWorkspace> ws,
                                 unsigned returning_shard)
 {
     ShardPool &pool = *pools_[ws->owner];
-    if (options_.shard_local_workspaces &&
-        returning_shard != ws->owner)
+    if (returning_shard != ws->owner)
         pool.foreign_return->add(); // tripwire: should stay 0
     std::lock_guard<std::mutex> lock(pool.mutex);
     pool.ws_free.push_back(std::move(ws));

@@ -11,8 +11,7 @@
  *    radius shrinks the gap to zero.
  *  - Within Delayed, every runtime invariant holds: bit-identical
  *    across 1/2/8 threads, under forced-scalar dispatch, with
- *    root_partition reuse, Fp16 == Mixed bitwise, and through the
- *    serving path.
+ *    root_partition reuse, and through the serving path.
  *  - Row accounting: sa_mlp_rows counts unique points (Delayed) vs
  *    gathered rows (Eager), and Delayed is strictly smaller.
  *  - Ops level: blockGatherFeatureRows == gatherFeatureRows values;
@@ -263,25 +262,6 @@ TEST(DelayedAggregation, ForcedScalarIsDeterministic)
     core::ThreadPool pool(4);
     backend.pool = &pool;
     expectBitIdentical(cold, net.run(scene, backend));
-}
-
-TEST(DelayedAggregation, Fp16MatchesMixedBitwise)
-{
-    // Every delayed MLP input (pooled rel-coords included) is
-    // fp16-valued before the forward, so the Fp16 activation path
-    // must reproduce Mixed exactly — same contract as eager mode.
-    const data::PointCloud scene = data::makeS3disScene(1024, 29);
-    const nn::Network net(tinySegModel(), 42);
-    nn::BackendOptions backend;
-    backend.method = part::Method::Fractal;
-    backend.threshold = 64;
-    backend.aggregation = nn::Aggregation::Delayed;
-
-    backend.precision = nn::Precision::Mixed;
-    const nn::InferenceResult mixed = net.run(scene, backend);
-    backend.precision = nn::Precision::Fp16;
-    const nn::InferenceResult fp16 = net.run(scene, backend);
-    expectBitIdentical(mixed, fp16);
 }
 
 TEST(DelayedAggregation, RootPartitionReuseIsInvisible)

@@ -235,43 +235,6 @@ TEST(ShardedLocality, WorkspacesStayFlatPerShardUnderMixedClassLoad)
     }
 }
 
-TEST(ShardedLocality, SharedPoolModeStillServesIdentically)
-{
-    const data::PointCloud scene = data::makeS3disScene(1024, 41);
-    BatchRequest request;
-    request.sample_rate = 0.25;
-    request.radius = 0.3f;
-    request.neighbors = 8;
-
-    serve::ServeOptions local;
-    local.pipeline.num_threads = 1;
-    local.pipeline.threshold = 64;
-    local.num_shards = 2;
-    serve::ServeOptions global = local;
-    global.shard_local_workspaces = false;
-
-    serve::AsyncPipeline a(local);
-    serve::AsyncPipeline b(global);
-    const auto cloud =
-        std::make_shared<const data::PointCloud>(scene);
-    for (std::uint64_t key = 1; key <= 4; ++key) {
-        SCOPED_TRACE("key=" + std::to_string(key));
-        const serve::RequestOutcome oa = a.wait(a.submitShared(
-            cloud, request, std::nullopt,
-            serve::Priority::Interactive, key));
-        const serve::RequestOutcome ob = b.wait(b.submitShared(
-            cloud, request, std::nullopt,
-            serve::Priority::Interactive, key));
-        ASSERT_EQ(oa.state, serve::RequestState::Done);
-        ASSERT_EQ(ob.state, serve::RequestState::Done);
-        EXPECT_EQ(oa.result.sampled.indices, ob.result.sampled.indices);
-        EXPECT_EQ(oa.result.gathered.values, ob.result.gathered.values);
-    }
-    // Shared mode routes every checkout to pool 0.
-    for (unsigned s = 1; s < b.numShards(); ++s)
-        EXPECT_EQ(b.workspacesCreated(s), 0u);
-}
-
 // ---------------------------------------------------------------------
 // Outcome pool
 // ---------------------------------------------------------------------

@@ -5,22 +5,23 @@
  *  - Dispatch resolution (FC_FORCE_SCALAR rule, setActiveLevel
  *    round-trips) as pure unit tests.
  *  - Scalar-vs-Avx2 equivalence for every kernel the contract calls
- *    bit-identical (fpsUpdate, distance2Range, axpy, the fp16
- *    converters), on adversarial inputs: all-equal points, denormal
- *    coordinates, and sizes straddling the 8-lane vector remainder.
- *  - ULP bounds for the dot kernels (bit-equal is impossible across
+ *    bit-identical (fpsUpdate, distance2Range, axpy, fp16 rounding),
+ *    on adversarial inputs: all-equal points, denormal coordinates,
+ *    every binary16 bit pattern, and sizes straddling the 8-lane
+ *    vector remainder.
+ *  - ULP bounds for the dot kernel (bit-equal is impossible across
  *    accumulation orders) and the <= 1 fp16 ULP guarantee after
  *    binary16 output rounding.
- *  - End-to-end: FPS / ball query / KNN identical across levels, the
- *    fp16 inference mode bit-identical to Mixed, and thread-count
- *    determinism with SIMD active (SimdDeterminism, in the TSan CI
- *    filter).
+ *  - End-to-end: FPS / ball query / KNN identical across levels, and
+ *    thread-count determinism of inference with SIMD active
+ *    (SimdDeterminism, in the TSan CI filter).
  *
  * Every test that overrides the dispatch level restores it on exit —
  * dispatch is process-global state shared with the rest of the test
  * binary.
  */
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -302,33 +303,27 @@ TEST(SimdEquivalence, Fp16ConversionsExhaustiveNonNan)
     FC_REQUIRE_AVX2();
     LevelGuard guard;
     // Every one of the 2^16 binary16 patterns except NaN (payloads may
-    // legitimately differ, see the header contract): widening must be
-    // exact and re-narrowing must restore the original bits, on both
-    // levels.
-    std::vector<std::uint16_t> bits;
-    bits.reserve(1u << 16);
+    // legitimately differ, see the header contract), widened exactly:
+    // an fp16-valued float must round through binary16 to itself, on
+    // both levels — the F16C round trip included.
+    std::vector<float> values;
+    values.reserve(1u << 16);
     for (std::uint32_t b = 0; b < (1u << 16); ++b) {
         const bool is_nan =
             (b & 0x7c00u) == 0x7c00u && (b & 0x03ffu) != 0;
         if (!is_nan)
-            bits.push_back(static_cast<std::uint16_t>(b));
+            values.push_back(
+                fp16BitsToFp32(static_cast<std::uint16_t>(b)));
     }
-    std::vector<float> wide_scalar(bits.size()), wide_avx2(bits.size());
-    std::vector<std::uint16_t> narrow(bits.size());
-
-    ASSERT_TRUE(simd::setActiveLevel(simd::Level::Scalar));
-    simd::fp16ToFp32Buffer(bits.data(), wide_scalar.data(),
-                           bits.size());
-    ASSERT_TRUE(simd::setActiveLevel(simd::Level::Avx2));
-    simd::fp16ToFp32Buffer(bits.data(), wide_avx2.data(), bits.size());
-    simd::fp32ToFp16Buffer(wide_avx2.data(), narrow.data(),
-                           bits.size());
-
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-        EXPECT_EQ(wide_scalar[i], wide_avx2[i]) << "bits " << bits[i];
-        EXPECT_EQ(wide_avx2[i], fp16BitsToFp32(bits[i]))
-            << "bits " << bits[i];
-        EXPECT_EQ(narrow[i], bits[i]) << "round trip " << bits[i];
+    for (const simd::Level level :
+         {simd::Level::Scalar, simd::Level::Avx2}) {
+        ASSERT_TRUE(simd::setActiveLevel(level));
+        std::vector<float> rounded = values;
+        simd::fp16RoundBuffer(rounded.data(), rounded.size());
+        for (std::size_t i = 0; i < values.size(); ++i)
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(rounded[i]),
+                      std::bit_cast<std::uint32_t>(values[i]))
+                << simd::levelName(level) << " value " << values[i];
     }
 }
 
@@ -358,18 +353,12 @@ TEST(SimdEquivalence, Fp32ToFp16MatchesSoftwareConverter)
     for (int i = 0; i < 4096; ++i)
         values.push_back(rng.uniform(-1.0f, 1.0f));
 
-    std::vector<std::uint16_t> narrowed(values.size());
     std::vector<float> rounded = values;
     ASSERT_TRUE(simd::setActiveLevel(simd::Level::Avx2));
-    simd::fp32ToFp16Buffer(values.data(), narrowed.data(),
-                           values.size());
     simd::fp16RoundBuffer(rounded.data(), rounded.size());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        EXPECT_EQ(narrowed[i], fp32ToFp16Bits(values[i]))
-            << "value " << values[i];
+    for (std::size_t i = 0; i < values.size(); ++i)
         EXPECT_EQ(rounded[i], fp16Round(values[i]))
             << "value " << values[i];
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -417,36 +406,6 @@ TEST(SimdAccuracy, DotAccWithinDocumentedUlpBound)
     }
 }
 
-TEST(SimdAccuracy, DotVariantsShareAccumulationScheme)
-{
-    FC_REQUIRE_AVX2();
-    LevelGuard guard;
-    // fp16-valued operands stored both ways must produce bit-identical
-    // sums per level — that is what makes the Fp16 inference mode
-    // bit-identical to Mixed.
-    for (const std::size_t n : kRemainderSizes) {
-        Pcg32 rng(n * 41 + 3);
-        std::vector<float> a(n), b(n);
-        std::vector<std::uint16_t> ah(n), bh(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            a[i] = fp16Round(rng.uniform(-1.0f, 1.0f));
-            b[i] = fp16Round(rng.uniform(-1.0f, 1.0f));
-            ah[i] = fp32ToFp16Bits(a[i]);
-            bh[i] = fp32ToFp16Bits(b[i]);
-        }
-        for (const simd::Level level :
-             {simd::Level::Scalar, simd::Level::Avx2}) {
-            ASSERT_TRUE(simd::setActiveLevel(level));
-            const float wide =
-                simd::dotAcc(0.25f, a.data(), b.data(), n);
-            const float half =
-                simd::dotAccFp16(0.25f, ah.data(), bh.data(), n);
-            EXPECT_EQ(wide, half)
-                << simd::levelName(level) << " n=" << n;
-        }
-    }
-}
-
 TEST(SimdAccuracy, LinearReluLevelsAgreeWithinOneFp16Ulp)
 {
     FC_REQUIRE_AVX2();
@@ -477,7 +436,7 @@ TEST(SimdAccuracy, LinearReluLevelsAgreeWithinOneFp16Ulp)
 }
 
 // ---------------------------------------------------------------------
-// End-to-end equivalence across levels and precisions
+// End-to-end equivalence across levels
 // ---------------------------------------------------------------------
 
 TEST(SimdEquivalence, GeometryOpsIdenticalAcrossLevels)
@@ -541,30 +500,6 @@ tinySegModel()
     return m;
 }
 
-TEST(SimdAccuracy, Fp16ModeMatchesMixedBitwise)
-{
-    // Holds at either dispatch level (each run uses the current one):
-    // every MLP input is already fp16-valued, the conversions are
-    // exact, and both precisions share one accumulation scheme.
-    const data::PointCloud scene = data::makeS3disScene(1024, 5);
-    const nn::Network network(tinySegModel(), 42);
-
-    nn::BackendOptions mixed;
-    mixed.method = part::Method::Fractal;
-    nn::BackendOptions fp16 = mixed;
-    fp16.precision = nn::Precision::Fp16;
-
-    const nn::InferenceResult a = network.run(scene, mixed);
-    const nn::InferenceResult b = network.run(scene, fp16);
-
-    ASSERT_EQ(a.embedding.rows(), b.embedding.rows());
-    ASSERT_EQ(a.embedding.cols(), b.embedding.cols());
-    EXPECT_EQ(a.embedding.data(), b.embedding.data());
-    ASSERT_EQ(a.point_features.rows(), b.point_features.rows());
-    EXPECT_EQ(a.point_features.data(), b.point_features.data());
-    EXPECT_EQ(a.total_macs, b.total_macs);
-}
-
 // ---------------------------------------------------------------------
 // Thread-count determinism with SIMD active (TSan CI filter)
 // ---------------------------------------------------------------------
@@ -587,23 +522,19 @@ TEST(SimdDeterminism, InferenceIdenticalAcrossThreadCounts)
 {
     const data::PointCloud scene = data::makeS3disScene(1024, 21);
     const nn::Network network(tinySegModel(), 7);
-    for (const nn::Precision precision :
-         {nn::Precision::Mixed, nn::Precision::Fp16}) {
-        nn::BackendOptions backend;
-        backend.method = part::Method::Fractal;
-        backend.precision = precision;
-        const nn::InferenceResult serial = network.run(scene, backend);
-        for (const unsigned threads : {2u, 4u}) {
-            core::ThreadPool pool(threads);
-            nn::BackendOptions pooled_backend = backend;
-            pooled_backend.pool = &pool;
-            core::Workspace ws;
-            nn::InferenceResult pooled;
-            network.run(scene, pooled_backend, ws, pooled);
-            EXPECT_EQ(serial.embedding.data(), pooled.embedding.data());
-            EXPECT_EQ(serial.point_features.data(),
-                      pooled.point_features.data());
-        }
+    nn::BackendOptions backend;
+    backend.method = part::Method::Fractal;
+    const nn::InferenceResult serial = network.run(scene, backend);
+    for (const unsigned threads : {2u, 4u}) {
+        core::ThreadPool pool(threads);
+        nn::BackendOptions pooled_backend = backend;
+        pooled_backend.pool = &pool;
+        core::Workspace ws;
+        nn::InferenceResult pooled;
+        network.run(scene, pooled_backend, ws, pooled);
+        EXPECT_EQ(serial.embedding.data(), pooled.embedding.data());
+        EXPECT_EQ(serial.point_features.data(),
+                  pooled.point_features.data());
     }
 }
 

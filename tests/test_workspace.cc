@@ -217,27 +217,6 @@ TEST(WorkspaceAlloc, SecondClassificationInferIsAllocationFree)
     EXPECT_EQ(fc::heapAllocCount() - before, 0u);
 }
 
-TEST(WorkspaceAlloc, SecondFp16InferIsAllocationFree)
-{
-    // The fp16 end-to-end mode keeps the steady-state guarantee: its
-    // HalfTensor intermediates live in workspace slots and reuse
-    // capacity exactly like the fp32 tensors they shadow.
-    const data::PointCloud scene = data::makeS3disScene(1024, 3);
-    const nn::Network network(tinySegModel(), 42);
-    nn::BackendOptions backend;
-    backend.method = part::Method::Fractal;
-    backend.threshold = 64;
-    backend.precision = nn::Precision::Fp16;
-
-    core::Workspace ws;
-    nn::InferenceResult out;
-    network.run(scene, backend, ws, out); // cold: grows slots
-    ws.reset();
-    const std::uint64_t before = fc::heapAllocCount();
-    network.run(scene, backend, ws, out); // warm
-    EXPECT_EQ(fc::heapAllocCount() - before, 0u);
-}
-
 TEST(WorkspaceAlloc, SecondDelayedInferIsAllocationFree)
 {
     // The delayed-aggregation order adds two workspace slots (the
@@ -349,7 +328,9 @@ TEST(WorkspaceAlloc, WarmServeRoundTripIsAllocationFree)
     // heap exactly zero times — admission (recycled record node +
     // id ring), dispatch (InlineTask ring), processing (per-shard
     // workspace), the result payload (slab-recycled outcome slot),
-    // and consumption (capacity-reusing copy) included.
+    // and consumption (capacity-reusing copy) included. Checked in
+    // both aggregation orders: interactive semseg serving runs
+    // Delayed through exactly this path.
     const auto scene = std::make_shared<const data::PointCloud>(
         data::makeS3disScene(2048, 61));
     const nn::Network network(tinySegModel(), 42);
@@ -357,25 +338,31 @@ TEST(WorkspaceAlloc, WarmServeRoundTripIsAllocationFree)
     serve::ServeOptions options;
     options.pipeline.num_threads = 1;
     options.pipeline.threshold = 64;
-    BatchRequest request;
-    request.sample_rate = 0.25;
-    request.radius = 0.3f;
-    request.neighbors = 8;
-    request.network = &network;
-    serve::AsyncPipeline server(options);
+    for (const nn::Aggregation order :
+         {nn::Aggregation::Eager, nn::Aggregation::Delayed}) {
+        SCOPED_TRACE(order == nn::Aggregation::Eager ? "eager"
+                                                     : "delayed");
+        BatchRequest request;
+        request.sample_rate = 0.25;
+        request.radius = 0.3f;
+        request.neighbors = 8;
+        request.network = &network;
+        request.aggregation = order;
+        serve::AsyncPipeline server(options);
 
-    serve::RequestOutcome out;
-    for (int i = 0; i < 3; ++i) // warm pools, rings, and capacities
+        serve::RequestOutcome out;
+        for (int i = 0; i < 3; ++i) // warm pools, rings, capacities
+            server.waitInto(server.submitShared(scene, request), out);
+        ASSERT_EQ(out.state, serve::RequestState::Done);
+
+        const std::uint64_t before = fc::heapAllocCount();
         server.waitInto(server.submitShared(scene, request), out);
-    ASSERT_EQ(out.state, serve::RequestState::Done);
+        EXPECT_EQ(fc::heapAllocCount() - before, 0u);
 
-    const std::uint64_t before = fc::heapAllocCount();
-    server.waitInto(server.submitShared(scene, request), out);
-    EXPECT_EQ(fc::heapAllocCount() - before, 0u);
-
-    ASSERT_EQ(out.state, serve::RequestState::Done);
-    EXPECT_EQ(server.workspacesCreated(), 1u);
-    EXPECT_EQ(server.outcomeSlotsCreated(), 1u);
+        ASSERT_EQ(out.state, serve::RequestState::Done);
+        EXPECT_EQ(server.workspacesCreated(), 1u);
+        EXPECT_EQ(server.outcomeSlotsCreated(), 1u);
+    }
 }
 
 // ---------------------------------------------------------------------
