@@ -9,8 +9,10 @@
  * CI contract (Release perf-smoke): the CSV shape is gated by
  * scripts/check_bench_csv.sh, and when the AVX2 kernels are active
  * this binary exits non-zero unless the FPS distance-update and
- * LinearRelu rows reach a 2x speedup over scalar — the floor the
- * ISSUE's perf target sets for the two paper-critical kernels. On
+ * LinearRelu rows reach a 2x speedup over scalar — a floor on the two
+ * paper-critical kernels. The LinearRelu row is a 131->128 layer, so
+ * the floor also covers the kernel's scalar remainder (in % 8 != 0),
+ * which the semseg layers with 6, 67, 131 and 259 inputs run. On
  * scalar-only machines the rows print with speedup 1.0 and nothing is
  * asserted.
  */
@@ -79,8 +81,9 @@ timeBothLevels(Fn &&fn, int reps)
 }
 
 constexpr std::size_t kPoints = 1 << 16;
-constexpr std::size_t kDotDim = 128;
-constexpr std::size_t kDotRows = 512;
+constexpr std::size_t kLinearIn = 131;
+constexpr std::size_t kLinearOut = 128;
+constexpr std::size_t kLinearRows = 512;
 constexpr int kReps = 5;
 
 void
@@ -145,12 +148,12 @@ simdTable()
         kReps);
     add_row("distance2-range", screen);
 
-    // LinearRelu: the per-row dot kernel under its real caller
-    // (weights quantized, activations fp16-rounded).
-    const fc::nn::LinearRelu layer(kDotDim, kDotDim, 7);
-    fc::nn::Tensor x(kDotRows, kDotDim);
-    for (std::size_t r = 0; r < kDotRows; ++r)
-        for (std::size_t c = 0; c < kDotDim; ++c)
+    // LinearRelu: the row kernel under its real caller (weights
+    // quantized, activations fp16-rounded).
+    const fc::nn::LinearRelu layer(kLinearIn, kLinearOut, 7);
+    fc::nn::Tensor x(kLinearRows, kLinearIn);
+    for (std::size_t r = 0; r < kLinearRows; ++r)
+        for (std::size_t c = 0; c < kLinearIn; ++c)
             x.at(r, c) = rng.uniform(-1.0f, 1.0f);
     x.quantizeFp16();
     fc::nn::Tensor y;
@@ -190,8 +193,9 @@ simdTable()
     fcb::emit(table, "bench_simd_kernels",
               "SIMD kernel layer: scalar vs dispatched (" +
                   std::to_string(kPoints) + " candidates, " +
-                  std::to_string(kDotRows) + "x" +
-                  std::to_string(kDotDim) + " MLP rows)");
+                  std::to_string(kLinearRows) + " MLP rows " +
+                  std::to_string(kLinearIn) + "->" +
+                  std::to_string(kLinearOut) + ")");
 
     // The CI floor: the two paper-critical kernels must beat scalar
     // by 2x whenever the AVX2 path is in play.

@@ -88,9 +88,29 @@ fp16RoundScalar(float *values, std::size_t n)
         values[i] = fp16Round(values[i]);
 }
 
+void
+linearReluRowsScalar(const float *w, const float *bias, std::size_t in,
+                     std::size_t out, const float *x, std::size_t rows,
+                     float *y)
+{
+    for (std::size_t r = 0; r < rows; ++r) {
+        const float *xin = x + r * in;
+        float *yout = y + r * out;
+        for (std::size_t o = 0; o < out; ++o) {
+            // fp32 accumulation over fp16 operands, as in the PE
+            // array; the bias seeds the accumulator.
+            float acc = dotAccScalar(bias[o], w + o * in, xin, in);
+            if (acc < 0.0f)
+                acc = 0.0f;
+            yout[o] = acc;
+        }
+        fp16RoundScalar(yout, out);
+    }
+}
+
 constexpr detail::Kernels kScalarKernels = {
-    &fpsUpdateScalar, &distance2RangeScalar, &dotAccScalar,
-    &axpyScalar,      &fp16RoundScalar,
+    &fpsUpdateScalar,      &distance2RangeScalar, &dotAccScalar,
+    &linearReluRowsScalar, &axpyScalar,           &fp16RoundScalar,
 };
 
 const detail::Kernels *
@@ -186,6 +206,14 @@ float
 dotAcc(float init, const float *a, const float *b, std::size_t n)
 {
     return detail::active().dot_acc(init, a, b, n);
+}
+
+void
+linearReluRows(const float *w, const float *bias, std::size_t in,
+               std::size_t out, const float *x, std::size_t rows,
+               float *y)
+{
+    detail::active().linear_relu_rows(w, bias, in, out, x, rows, y);
 }
 
 void

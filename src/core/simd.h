@@ -6,7 +6,9 @@
  * feature math; on a CPU the equivalent is explicit vectorization of
  * the same three inner loops (the Fig. 4 bottleneck trio): the FPS
  * min-distance update, the ball-query/KNN distance screens, and the
- * per-row MLP inner products. This header exposes exactly those
+ * MLP inner products — one output (dotAcc) or a whole LinearRelu
+ * layer over a block of rows (linearReluRows), plus the axpy blend
+ * and fp16 rounding around them. This header exposes exactly those
  * primitives, with two implementations behind one function-pointer
  * table:
  *
@@ -41,6 +43,13 @@
  *     rounding (how every MLP activation is stored) scalar and Avx2
  *     agree to <= 1 fp16 ULP. Within one level the scheme is fixed,
  *     so MLP activations are bit-identical run to run.
+ *   - linearReluRows: every output is bit-identical to dotAcc at the
+ *     same level, followed by the ReLU and fp16RoundBuffer of its
+ *     output row. Scalar is literally that loop; Avx2 computes one
+ *     output for a register tile of rows at once, but each row keeps
+ *     its own two accumulators and dotAcc's exact sequence, so only
+ *     the weight loads are shared. Across levels it inherits dotAcc's
+ *     1 fp16 ULP bound.
  *
  * Threading: kernels are pure functions over caller-owned memory and
  * may run concurrently on disjoint ranges — they are called from
@@ -159,6 +168,34 @@ void distance2Range(const SoaView &pts, const PointIdx *order,
  */
 float dotAcc(float init, const float *a, const float *b, std::size_t n);
 
+/**
+ * One LinearRelu layer over a block of rows, bias + ReLU + binary16
+ * output rounding fused: for r in [0, rows) and o in [0, out),
+ *
+ *     y[r*out + o] = fp16Round(relu(dotAcc(bias[o], w + o*in,
+ *                                          x + r*in, in)))
+ *
+ * with @p w the [out x in] row-major weights, @p x the [rows x in]
+ * inputs and @p y the [rows x out] outputs (must not alias @p x).
+ * Bit-identical per output to that dotAcc loop at the same level
+ * (see file header), so how a caller splits its rows into blocks
+ * never changes a result.
+ */
+void linearReluRows(const float *w, const float *bias, std::size_t in,
+                    std::size_t out, const float *x, std::size_t rows,
+                    float *y);
+
+/**
+ * Rows per register tile of the Avx2 linearReluRows kernel, which
+ * computes one output for this many rows per pass over its weight
+ * row (6 rows x 1 output ran the PointNet++ semseg layer stack
+ * fastest of the 2x2, 3x2, 2x3, 4x2, 3x1, 4x1, 5x1, 6x1 and 8x1
+ * tiles). A block whose row count is not a multiple of it ends in a
+ * narrower tile that reuses each weight load less, so callers that
+ * chunk rows round their chunk length up to a multiple of it.
+ */
+inline constexpr std::size_t kLinearRowTile = 6;
+
 /** y[i] += a * x[i], elementwise (bit-identical across levels). */
 void axpy(float a, const float *x, float *y, std::size_t n);
 
@@ -179,6 +216,9 @@ struct Kernels
                             std::uint32_t, const Vec3 &, std::uint32_t,
                             std::uint32_t, float *);
     float (*dot_acc)(float, const float *, const float *, std::size_t);
+    void (*linear_relu_rows)(const float *, const float *, std::size_t,
+                             std::size_t, const float *, std::size_t,
+                             float *);
     void (*axpy)(float, const float *, float *, std::size_t);
     void (*fp16_round)(float *, std::size_t);
 };

@@ -23,6 +23,11 @@
  *   - dotAcc uses one fixed accumulation scheme (two 8-lane FMA
  *     accumulators, fixed-order horizontal sum, scalar remainder);
  *     versus the scalar running sum it is ULP-bounded, not bit-equal.
+ *   - linearReluRows runs one output over kLinearRowTile rows at a
+ *     time, sharing each weight load, but every row owns its two
+ *     accumulators and runs dotAcc's sequence step for step, so each
+ *     output is bit-equal to dotAcc + ReLU + fp16RoundBuffer at this
+ *     level.
  *   - fp16RoundBuffer's F16C round trip rounds to nearest-even like
  *     the software converter; only NaN payloads may differ.
  */
@@ -251,6 +256,81 @@ fp16RoundAvx2(float *values, std::size_t n)
         values[i] = fp16Round(values[i]);
 }
 
+/**
+ * One output of R rows, the register tile of linearReluRows: @p w is
+ * the output's weight row, @p x the first of R input rows, and
+ * y[r * out] receives row r's output. Each weight vector is loaded
+ * once per step and reused across the R rows, while every row keeps
+ * its own acc0/acc1 and dotAccAvx2's exact sequence.
+ */
+template <std::size_t R>
+[[gnu::always_inline]] inline void
+linearReluTile(const float *w, float bias, std::size_t in, const float *x,
+               float *y, std::size_t out)
+{
+    __m256 acc0[R];
+    __m256 acc1[R];
+    for (std::size_t r = 0; r < R; ++r) {
+        acc0[r] = _mm256_setzero_ps();
+        acc1[r] = _mm256_setzero_ps();
+    }
+    std::size_t i = 0;
+    for (; i + 16 <= in; i += 16) {
+        const __m256 w0 = _mm256_loadu_ps(w + i);
+        for (std::size_t r = 0; r < R; ++r)
+            acc0[r] = _mm256_fmadd_ps(w0, _mm256_loadu_ps(x + r * in + i),
+                                      acc0[r]);
+        const __m256 w1 = _mm256_loadu_ps(w + i + 8);
+        for (std::size_t r = 0; r < R; ++r)
+            acc1[r] = _mm256_fmadd_ps(
+                w1, _mm256_loadu_ps(x + r * in + i + 8), acc1[r]);
+    }
+    if (i + 8 <= in) {
+        const __m256 w0 = _mm256_loadu_ps(w + i);
+        for (std::size_t r = 0; r < R; ++r)
+            acc0[r] = _mm256_fmadd_ps(w0, _mm256_loadu_ps(x + r * in + i),
+                                      acc0[r]);
+        i += 8;
+    }
+    // dotAccAvx2's epilogue, with the remainder loop outermost so the
+    // R sums stay in registers; each still adds its products in
+    // ascending i.
+    float sum[R];
+    for (std::size_t r = 0; r < R; ++r)
+        sum[r] = bias + hsum8(_mm256_add_ps(acc0[r], acc1[r]));
+    for (; i < in; ++i)
+        for (std::size_t r = 0; r < R; ++r)
+            sum[r] += w[i] * x[r * in + i];
+    for (std::size_t r = 0; r < R; ++r)
+        y[r * out] = sum[r] < 0.0f ? 0.0f : sum[r];
+}
+
+/**
+ * linearReluRows at this level with R = kLinearRowTile: every output
+ * of @p rows rows in blocks of R rows, output by output; each block's
+ * output rows are then fp16-rounded one by one, as the dotAcc loop
+ * rounds each finished row. A remainder under R rows recurses into
+ * narrower blocks.
+ */
+template <std::size_t R>
+void
+linearReluBlocks(const float *w, const float *bias, std::size_t in,
+                 std::size_t out, const float *x, std::size_t rows,
+                 float *y)
+{
+    std::size_t r = 0;
+    for (; r + R <= rows; r += R) {
+        for (std::size_t o = 0; o < out; ++o)
+            linearReluTile<R>(w + o * in, bias[o], in, x + r * in,
+                              y + r * out + o, out);
+        for (std::size_t k = 0; k < R; ++k)
+            fp16RoundAvx2(y + (r + k) * out, out);
+    }
+    if constexpr (R > 1)
+        linearReluBlocks<R - 1>(w, bias, in, out, x + r * in, rows - r,
+                                y + r * out);
+}
+
 } // namespace
 
 namespace detail {
@@ -259,8 +339,12 @@ const Kernels *
 avx2Kernels()
 {
     static const Kernels table = {
-        &fpsUpdateAvx2, &distance2RangeAvx2, &dotAccAvx2,
-        &axpyAvx2,      &fp16RoundAvx2,
+        &fpsUpdateAvx2,
+        &distance2RangeAvx2,
+        &dotAccAvx2,
+        &linearReluBlocks<kLinearRowTile>,
+        &axpyAvx2,
+        &fp16RoundAvx2,
     };
     static const bool supported = __builtin_cpu_supports("avx2") &&
                                   __builtin_cpu_supports("fma") &&

@@ -11,9 +11,8 @@
 namespace fc::nn {
 
 LinearRelu::LinearRelu(std::size_t in, std::size_t out,
-                       std::uint64_t seed, bool relu)
-    : in_(in), out_(out), relu_(relu), weights_(out, in),
-      bias_(out, 0.0f)
+                       std::uint64_t seed)
+    : in_(in), out_(out), weights_(out, in), bias_(out, 0.0f)
 {
     fc_assert(in > 0 && out > 0, "degenerate layer %zux%zu", in, out);
     Pcg32 rng(seed, 0x2545f4914f6cdd1dULL);
@@ -35,26 +34,19 @@ LinearRelu::forward(const Tensor &x, core::ThreadPool *pool,
               in_, x.cols());
     fc_assert(&x != &y, "LinearRelu::forward cannot run in place");
     y.resize(x.rows(), out_);
-    // Each row owns its output slice; the grain is a pure function of
-    // the layer shape, so chunking never affects the arithmetic.
+    // Each row owns its output slice and linearReluRows is bit-equal
+    // per output whatever block it runs in, so chunking never affects
+    // the arithmetic. The grain is a pure function of the layer shape,
+    // rounded up to whole row tiles so no chunk splits a tile.
+    constexpr std::size_t tile = core::simd::kLinearRowTile;
+    const std::size_t grain =
+        (core::costGrain(in_ * out_) + tile - 1) / tile * tile;
     core::parallelFor(
-        pool, 0, x.rows(), core::costGrain(in_ * out_),
-        [&](std::size_t rb, std::size_t re) {
-            for (std::size_t r = rb; r < re; ++r) {
-                const auto xin = x.row(r);
-                auto yout = y.row(r);
-                for (std::size_t o = 0; o < out_; ++o) {
-                    // fp32 accumulation over fp16 operands, as in the
-                    // PE array; the bias seeds the accumulator.
-                    float acc = core::simd::dotAcc(
-                        bias_[o], weights_.row(o).data(), xin.data(),
-                        in_);
-                    if (relu_ && acc < 0.0f)
-                        acc = 0.0f;
-                    yout[o] = acc;
-                }
-                core::simd::fp16RoundBuffer(yout.data(), out_);
-            }
+        pool, 0, x.rows(), grain, [&](std::size_t rb, std::size_t re) {
+            core::simd::linearReluRows(weights_.data().data(),
+                                       bias_.data(), in_, out_,
+                                       x.row(rb).data(), re - rb,
+                                       y.row(rb).data());
         });
 }
 

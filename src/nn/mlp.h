@@ -33,15 +33,14 @@ class LinearRelu
      * @param in    input channels
      * @param out   output channels
      * @param seed  weight seed (deterministic)
-     * @param relu  apply ReLU (disabled for final logits layers)
      */
-    LinearRelu(std::size_t in, std::size_t out, std::uint64_t seed,
-               bool relu = true);
+    LinearRelu(std::size_t in, std::size_t out, std::uint64_t seed);
 
     /**
      * Apply to every row of @p x; returns [rows x out]. Rows are
-     * independent, so they dispatch in chunks over @p pool (null =
-     * sequential); every row's arithmetic is unchanged, making the
+     * independent, so they dispatch in chunks of whole
+     * core::simd::linearReluRows tiles over @p pool (null =
+     * sequential); every output's arithmetic is unchanged, making the
      * result bit-identical at any thread count.
      */
     Tensor forward(const Tensor &x,
@@ -66,7 +65,6 @@ class LinearRelu
   private:
     std::size_t in_;
     std::size_t out_;
-    bool relu_;
     Tensor weights_; // [out x in], fp16-rounded
     std::vector<float> bias_;
 };

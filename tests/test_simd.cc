@@ -12,6 +12,9 @@
  *  - ULP bounds for the dot kernel (bit-equal is impossible across
  *    accumulation orders) and the <= 1 fp16 ULP guarantee after
  *    binary16 output rounding.
+ *  - The LinearRelu row kernel bit-equal, per level, to a loop of
+ *    dotAcc + ReLU + fp16RoundBuffer over every tail and partial-tile
+ *    shape.
  *  - End-to-end: FPS / ball query / KNN identical across levels, and
  *    thread-count determinism of inference with SIMD active
  *    (SimdDeterminism, in the TSan CI filter).
@@ -436,6 +439,91 @@ TEST(SimdAccuracy, LinearReluLevelsAgreeWithinOneFp16Ulp)
 }
 
 // ---------------------------------------------------------------------
+// LinearRelu row kernel: bit-equal to the dotAcc loop at each level
+// ---------------------------------------------------------------------
+
+/** Bit patterns of @p values, so NaN payloads and zero signs count. */
+std::vector<std::uint32_t>
+bitsOf(const std::vector<float> &values)
+{
+    std::vector<std::uint32_t> bits(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i)
+        bits[i] = std::bit_cast<std::uint32_t>(values[i]);
+    return bits;
+}
+
+/** The per-output reference linearReluRows must match at the active
+ *  level: dotAcc seeded with the bias, ReLU, then each output row
+ *  rounded through binary16. */
+std::vector<float>
+dotAccLinearRelu(const std::vector<float> &w,
+                 const std::vector<float> &bias, std::size_t in,
+                 std::size_t out, const std::vector<float> &x,
+                 std::size_t rows)
+{
+    std::vector<float> y(rows * out);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t o = 0; o < out; ++o) {
+            float acc = simd::dotAcc(bias[o], w.data() + o * in,
+                                     x.data() + r * in, in);
+            if (acc < 0.0f)
+                acc = 0.0f;
+            y[r * out + o] = acc;
+        }
+        simd::fp16RoundBuffer(y.data() + r * out, out);
+    }
+    return y;
+}
+
+TEST(SimdEquivalence, LinearReluRowsMatchesDotAccLoopBitwise)
+{
+    LevelGuard guard;
+    // in: below, at and past the 8- and 16-wide steps (24 and 27 run
+    // the 8-wide step after a 16-wide one), plus the remainders of the
+    // semseg layers (6, 67, 131, 259). rows: every partial row tile,
+    // whole tiles, and whole tiles plus a remainder. out: odd and even
+    // counts.
+    const std::size_t ins[] = {1,  3,  6,  8,   9,   16, 17,
+                               24, 27, 67, 131, 259, 768};
+    const std::size_t row_counts[] = {1, 2, 3, 4, 5, 6, 7, 12, 64};
+    const std::size_t outs[] = {1, 2, 3, 13, 64};
+    for (const simd::Level level :
+         {simd::Level::Scalar, simd::Level::Avx2}) {
+        if (!simd::setActiveLevel(level))
+            continue; // no Avx2 on this machine: Scalar only
+        for (const std::size_t in : ins)
+            for (const std::size_t out : outs) {
+                Pcg32 rng(in * 131 + out);
+                std::vector<float> w(out * in), bias(out);
+                for (float &v : w)
+                    v = fp16Round(rng.uniform(-1.0f, 1.0f));
+                for (float &v : bias)
+                    v = rng.uniform(-0.5f, 0.5f);
+                for (const std::size_t rows : row_counts) {
+                    std::vector<float> x(rows * in);
+                    for (float &v : x)
+                        v = fp16Round(rng.uniform(-1.0f, 1.0f));
+                    // A NaN and an infinity must travel through the
+                    // ReLU and the rounding exactly as in the loop.
+                    if (rows == 7) {
+                        x[3 * in] =
+                            std::numeric_limits<float>::quiet_NaN();
+                        x[5 * in + in - 1] =
+                            std::numeric_limits<float>::infinity();
+                    }
+                    std::vector<float> y(rows * out);
+                    simd::linearReluRows(w.data(), bias.data(), in, out,
+                                         x.data(), rows, y.data());
+                    EXPECT_EQ(bitsOf(y), bitsOf(dotAccLinearRelu(
+                                             w, bias, in, out, x, rows)))
+                        << simd::levelName(level) << " in=" << in
+                        << " rows=" << rows << " out=" << out;
+                }
+            }
+    }
+}
+
+// ---------------------------------------------------------------------
 // End-to-end equivalence across levels
 // ---------------------------------------------------------------------
 
@@ -515,6 +603,33 @@ TEST(SimdDeterminism, FpsIdenticalAcrossThreadCounts)
             ops::farthestPointSample(scene, 256, {}, &pool);
         EXPECT_EQ(serial.indices, pooled.indices)
             << threads << " threads";
+    }
+}
+
+TEST(SimdDeterminism, LinearReluIdenticalAcrossThreadCounts)
+{
+    // Row counts that are not a multiple of the row tile, so pooled
+    // chunks and the sequential pass both end in a partial tile.
+    const struct
+    {
+        std::size_t in, out, rows;
+    } shapes[] = {{131, 128, 1000}, {320, 256, 517}};
+    for (const auto &shape : shapes) {
+        const nn::LinearRelu layer(shape.in, shape.out, 11);
+        nn::Tensor x(shape.rows, shape.in);
+        Pcg32 rng(shape.in);
+        for (float &v : x.data())
+            v = rng.uniform(-1.0f, 1.0f);
+        x.quantizeFp16();
+        const nn::Tensor serial = layer.forward(x);
+        for (const unsigned threads : {2u, 4u}) {
+            core::ThreadPool pool(threads);
+            nn::Tensor pooled;
+            layer.forward(x, &pool, pooled);
+            EXPECT_EQ(bitsOf(serial.data()), bitsOf(pooled.data()))
+                << shape.in << "->" << shape.out << ", " << threads
+                << " threads";
+        }
     }
 }
 
