@@ -41,6 +41,15 @@ main()
 {
     using namespace fc;
 
+    // Every check below prints "bit-identical" or "DIVERGED (bug!)";
+    // a DIVERGED line means an invariant broke, and makes the exit
+    // status non-zero.
+    bool diverged = false;
+    const auto verdict = [&diverged](bool identical) {
+        diverged = diverged || !identical;
+        return identical ? "bit-identical" : "DIVERGED (bug!)";
+    };
+
     // 1. Synthesize an indoor scene (S3DIS-like density contrast).
     const data::PointCloud scene = data::makeS3disScene(16384, 7);
     std::printf("scene: %zu points, %d semantic classes\n",
@@ -177,7 +186,7 @@ main()
                 threaded.point_features.cols(),
                 static_cast<double>(threaded.total_macs) / 1e6,
                 infer_ms.count(),
-                identical ? "bit-identical" : "DIVERGED (bug!)");
+                verdict(identical));
 
     // Delayed aggregation: run every set-abstraction MLP once per
     // unique point, then gather/pool features — far fewer MLP rows
@@ -211,7 +220,7 @@ main()
     std::printf("workspace reuse: warm infer %.2f ms (cold %.2f ms), "
                 "results %s\n",
                 warm_ms.count(), infer_ms.count(),
-                reuse_identical ? "bit-identical" : "DIVERGED (bug!)");
+                verdict(reuse_identical));
 
     // 10. Sharded, priority-aware serving: consistent-hash placement
     // keys, weighted priority classes, bounded waits
@@ -255,12 +264,29 @@ main()
     // 11. The SIMD kernel layer: runtime dispatch (AVX2 vs scalar;
     // force scalar with FC_FORCE_SCALAR=1). Every MLP multiplies
     // fp16-valued operands and accumulates in fp32, like the paper's
-    // PE array; the two dispatch levels agree within 1 fp16 ULP
-    // (docs/ARCHITECTURE.md, invariant 1).
-    std::printf("simd: avx2 %s, active level %s\n",
-                core::simd::avx2Available() ? "available"
-                                            : "unavailable",
-                core::simd::levelName(core::simd::activeLevel()));
+    // PE array, so a whole inference is bit-identical at both
+    // dispatch levels (docs/ARCHITECTURE.md, invariant 1). Run one
+    // small inference at each level, then restore the active one.
+    {
+        const core::simd::Level active = core::simd::activeLevel();
+        const data::PointCloud small = data::makeS3disScene(1024, 3);
+        core::simd::setActiveLevel(core::simd::Level::Scalar);
+        const nn::InferenceResult at_scalar =
+            network.run(small, sequential_backend);
+        std::printf("simd: avx2 %s, active level %s",
+                    core::simd::avx2Available() ? "available"
+                                                : "unavailable",
+                    core::simd::levelName(active));
+        if (core::simd::setActiveLevel(core::simd::Level::Avx2)) {
+            const nn::InferenceResult at_avx2 =
+                network.run(small, sequential_backend);
+            std::printf(", scalar vs avx2 inference %s",
+                        verdict(at_avx2.point_features.data() ==
+                                at_scalar.point_features.data()));
+        }
+        std::printf("\n");
+        core::simd::setActiveLevel(active);
+    }
 
     // 12. Observability: the metrics registry and the /stats export
     // (full instrument table in docs/SERVING.md).
@@ -334,7 +360,7 @@ main()
                     reader->blockCount(), reader->mappedBytes() / 1024,
                     reader->isMemoryMapped() ? "mmap'd"
                                              : "heap-read (fallback)",
-                    bytes_match ? "bit-identical" : "DIVERGED (bug!)");
+                    verdict(bytes_match));
 
         // Stream every block through a fresh pipeline under each
         // block's on-disk placement key, prefetching ahead of the
@@ -358,9 +384,8 @@ main()
         std::printf("ingest: %zu blocks served from disk, prefetch "
                     "%zu hits / %zu waits, vs preloaded %s\n",
                     ingested.size(), prefetch.hits, prefetch.waits,
-                    ingest_identical ? "bit-identical"
-                                     : "DIVERGED (bug!)");
+                    verdict(ingest_identical));
         std::remove(path.c_str());
     }
-    return 0;
+    return diverged ? 1 : 0;
 }

@@ -128,6 +128,14 @@ appendJsonKey(std::string &out, const std::string &name, bool &first)
 
 } // namespace
 
+Registry::Registry()
+    : serial_([] {
+          static std::atomic<std::uint64_t> next{1};
+          return next.fetch_add(1, std::memory_order_relaxed);
+      }())
+{
+}
+
 Counter &
 Registry::counter(std::string_view name)
 {

@@ -259,9 +259,15 @@ class Histogram
 class Registry
 {
   public:
-    Registry() = default;
+    Registry();
     Registry(const Registry &) = delete;
     Registry &operator=(const Registry &) = delete;
+
+    /** Nonzero identity no other registry in the process ever had,
+     *  taken from a global counter at construction. Key caches of
+     *  instrument pointers on it, not on the address: a registry
+     *  built where a destroyed one lived gets a new serial. */
+    std::uint64_t serial() const { return serial_; }
 
     /** Find-or-create. The name (including any {label=value} suffix)
      *  is the identity; requesting an existing name returns the same
@@ -293,6 +299,7 @@ class Registry
     template <typename T>
     using NameMap = std::map<std::string, std::unique_ptr<T>, std::less<>>;
 
+    const std::uint64_t serial_;
     mutable std::mutex mutex_;
     NameMap<Counter> counters_;
     NameMap<Gauge> gauges_;

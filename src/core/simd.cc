@@ -65,15 +65,6 @@ distance2RangeScalar(const SoaView &pts, const PointIdx *order,
     }
 }
 
-float
-dotAccScalar(float init, const float *a, const float *b, std::size_t n)
-{
-    float acc = init;
-    for (std::size_t i = 0; i < n; ++i)
-        acc += a[i] * b[i];
-    return acc;
-}
-
 void
 axpyScalar(float a, const float *x, float *y, std::size_t n)
 {
@@ -97,9 +88,14 @@ linearReluRowsScalar(const float *w, const float *bias, std::size_t in,
         const float *xin = x + r * in;
         float *yout = y + r * out;
         for (std::size_t o = 0; o < out; ++o) {
+            // Output o's weights: lane o % kLinearPanel of its panel.
+            const float *wo = w + (o - o % kLinearPanel) * in +
+                              o % kLinearPanel;
             // fp32 accumulation over fp16 operands, as in the PE
             // array; the bias seeds the accumulator.
-            float acc = dotAccScalar(bias[o], w + o * in, xin, in);
+            float acc = bias[o];
+            for (std::size_t i = 0; i < in; ++i)
+                acc += wo[i * kLinearPanel] * xin[i];
             if (acc < 0.0f)
                 acc = 0.0f;
             yout[o] = acc;
@@ -109,8 +105,8 @@ linearReluRowsScalar(const float *w, const float *bias, std::size_t in,
 }
 
 constexpr detail::Kernels kScalarKernels = {
-    &fpsUpdateScalar,      &distance2RangeScalar, &dotAccScalar,
-    &linearReluRowsScalar, &axpyScalar,           &fp16RoundScalar,
+    &fpsUpdateScalar, &distance2RangeScalar, &linearReluRowsScalar,
+    &axpyScalar,      &fp16RoundScalar,
 };
 
 const detail::Kernels *
@@ -202,10 +198,16 @@ distance2Range(const SoaView &pts, const PointIdx *order,
                                      begin, end, out);
 }
 
-float
-dotAcc(float init, const float *a, const float *b, std::size_t n)
+std::vector<float>
+packLinearWeights(const float *w, std::size_t in, std::size_t out)
 {
-    return detail::active().dot_acc(init, a, b, n);
+    const std::size_t panels = (out + kLinearPanel - 1) / kLinearPanel;
+    std::vector<float> packed(panels * in * kLinearPanel, 0.0f);
+    for (std::size_t o = 0; o < out; ++o)
+        for (std::size_t i = 0; i < in; ++i)
+            packed[(o - o % kLinearPanel) * in + i * kLinearPanel +
+                   o % kLinearPanel] = w[o * in + i];
+    return packed;
 }
 
 void

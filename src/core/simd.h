@@ -6,11 +6,11 @@
  * feature math; on a CPU the equivalent is explicit vectorization of
  * the same three inner loops (the Fig. 4 bottleneck trio): the FPS
  * min-distance update, the ball-query/KNN distance screens, and the
- * MLP inner products — one output (dotAcc) or a whole LinearRelu
- * layer over a block of rows (linearReluRows), plus the axpy blend
- * and fp16 rounding around them. This header exposes exactly those
- * primitives, with two implementations behind one function-pointer
- * table:
+ * MLP inner products — a whole LinearRelu layer over a block of rows
+ * (linearReluRows, over weights laid out by packLinearWeights), plus
+ * the axpy blend and fp16 rounding around them. This header exposes
+ * exactly those primitives, with two implementations behind one
+ * function-pointer table:
  *
  *   - Scalar: a reference path whose arithmetic is literally the loop
  *     it replaced — bit-identical to the pre-SIMD code, element order
@@ -36,20 +36,26 @@
  *     common/fp16.h for every non-NaN input; NaN payloads may differ
  *     (F16C propagates payload bits, the software path canonicalizes
  *     to 0x200) while staying NaN.
- *   - dotAcc: fp32 accumulation in a fixed two-register FMA scheme.
- *     Association differs from the scalar running sum, so results are
- *     ULP-bounded, not bit-equal: the error is at most ~(n/8 + 8)
- *     float ULP of sum_i |a_i * b_i|, and after binary16 output
- *     rounding (how every MLP activation is stored) scalar and Avx2
- *     agree to <= 1 fp16 ULP. Within one level the scheme is fixed,
- *     so MLP activations are bit-identical run to run.
- *   - linearReluRows: every output is bit-identical to dotAcc at the
- *     same level, followed by the ReLU and fp16RoundBuffer of its
- *     output row. Scalar is literally that loop; Avx2 computes one
- *     output for a register tile of rows at once, but each row keeps
- *     its own two accumulators and dotAcc's exact sequence, so only
- *     the weight loads are shared. Across levels it inherits dotAcc's
- *     1 fp16 ULP bound.
+ *   - linearReluRows: bit-identical across levels when the weights
+ *     and inputs are fp16-valued (each survives fp16Round unchanged).
+ *     LinearRelu guarantees that: its weights are quantized at
+ *     construction, and every layer input is a quantized network input
+ *     or an fp16-rounded activation. Every output lane runs the scalar
+ *     loop's sequence at both levels: acc = bias, then
+ *     acc += w[o][i] * x[i] for ascending i, the ReLU
+ *     acc < 0 ? 0 : acc, and fp16 rounding. Avx2 vectorizes across 16
+ *     outputs and adds with FMA. That keeps the identity: a product of
+ *     two fp16 values has at most 22 significant bits and an exponent
+ *     within [-48, 32], so it is exact in fp32, and fma(w, x, acc)
+ *     rounds exactly like acc + w*x. The ReLU keeps NaN and -0 as the
+ *     scalar comparison does, and a NaN output stays NaN (its payload
+ *     may differ, as for fp16RoundBuffer). Outside the precondition
+ *     only Scalar rounds the products, so before the ReLU and the fp16
+ *     rounding the two levels' finite fp32 sums differ by at most
+ *     2 * gamma(in + 1) * (|bias| + sum_i |w[o][i] * x[i]|), with
+ *     gamma(n) = n * 2^-24 / (1 - n * 2^-24) (recursive summation: at
+ *     most in + 1 roundings reach each term at Scalar, in at Avx2).
+ *     How a caller splits its rows into blocks never changes a result.
  *
  * Threading: kernels are pure functions over caller-owned memory and
  * may run concurrently on disjoint ranges — they are called from
@@ -62,6 +68,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/types.h"
 
@@ -160,26 +167,29 @@ void distance2Range(const SoaView &pts, const PointIdx *order,
                     std::uint32_t identity_base, const Vec3 &query,
                     std::uint32_t begin, std::uint32_t end, float *out);
 
+/** Outputs per packed weight panel (two 8-lane vectors). */
+inline constexpr std::size_t kLinearPanel = 16;
+
 /**
- * init + sum_i a[i] * b[i] with fp32 accumulation — one MLP output
- * neuron with @p init as its bias. Scalar: the exact running sum of
- * the historical LinearRelu row loop. Avx2: FMA partial sums
- * (ULP-bounded, see file header).
+ * Pack the [out x in] row-major weights @p w into the layout
+ * linearReluRows reads: ceil(out / kLinearPanel) panels, each
+ * [in][kLinearPanel], so packed[(p * in + i) * kLinearPanel + l] =
+ * w[(p * kLinearPanel + l) * in + i]. Lanes past @p out are zero.
  */
-float dotAcc(float init, const float *a, const float *b, std::size_t n);
+std::vector<float> packLinearWeights(const float *w, std::size_t in,
+                                     std::size_t out);
 
 /**
  * One LinearRelu layer over a block of rows, bias + ReLU + binary16
  * output rounding fused: for r in [0, rows) and o in [0, out),
  *
- *     y[r*out + o] = fp16Round(relu(dotAcc(bias[o], w + o*in,
- *                                          x + r*in, in)))
+ *     acc = bias[o];  acc += w[o][i] * x[r*in + i]  for i = 0..in-1
+ *     y[r*out + o] = fp16Round(acc < 0 ? 0 : acc)
  *
- * with @p w the [out x in] row-major weights, @p x the [rows x in]
- * inputs and @p y the [rows x out] outputs (must not alias @p x).
- * Bit-identical per output to that dotAcc loop at the same level
- * (see file header), so how a caller splits its rows into blocks
- * never changes a result.
+ * with @p w the weights as packed by packLinearWeights(_, in, out),
+ * @p x the [rows x in] inputs and @p y the [rows x out] outputs (must
+ * not alias @p x). Bit-identical across levels for fp16-valued
+ * weights and inputs (see file header).
  */
 void linearReluRows(const float *w, const float *bias, std::size_t in,
                     std::size_t out, const float *x, std::size_t rows,
@@ -187,12 +197,15 @@ void linearReluRows(const float *w, const float *bias, std::size_t in,
 
 /**
  * Rows per register tile of the Avx2 linearReluRows kernel, which
- * computes one output for this many rows per pass over its weight
- * row (6 rows x 1 output ran the PointNet++ semseg layer stack
- * fastest of the 2x2, 3x2, 2x3, 4x2, 3x1, 4x1, 5x1, 6x1 and 8x1
- * tiles). A block whose row count is not a multiple of it ends in a
- * narrower tile that reuses each weight load less, so callers that
- * chunk rows round their chunk length up to a multiple of it.
+ * computes one panel of kLinearPanel outputs for this many rows per
+ * pass over the panel: 12 ymm accumulators, the most that leave
+ * registers for the two weight vectors and a broadcast. Over the 23
+ * LinearRelu layers of PointNet++ semseg (delayed order, 8192
+ * points, one thread), 6 x 16 and 5 x 16 tied at a best of 32.9 ms
+ * and 4 x 16 took 35.0 ms. A block whose row count is not a multiple
+ * of it ends in a narrower tile that reuses each weight load less, so
+ * callers that chunk rows round their chunk length up to a multiple
+ * of it.
  */
 inline constexpr std::size_t kLinearRowTile = 6;
 
@@ -215,7 +228,6 @@ struct Kernels
     void (*distance2_range)(const SoaView &, const PointIdx *,
                             std::uint32_t, const Vec3 &, std::uint32_t,
                             std::uint32_t, float *);
-    float (*dot_acc)(float, const float *, const float *, std::size_t);
     void (*linear_relu_rows)(const float *, const float *, std::size_t,
                              std::size_t, const float *, std::size_t,
                              float *);

@@ -20,14 +20,13 @@
  *   - The argmax keeps per-lane running bests with a strictly-greater
  *     compare, then resolves ties cross-lane by smallest index — the
  *     earliest maximal index, exactly the serial tie-break.
- *   - dotAcc uses one fixed accumulation scheme (two 8-lane FMA
- *     accumulators, fixed-order horizontal sum, scalar remainder);
- *     versus the scalar running sum it is ULP-bounded, not bit-equal.
- *   - linearReluRows runs one output over kLinearRowTile rows at a
- *     time, sharing each weight load, but every row owns its two
- *     accumulators and runs dotAcc's sequence step for step, so each
- *     output is bit-equal to dotAcc + ReLU + fp16RoundBuffer at this
- *     level.
+ *   - linearReluRows vectorizes across the 16 outputs of a packed
+ *     weight panel, so every lane runs the scalar loop's own sequence
+ *     (bias, then one term per ascending input). Its FMA matches the
+ *     scalar mul+add because products of fp16-valued operands are
+ *     exact in fp32; _mm256_max_ps(zero, acc) = (0 > acc) ? 0 : acc
+ *     keeps NaN and -0 like the scalar acc < 0 ? 0 : acc; and the
+ *     F16C round trip is the fp16RoundBuffer one below.
  *   - fp16RoundBuffer's F16C round trip rounds to nearest-even like
  *     the software converter; only NaN payloads may differ.
  */
@@ -40,23 +39,12 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstring>
+#include <utility>
 
 namespace fc::core::simd {
 
 namespace {
-
-/** Fixed-order horizontal sum: (l0+l4)+(l2+l6) pairs first, then the
- *  two remaining partials — one deterministic association. */
-inline float
-hsum8(__m256 acc)
-{
-    const __m128 lo = _mm256_castps256_ps128(acc);
-    const __m128 hi = _mm256_extractf128_ps(acc, 1);
-    __m128 s = _mm_add_ps(lo, hi);
-    s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-    s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x1));
-    return _mm_cvtss_f32(s);
-}
 
 /** 8 candidate positions' coordinates, contiguous or gathered. */
 inline void
@@ -201,29 +189,6 @@ distance2RangeAvx2(const SoaView &pts, const PointIdx *order,
     }
 }
 
-float
-dotAccAvx2(float init, const float *a, const float *b, std::size_t n)
-{
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i),
-                               _mm256_loadu_ps(b + i), acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8),
-                               _mm256_loadu_ps(b + i + 8), acc1);
-    }
-    if (i + 8 <= n) {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i),
-                               _mm256_loadu_ps(b + i), acc0);
-        i += 8;
-    }
-    float acc = init + hsum8(_mm256_add_ps(acc0, acc1));
-    for (; i < n; ++i)
-        acc += a[i] * b[i];
-    return acc;
-}
-
 void
 axpyAvx2(float a, const float *x, float *y, std::size_t n)
 {
@@ -256,79 +221,103 @@ fp16RoundAvx2(float *values, std::size_t n)
         values[i] = fp16Round(values[i]);
 }
 
-/**
- * One output of R rows, the register tile of linearReluRows: @p w is
- * the output's weight row, @p x the first of R input rows, and
- * y[r * out] receives row r's output. Each weight vector is loaded
- * once per step and reused across the R rows, while every row keeps
- * its own acc0/acc1 and dotAccAvx2's exact sequence.
- */
-template <std::size_t R>
-[[gnu::always_inline]] inline void
-linearReluTile(const float *w, float bias, std::size_t in, const float *x,
-               float *y, std::size_t out)
+/** Round 8 floats through binary16 in register (fp16RoundAvx2). */
+inline __m256
+roundFp16(__m256 v)
 {
-    __m256 acc0[R];
-    __m256 acc1[R];
-    for (std::size_t r = 0; r < R; ++r) {
-        acc0[r] = _mm256_setzero_ps();
-        acc1[r] = _mm256_setzero_ps();
-    }
-    std::size_t i = 0;
-    for (; i + 16 <= in; i += 16) {
-        const __m256 w0 = _mm256_loadu_ps(w + i);
-        for (std::size_t r = 0; r < R; ++r)
-            acc0[r] = _mm256_fmadd_ps(w0, _mm256_loadu_ps(x + r * in + i),
-                                      acc0[r]);
-        const __m256 w1 = _mm256_loadu_ps(w + i + 8);
-        for (std::size_t r = 0; r < R; ++r)
-            acc1[r] = _mm256_fmadd_ps(
-                w1, _mm256_loadu_ps(x + r * in + i + 8), acc1[r]);
-    }
-    if (i + 8 <= in) {
-        const __m256 w0 = _mm256_loadu_ps(w + i);
-        for (std::size_t r = 0; r < R; ++r)
-            acc0[r] = _mm256_fmadd_ps(w0, _mm256_loadu_ps(x + r * in + i),
-                                      acc0[r]);
-        i += 8;
-    }
-    // dotAccAvx2's epilogue, with the remainder loop outermost so the
-    // R sums stay in registers; each still adds its products in
-    // ascending i.
-    float sum[R];
-    for (std::size_t r = 0; r < R; ++r)
-        sum[r] = bias + hsum8(_mm256_add_ps(acc0[r], acc1[r]));
-    for (; i < in; ++i)
-        for (std::size_t r = 0; r < R; ++r)
-            sum[r] += w[i] * x[r * in + i];
-    for (std::size_t r = 0; r < R; ++r)
-        y[r * out] = sum[r] < 0.0f ? 0.0f : sum[r];
+    return _mm256_cvtph_ps(_mm256_cvtps_ph(v, kRoundNearest));
 }
 
 /**
- * linearReluRows at this level with R = kLinearRowTile: every output
- * of @p rows rows in blocks of R rows, output by output; each block's
- * output rows are then fp16-rounded one by one, as the dotAcc loop
- * rounds each finished row. A remainder under R rows recurses into
- * narrower blocks.
+ * One panel of linearReluRows for the sizeof...(R) rows of @p x: the
+ * register tile is two accumulators per row, seeded with the panel's
+ * 16 biases. Each input step loads the panel's two weight vectors
+ * once and broadcasts one input per row. @p lanes (1..16) of every
+ * output row are stored; a partial panel's bias comes zero-padded in
+ * @p bias and its outputs leave through a stack buffer, so no pointer
+ * leaves the caller's arrays.
  */
-template <std::size_t R>
-void
-linearReluBlocks(const float *w, const float *bias, std::size_t in,
-                 std::size_t out, const float *x, std::size_t rows,
-                 float *y)
+template <std::size_t... R>
+[[gnu::always_inline]] inline void
+linearReluTile(std::index_sequence<R...>, const float *panel,
+               const float *bias, std::size_t lanes, std::size_t in,
+               const float *x, float *y, std::size_t out)
 {
-    std::size_t r = 0;
-    for (; r + R <= rows; r += R) {
-        for (std::size_t o = 0; o < out; ++o)
-            linearReluTile<R>(w + o * in, bias[o], in, x + r * in,
-                              y + r * out + o, out);
-        for (std::size_t k = 0; k < R; ++k)
-            fp16RoundAvx2(y + (r + k) * out, out);
+    const __m256 bias0 = _mm256_loadu_ps(bias);
+    const __m256 bias1 = _mm256_loadu_ps(bias + 8);
+    __m256 acc0[] = {((void)R, bias0)...};
+    __m256 acc1[] = {((void)R, bias1)...};
+    for (std::size_t i = 0; i < in; ++i) {
+        const __m256 w0 = _mm256_loadu_ps(panel + i * kLinearPanel);
+        const __m256 w1 = _mm256_loadu_ps(panel + i * kLinearPanel + 8);
+        const auto step = [&](__m256 &a0, __m256 &a1, const float *xi) {
+            const __m256 xv = _mm256_broadcast_ss(xi);
+            a0 = _mm256_fmadd_ps(w0, xv, a0);
+            a1 = _mm256_fmadd_ps(w1, xv, a1);
+        };
+        (step(acc0[R], acc1[R], x + R * in + i), ...);
     }
-    if constexpr (R > 1)
-        linearReluBlocks<R - 1>(w, bias, in, out, x + r * in, rows - r,
-                                y + r * out);
+    const __m256 zero = _mm256_setzero_ps();
+    const auto store = [&](__m256 a0, __m256 a1, float *yr) {
+        a0 = roundFp16(_mm256_max_ps(zero, a0));
+        a1 = roundFp16(_mm256_max_ps(zero, a1));
+        if (lanes == kLinearPanel) {
+            _mm256_storeu_ps(yr, a0);
+            _mm256_storeu_ps(yr + 8, a1);
+        } else {
+            alignas(32) float buf[kLinearPanel];
+            _mm256_store_ps(buf, a0);
+            _mm256_store_ps(buf + 8, a1);
+            std::memcpy(yr, buf, lanes * sizeof(float));
+        }
+    };
+    (store(acc0[R], acc1[R], y + R * out), ...);
+}
+
+/** The tile for the last rows % kLinearRowTile rows (@p rows < T). */
+template <std::size_t T>
+[[gnu::always_inline]] inline void
+linearReluTailTile(std::size_t rows, const float *panel,
+                   const float *bias, std::size_t lanes, std::size_t in,
+                   const float *x, float *y, std::size_t out)
+{
+    if constexpr (T > 1) {
+        if (rows == T - 1)
+            linearReluTile(std::make_index_sequence<T - 1>(), panel,
+                           bias, lanes, in, x, y, out);
+        else
+            linearReluTailTile<T - 1>(rows, panel, bias, lanes, in, x,
+                                      y, out);
+    }
+}
+
+/**
+ * linearReluRows at this level: panel by panel, the rows in tiles of
+ * kLinearRowTile, then one narrower tile for the remainder.
+ */
+void
+linearReluRowsAvx2(const float *w, const float *bias, std::size_t in,
+                   std::size_t out, const float *x, std::size_t rows,
+                   float *y)
+{
+    constexpr std::size_t T = kLinearRowTile;
+    for (std::size_t o = 0; o < out; o += kLinearPanel) {
+        const std::size_t lanes = std::min(kLinearPanel, out - o);
+        alignas(32) float padded_bias[kLinearPanel] = {};
+        const float *panel_bias = bias + o;
+        if (lanes < kLinearPanel) {
+            std::memcpy(padded_bias, bias + o, lanes * sizeof(float));
+            panel_bias = padded_bias;
+        }
+        const float *panel = w + o * in;
+        std::size_t r = 0;
+        for (; r + T <= rows; r += T)
+            linearReluTile(std::make_index_sequence<T>(), panel,
+                           panel_bias, lanes, in, x + r * in,
+                           y + r * out + o, out);
+        linearReluTailTile<T>(rows - r, panel, panel_bias, lanes, in,
+                              x + r * in, y + r * out + o, out);
+    }
 }
 
 } // namespace
@@ -339,12 +328,8 @@ const Kernels *
 avx2Kernels()
 {
     static const Kernels table = {
-        &fpsUpdateAvx2,
-        &distance2RangeAvx2,
-        &dotAccAvx2,
-        &linearReluBlocks<kLinearRowTile>,
-        &axpyAvx2,
-        &fp16RoundAvx2,
+        &fpsUpdateAvx2,  &distance2RangeAvx2, &linearReluRowsAvx2,
+        &axpyAvx2,       &fp16RoundAvx2,
     };
     static const bool supported = __builtin_cpu_supports("avx2") &&
                                   __builtin_cpu_supports("fma") &&

@@ -12,18 +12,21 @@ namespace fc::nn {
 
 LinearRelu::LinearRelu(std::size_t in, std::size_t out,
                        std::uint64_t seed)
-    : in_(in), out_(out), weights_(out, in), bias_(out, 0.0f)
+    : in_(in), out_(out), bias_(out, 0.0f)
 {
     fc_assert(in > 0 && out > 0, "degenerate layer %zux%zu", in, out);
     Pcg32 rng(seed, 0x2545f4914f6cdd1dULL);
     const float scale =
         std::sqrt(2.0f / static_cast<float>(in)); // He init
+    Tensor weights(out, in);
     for (std::size_t o = 0; o < out; ++o)
         for (std::size_t i = 0; i < in; ++i)
-            weights_.at(o, i) = rng.normal(0.0f, scale);
+            weights.at(o, i) = rng.normal(0.0f, scale);
     for (std::size_t o = 0; o < out; ++o)
         bias_[o] = rng.normal(0.0f, 0.01f);
-    weights_.quantizeFp16();
+    weights.quantizeFp16();
+    weights_ = core::simd::packLinearWeights(weights.data().data(), in,
+                                             out);
 }
 
 void
@@ -43,8 +46,8 @@ LinearRelu::forward(const Tensor &x, core::ThreadPool *pool,
         (core::costGrain(in_ * out_) + tile - 1) / tile * tile;
     core::parallelFor(
         pool, 0, x.rows(), grain, [&](std::size_t rb, std::size_t re) {
-            core::simd::linearReluRows(weights_.data().data(),
-                                       bias_.data(), in_, out_,
+            core::simd::linearReluRows(weights_.data(), bias_.data(),
+                                       in_, out_,
                                        x.row(rb).data(), re - rb,
                                        y.row(rb).data());
         });

@@ -65,7 +65,8 @@ class LinearRelu
   private:
     std::size_t in_;
     std::size_t out_;
-    Tensor weights_; // [out x in], fp16-rounded
+    /** fp16-rounded, in core::simd::packLinearWeights' panels. */
+    std::vector<float> weights_;
     std::vector<float> bias_;
 };
 

@@ -202,9 +202,11 @@ Network::run(const data::PointCloud &cloud,
     // Stage-histogram pointers are resolved once per (workspace,
     // registry) pair and cached in a slot: the name-building and
     // registry lookup allocate, and a warm serve round trip must not.
+    // The key is the registry's serial, not its address, which a new
+    // registry may reuse after this one is destroyed.
     struct StageHistograms
     {
-        core::metrics::Registry *registry = nullptr;
+        std::uint64_t registry_serial = 0;
         std::array<core::metrics::Histogram *, kNumStages> h{};
     };
     const auto recordStages = [&] {
@@ -216,12 +218,12 @@ Network::run(const data::PointCloud &cloud,
             "mlp_unique", "aggregate"};
         StageHistograms &hists =
             ws.slot<StageHistograms>("nn.stage_hists");
-        if (hists.registry != backend.metrics) {
+        if (hists.registry_serial != backend.metrics->serial()) {
             for (std::size_t i = 0; i < kNumStages; ++i)
                 hists.h[i] = &backend.metrics->histogram(
                     std::string("nn.stage_us{stage=") +
                     kStageLabels[i] + "}");
-            hists.registry = backend.metrics;
+            hists.registry_serial = backend.metrics->serial();
         }
         for (std::size_t i = 0; i < kNumStages; ++i)
             hists.h[i]->record(stage_acc[i]);

@@ -6,7 +6,10 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <new>
 
+#include "core/metrics.h"
+#include "core/workspace.h"
 #include "dataset/modelnet.h"
 #include "dataset/s3dis.h"
 #include "nn/network.h"
@@ -131,6 +134,31 @@ TEST(Network, AblationTogglesAreIndependent)
     bwg_only.block_grouping = true;
     const InferenceResult r2 = net.run(obj, bwg_only);
     EXPECT_EQ(r2.embedding.cols(), net.outputDim());
+}
+
+TEST(NetworkMetrics, StageHistogramsFollowANewRegistryAtAnOldAddress)
+{
+    // One workspace, two registries constructed one after the other
+    // in the same storage. The stage-histogram pointers cached for the
+    // first must not be reused for the second: they point into the
+    // first registry's freed instruments.
+    const Network net(pointNet2SemSeg(), 42);
+    const data::PointCloud scene = data::makeS3disScene(512, 3);
+    ASSERT_TRUE(core::metrics::samplingEnabled());
+    core::Workspace ws;
+    BackendOptions backend;
+    InferenceResult out;
+    alignas(core::metrics::Registry) unsigned char
+        storage[sizeof(core::metrics::Registry)];
+    for (int run = 0; run < 2; ++run) {
+        auto *registry = new (storage) core::metrics::Registry();
+        backend.metrics = registry;
+        net.run(scene, backend, ws, out);
+        EXPECT_EQ(registry->histogram("nn.stage_us{stage=mlp}").count(),
+                  1u)
+            << "registry " << run;
+        registry->~Registry();
+    }
 }
 
 TEST(MakeBlockSample, GroupsByLeaf)

@@ -9,15 +9,15 @@
  *    on adversarial inputs: all-equal points, denormal coordinates,
  *    every binary16 bit pattern, and sizes straddling the 8-lane
  *    vector remainder.
- *  - ULP bounds for the dot kernel (bit-equal is impossible across
- *    accumulation orders) and the <= 1 fp16 ULP guarantee after
- *    binary16 output rounding.
- *  - The LinearRelu row kernel bit-equal, per level, to a loop of
- *    dotAcc + ReLU + fp16RoundBuffer over every tail and partial-tile
- *    shape.
- *  - End-to-end: FPS / ball query / KNN identical across levels, and
- *    thread-count determinism of inference with SIMD active
- *    (SimdDeterminism, in the TSan CI filter).
+ *  - The LinearRelu row kernel over packed weights bit-equal, at both
+ *    levels, to one level-free loop (bias, ascending inputs, ReLU,
+ *    fp16Round) over every partial row tile and partial output panel,
+ *    NaN and Inf included; and, outside its fp16-valued precondition,
+ *    within the recursive-summation bound core/simd.h documents.
+ *  - End-to-end: FPS / ball query / KNN and PointNet++ inference
+ *    identical across levels, and thread-count determinism of
+ *    inference with SIMD active (SimdDeterminism, in the TSan CI
+ *    filter).
  *
  * Every test that overrides the dispatch level restores it on exit —
  * dispatch is process-global state shared with the rest of the test
@@ -39,6 +39,7 @@
 #include "core/workspace.h"
 #include "dataset/s3dis.h"
 #include "nn/mlp.h"
+#include "nn/models.h"
 #include "nn/network.h"
 #include "ops/fps.h"
 #include "ops/neighbor.h"
@@ -88,15 +89,6 @@ randomSoa(std::size_t n, std::uint64_t seed, float lo = -1.0f,
         c.zs[i] = rng.uniform(lo, hi);
     }
     return c;
-}
-
-/** Monotone rank of an fp16 bit pattern (sign-magnitude unfolded),
- *  so ULP distance is a plain integer difference. */
-int
-fp16Rank(std::uint16_t bits)
-{
-    const int mag = bits & 0x7fff;
-    return (bits & 0x8000) ? -mag : mag;
 }
 
 /** Sizes that straddle the 8-lane width: empty tail, full tail, and
@@ -365,51 +357,103 @@ TEST(SimdEquivalence, Fp32ToFp16MatchesSoftwareConverter)
 }
 
 // ---------------------------------------------------------------------
-// Dot kernels: ULP-bounded, not bit-equal
+// LinearRelu row kernel: bit-equal to one level-free loop
 // ---------------------------------------------------------------------
 
-TEST(SimdAccuracy, DotAccWithinDocumentedUlpBound)
+/** Bit patterns of @p values, so NaN payloads and zero signs count. */
+std::vector<std::uint32_t>
+bitsOf(const std::vector<float> &values)
 {
-    FC_REQUIRE_AVX2();
-    LevelGuard guard;
-    for (const std::size_t n : {std::size_t{1}, std::size_t{7},
-                                std::size_t{8}, std::size_t{9},
-                                std::size_t{64}, std::size_t{1000}}) {
-        Pcg32 rng(n * 97 + 11);
-        std::vector<float> a(n), b(n);
-        double magnitude = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            a[i] = rng.uniform(-1.0f, 1.0f);
-            b[i] = rng.uniform(-1.0f, 1.0f);
-            magnitude += std::abs(static_cast<double>(a[i]) *
-                                  static_cast<double>(b[i]));
+    std::vector<std::uint32_t> bits(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i)
+        bits[i] = std::bit_cast<std::uint32_t>(values[i]);
+    return bits;
+}
+
+/** Output o of row r before the ReLU, as the historical LinearRelu
+ *  loop computes it: the bias seeds an fp32 accumulator, then one
+ *  mul+add per input in ascending order over row-major @p w. */
+float
+referenceSum(const std::vector<float> &w, const std::vector<float> &bias,
+             std::size_t in, const std::vector<float> &x, std::size_t r,
+             std::size_t o)
+{
+    float acc = bias[o];
+    for (std::size_t i = 0; i < in; ++i)
+        acc += w[o * in + i] * x[r * in + i];
+    return acc;
+}
+
+/** The reference linearReluRows must match at every level:
+ *  referenceSum, ReLU, then the software binary16 rounding. */
+std::vector<float>
+referenceLinearRelu(const std::vector<float> &w,
+                    const std::vector<float> &bias, std::size_t in,
+                    std::size_t out, const std::vector<float> &x,
+                    std::size_t rows)
+{
+    std::vector<float> y(rows * out);
+    for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t o = 0; o < out; ++o) {
+            float acc = referenceSum(w, bias, in, x, r, o);
+            if (acc < 0.0f)
+                acc = 0.0f;
+            y[r * out + o] = fp16Round(acc);
         }
-        const float init = 0.5f;
+    return y;
+}
 
-        ASSERT_TRUE(simd::setActiveLevel(simd::Level::Scalar));
-        const float sum_scalar = simd::dotAcc(init, a.data(), b.data(), n);
-        ASSERT_TRUE(simd::setActiveLevel(simd::Level::Avx2));
-        const float sum_avx2 = simd::dotAcc(init, a.data(), b.data(), n);
-
-        // ~(n/8 + 8) float ULP of sum_i |a_i b_i| (see core/simd.h).
-        const double ulp =
-            static_cast<double>(std::nextafter(
-                static_cast<float>(magnitude),
-                std::numeric_limits<float>::infinity())) -
-            magnitude;
-        const double bound =
-            (static_cast<double>(n) / 8.0 + 8.0) * ulp;
-        EXPECT_NEAR(sum_scalar, sum_avx2, bound) << "n=" << n;
-
-        // After binary16 output rounding the two levels agree to
-        // <= 1 fp16 ULP — the form every stored activation takes.
-        const int rank_scalar = fp16Rank(fp32ToFp16Bits(sum_scalar));
-        const int rank_avx2 = fp16Rank(fp32ToFp16Bits(sum_avx2));
-        EXPECT_LE(std::abs(rank_scalar - rank_avx2), 1) << "n=" << n;
+TEST(SimdEquivalence, LinearReluRowsMatchesDotAccLoopBitwise)
+{
+    LevelGuard guard;
+    // in: from 1 up past the widest semseg remainders (6, 67, 131,
+    // 259) to 768. rows: every partial row tile, whole tiles, and
+    // whole tiles plus a remainder. out: partial panels alone (1, 2,
+    // 3, 13), one whole panel (16), and whole panels followed by a
+    // partial one (17, 33) or not (64).
+    const std::size_t ins[] = {1,  3,  6,  8,   9,   16, 17,
+                               24, 27, 67, 131, 259, 768};
+    const std::size_t row_counts[] = {1, 2, 3, 4, 5, 6, 7, 12, 64};
+    const std::size_t outs[] = {1, 2, 3, 13, 16, 17, 33, 64};
+    for (const simd::Level level :
+         {simd::Level::Scalar, simd::Level::Avx2}) {
+        if (!simd::setActiveLevel(level))
+            continue; // no Avx2 on this machine: Scalar only
+        for (const std::size_t in : ins)
+            for (const std::size_t out : outs) {
+                Pcg32 rng(in * 131 + out);
+                std::vector<float> w(out * in), bias(out);
+                for (float &v : w)
+                    v = fp16Round(rng.uniform(-1.0f, 1.0f));
+                for (float &v : bias)
+                    v = rng.uniform(-0.5f, 0.5f);
+                const std::vector<float> packed =
+                    simd::packLinearWeights(w.data(), in, out);
+                for (const std::size_t rows : row_counts) {
+                    std::vector<float> x(rows * in);
+                    for (float &v : x)
+                        v = fp16Round(rng.uniform(-1.0f, 1.0f));
+                    // A NaN and an infinity must travel through the
+                    // ReLU and the rounding exactly as in the loop.
+                    if (rows == 7) {
+                        x[3 * in] =
+                            std::numeric_limits<float>::quiet_NaN();
+                        x[5 * in + in - 1] =
+                            std::numeric_limits<float>::infinity();
+                    }
+                    std::vector<float> y(rows * out);
+                    simd::linearReluRows(packed.data(), bias.data(), in,
+                                         out, x.data(), rows, y.data());
+                    EXPECT_EQ(bitsOf(y), bitsOf(referenceLinearRelu(
+                                             w, bias, in, out, x, rows)))
+                        << simd::levelName(level) << " in=" << in
+                        << " rows=" << rows << " out=" << out;
+                }
+            }
     }
 }
 
-TEST(SimdAccuracy, LinearReluLevelsAgreeWithinOneFp16Ulp)
+TEST(SimdEquivalence, LinearReluLayerBitIdenticalAcrossLevels)
 {
     FC_REQUIRE_AVX2();
     LevelGuard guard;
@@ -428,99 +472,96 @@ TEST(SimdAccuracy, LinearReluLevelsAgreeWithinOneFp16Ulp)
 
     ASSERT_EQ(y_scalar.rows(), y_avx2.rows());
     ASSERT_EQ(y_scalar.cols(), y_avx2.cols());
-    for (std::size_t r = 0; r < y_scalar.rows(); ++r)
-        for (std::size_t c = 0; c < y_scalar.cols(); ++c) {
-            // Outputs are fp16-rounded already; compare their ranks.
-            const int rs = fp16Rank(fp32ToFp16Bits(y_scalar.at(r, c)));
-            const int ra = fp16Rank(fp32ToFp16Bits(y_avx2.at(r, c)));
-            EXPECT_LE(std::abs(rs - ra), 1)
-                << "row " << r << " col " << c;
-        }
+    EXPECT_EQ(bitsOf(y_scalar.data()), bitsOf(y_avx2.data()));
 }
 
-// ---------------------------------------------------------------------
-// LinearRelu row kernel: bit-equal to the dotAcc loop at each level
-// ---------------------------------------------------------------------
-
-/** Bit patterns of @p values, so NaN payloads and zero signs count. */
-std::vector<std::uint32_t>
-bitsOf(const std::vector<float> &values)
+/** gamma(n) = n u / (1 - n u) with u = 2^-24, the relative error
+ *  bound of n successive fp32 roundings. */
+double
+summationGamma(std::size_t n)
 {
-    std::vector<std::uint32_t> bits(values.size());
-    for (std::size_t i = 0; i < values.size(); ++i)
-        bits[i] = std::bit_cast<std::uint32_t>(values[i]);
-    return bits;
+    const double nu = static_cast<double>(n) * std::ldexp(1.0, -24);
+    return nu / (1.0 - nu);
 }
 
-/** The per-output reference linearReluRows must match at the active
- *  level: dotAcc seeded with the bias, ReLU, then each output row
- *  rounded through binary16. */
-std::vector<float>
-dotAccLinearRelu(const std::vector<float> &w,
-                 const std::vector<float> &bias, std::size_t in,
-                 std::size_t out, const std::vector<float> &x,
-                 std::size_t rows)
+/** Largest float <= @p v (directed rounding of a double). */
+float
+floatBelow(double v)
 {
-    std::vector<float> y(rows * out);
-    for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t o = 0; o < out; ++o) {
-            float acc = simd::dotAcc(bias[o], w.data() + o * in,
-                                     x.data() + r * in, in);
-            if (acc < 0.0f)
-                acc = 0.0f;
-            y[r * out + o] = acc;
-        }
-        simd::fp16RoundBuffer(y.data() + r * out, out);
-    }
-    return y;
+    const float f = static_cast<float>(v);
+    return static_cast<double>(f) > v
+               ? std::nextafter(f, -std::numeric_limits<float>::infinity())
+               : f;
 }
 
-TEST(SimdEquivalence, LinearReluRowsMatchesDotAccLoopBitwise)
+/** Smallest float >= @p v. */
+float
+floatAbove(double v)
 {
+    const float f = static_cast<float>(v);
+    return static_cast<double>(f) < v
+               ? std::nextafter(f, std::numeric_limits<float>::infinity())
+               : f;
+}
+
+TEST(SimdAccuracy, LinearReluOutsideFp16PreconditionWithinSummationBound)
+{
+    FC_REQUIRE_AVX2();
     LevelGuard guard;
-    // in: below, at and past the 8- and 16-wide steps (24 and 27 run
-    // the 8-wide step after a 16-wide one), plus the remainders of the
-    // semseg layers (6, 67, 131, 259). rows: every partial row tile,
-    // whole tiles, and whole tiles plus a remainder. out: odd and even
-    // counts.
-    const std::size_t ins[] = {1,  3,  6,  8,   9,   16, 17,
-                               24, 27, 67, 131, 259, 768};
-    const std::size_t row_counts[] = {1, 2, 3, 4, 5, 6, 7, 12, 64};
-    const std::size_t outs[] = {1, 2, 3, 13, 64};
-    for (const simd::Level level :
-         {simd::Level::Scalar, simd::Level::Avx2}) {
-        if (!simd::setActiveLevel(level))
-            continue; // no Avx2 on this machine: Scalar only
-        for (const std::size_t in : ins)
-            for (const std::size_t out : outs) {
-                Pcg32 rng(in * 131 + out);
-                std::vector<float> w(out * in), bias(out);
-                for (float &v : w)
-                    v = fp16Round(rng.uniform(-1.0f, 1.0f));
-                for (float &v : bias)
-                    v = rng.uniform(-0.5f, 0.5f);
-                for (const std::size_t rows : row_counts) {
-                    std::vector<float> x(rows * in);
-                    for (float &v : x)
-                        v = fp16Round(rng.uniform(-1.0f, 1.0f));
-                    // A NaN and an infinity must travel through the
-                    // ReLU and the rounding exactly as in the loop.
-                    if (rows == 7) {
-                        x[3 * in] =
-                            std::numeric_limits<float>::quiet_NaN();
-                        x[5 * in + in - 1] =
-                            std::numeric_limits<float>::infinity();
-                    }
-                    std::vector<float> y(rows * out);
-                    simd::linearReluRows(w.data(), bias.data(), in, out,
-                                         x.data(), rows, y.data());
-                    EXPECT_EQ(bitsOf(y), bitsOf(dotAccLinearRelu(
-                                             w, bias, in, out, x, rows)))
-                        << simd::levelName(level) << " in=" << in
-                        << " rows=" << rows << " out=" << out;
+    // Weights and inputs NOT rounded to fp16: products round at Scalar
+    // but not under Avx2's FMA, so the levels may differ. Before the
+    // ReLU and fp16 rounding the two fp32 sums must stay within
+    // 2 * gamma(in + 1) * (|bias| + sum_i |w_i x_i|) (core/simd.h);
+    // both of those steps are monotone, so the Avx2 output must lie
+    // between the images of the Scalar sum minus and plus that bound.
+    const std::size_t rows = 7;
+    for (const std::size_t in : {std::size_t{1}, std::size_t{7},
+                                 std::size_t{64}, std::size_t{259},
+                                 std::size_t{1000}})
+        for (const std::size_t out : {std::size_t{17}, std::size_t{33}}) {
+            Pcg32 rng(in * 7 + out);
+            std::vector<float> w(out * in), bias(out), x(rows * in);
+            for (float &v : w)
+                v = rng.uniform(-1.0f, 1.0f);
+            for (float &v : bias)
+                v = rng.uniform(-0.5f, 0.5f);
+            for (float &v : x)
+                v = rng.uniform(-1.0f, 1.0f);
+            const std::vector<float> packed =
+                simd::packLinearWeights(w.data(), in, out);
+            std::vector<float> y_scalar(rows * out), y_avx2(rows * out);
+            ASSERT_TRUE(simd::setActiveLevel(simd::Level::Scalar));
+            simd::linearReluRows(packed.data(), bias.data(), in, out,
+                                 x.data(), rows, y_scalar.data());
+            ASSERT_TRUE(simd::setActiveLevel(simd::Level::Avx2));
+            simd::linearReluRows(packed.data(), bias.data(), in, out,
+                                 x.data(), rows, y_avx2.data());
+            // Scalar is the reference loop whatever its operands.
+            EXPECT_EQ(bitsOf(y_scalar),
+                      bitsOf(referenceLinearRelu(w, bias, in, out, x,
+                                                 rows)))
+                << "in=" << in << " out=" << out;
+
+            const auto relu16 = [](float v) {
+                return fp16Round(v < 0.0f ? 0.0f : v);
+            };
+            for (std::size_t r = 0; r < rows; ++r)
+                for (std::size_t o = 0; o < out; ++o) {
+                    double magnitude = std::abs(bias[o]);
+                    for (std::size_t i = 0; i < in; ++i)
+                        magnitude +=
+                            std::abs(static_cast<double>(w[o * in + i]) *
+                                     x[r * in + i]);
+                    const double bound =
+                        2.0 * summationGamma(in + 1) * magnitude;
+                    const double sum = referenceSum(w, bias, in, x, r, o);
+                    const float y = y_avx2[r * out + o];
+                    EXPECT_GE(y, relu16(floatBelow(sum - bound)))
+                        << "in=" << in << " r=" << r << " o=" << o;
+                    EXPECT_LE(y, relu16(floatAbove(sum + bound)))
+                        << "in=" << in << " r=" << r << " o=" << o;
                 }
-            }
-    }
+        }
 }
 
 // ---------------------------------------------------------------------
@@ -557,6 +598,33 @@ TEST(SimdEquivalence, GeometryOpsIdenticalAcrossLevels)
     EXPECT_EQ(ball_scalar.counts, ball_avx2.counts);
     EXPECT_EQ(knn_scalar.indices, knn_avx2.indices);
     EXPECT_EQ(knn_scalar.counts, knn_avx2.counts);
+}
+
+TEST(SimdEquivalence, InferenceIdenticalAcrossLevels)
+{
+    FC_REQUIRE_AVX2();
+    LevelGuard guard;
+    // Every MLP input is fp16-valued, so the whole network, not just
+    // one layer, must come out bit for bit the same at both levels.
+    const data::PointCloud scene = data::makeS3disScene(1024, 5);
+    const nn::Network network(nn::pointNet2SemSeg(), 3);
+    for (const nn::Aggregation order :
+         {nn::Aggregation::Eager, nn::Aggregation::Delayed}) {
+        nn::BackendOptions backend;
+        backend.method = part::Method::Fractal;
+        backend.aggregation = order;
+        ASSERT_TRUE(simd::setActiveLevel(simd::Level::Scalar));
+        const nn::InferenceResult scalar = network.run(scene, backend);
+        ASSERT_TRUE(simd::setActiveLevel(simd::Level::Avx2));
+        const nn::InferenceResult avx2 = network.run(scene, backend);
+        const bool delayed = order == nn::Aggregation::Delayed;
+        EXPECT_EQ(bitsOf(scalar.embedding.data()),
+                  bitsOf(avx2.embedding.data()))
+            << "delayed=" << delayed;
+        EXPECT_EQ(bitsOf(scalar.point_features.data()),
+                  bitsOf(avx2.point_features.data()))
+            << "delayed=" << delayed;
+    }
 }
 
 /** Tiny two-stage segmentation model (SA + FP + head). */
