@@ -11,8 +11,8 @@
  * The row counts are hardware-independent, so the binary doubles as
  * a correctness gate: it exits non-zero if any model's delayed run
  * does not execute strictly fewer SA MLP rows than its eager run.
- * Wall-clock speedup is machine-dependent and NOT gated (small
- * models on fast caches can hide the FLOP saving behind the gather).
+ * Wall-clock speedup is machine-dependent and NOT gated: it moves
+ * with core count, cache sizes and SIMD level; the row counts do not.
  */
 
 #include <chrono>

@@ -273,7 +273,6 @@ Network::run(const data::PointCloud &cloud,
     data::PointCloud &feat_cloud =
         ws.slot<data::PointCloud>("nn.fcloud");
     ops::GatherResult &gathered = ws.slot<ops::GatherResult>("nn.gath");
-    Tensor &grouped = ws.slot<Tensor>("nn.grouped");
     Tensor &transformed = ws.slot<Tensor>("nn.trans");
     // Delayed-aggregation scratch: the per-level unique-point MLP
     // input and the pooled relative-coordinate summary carried into
@@ -404,31 +403,27 @@ Network::run(const data::PointCloud &cloud,
             out.sa_mlp_rows += n;
             lapInto(kStMlpUnique);
 
-            // --- Aggregation: feature gather + max pool ------------------
+            // --- Aggregation: fused feature gather + max pool ------------
             // Grouping is now a pure index-gather over the unique-point
-            // feature tensor (no raw-coordinate rows), followed by the
-            // same per-group max pool. The relative-coordinate summary
-            // for the next stage is pooled alongside.
-            const std::span<const float> feat_span(
-                transformed.data().data(), transformed.data().size());
-            if (use_blocks && backend.block_grouping) {
-                ops::blockGatherFeatureRows(
-                    feat_span, transformed.cols(), partitions[si].tree,
-                    block_sampled.leaf_offsets, neighbors, pool, ws,
-                    gathered);
-            } else {
-                ops::gatherFeatureRows(feat_span, transformed.cols(),
-                                       neighbors, ws, gathered);
-            }
-            out.op_stats += gathered.stats;
-            grouped.resize(gathered.num_centers * gathered.k,
-                           gathered.channels);
-            std::copy(gathered.values.begin(), gathered.values.end(),
-                      grouped.data().begin());
+            // feature tensor (no raw-coordinate rows), fused with the
+            // per-group max pool: each center's k neighbor rows fold
+            // straight into its next-level feature row. The
+            // relative-coordinate summary for the next stage is pooled
+            // alongside.
             Level &next = levels[si + 1];
-            maxPoolGroups(grouped, stage.k, pool, next.features);
+            next.features.resize(neighbors.num_centers, transformed.cols());
+            if (use_blocks && backend.block_grouping) {
+                out.op_stats += ops::blockGatherMaxPool(
+                    transformed.data(), transformed.cols(),
+                    partitions[si].tree, block_sampled.leaf_offsets,
+                    neighbors, pool, next.features.data());
+            } else {
+                out.op_stats += ops::gatherMaxPool(
+                    transformed.data(), transformed.cols(), neighbors,
+                    pool, next.features.data());
+            }
             ops::maxPoolRelativeCoords(cur.cloud, sampled, neighbors,
-                                       pool, ws, relpool);
+                                       pool, relpool);
             cur.cloud.subsetInto(sampled, next.cloud);
             next.parent_indices = sampled;
             lapInto(kStAggregate);
@@ -456,14 +451,16 @@ Network::run(const data::PointCloud &cloud,
         lapInto(kStGather);
 
         // --- Feature computation: MLP + max pool -------------------------
-        grouped.resize(gathered.num_centers * gathered.k,
-                       gathered.channels);
-        std::copy(gathered.values.begin(), gathered.values.end(),
-                  grouped.data().begin());
+        // The MLP reads the gather buffer in place: its input tensor
+        // takes gathered.values by move and hands it back after
+        // forward, so both keep their warm capacity.
+        Tensor grouped(gathered.num_centers * gathered.k,
+                       gathered.channels, std::move(gathered.values));
         grouped.quantizeFp16(pool);
         saMlps_[si].forward(grouped, pool, ws, transformed);
         out.total_macs += saMlps_[si].macs(grouped.rows());
         out.sa_mlp_rows += grouped.rows();
+        gathered.values = std::move(grouped.data());
 
         Level &next = levels[si + 1];
         maxPoolGroups(transformed, stage.k, pool, next.features);

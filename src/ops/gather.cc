@@ -150,85 +150,80 @@ blockGatherNeighborhoods(
 
 namespace {
 
-/** Copy the k neighbor feature rows of one center into @p values. */
+/**
+ * Fold the k neighbor feature rows of center @p row into @p dst in
+ * slot order: slot 0 is copied, each later slot max-reduced, and a
+ * kInvalidPoint slot reads as a zero row.
+ */
 void
-gatherFeatureRow(std::span<const float> features, std::size_t channels,
+gatherMaxPoolRow(std::span<const float> features, std::size_t channels,
                  const NeighborResult &neighbors, std::size_t row,
-                 std::vector<float> &values)
+                 float *dst)
 {
-    const std::size_t k = neighbors.k;
-    for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t j = 0; j < neighbors.k; ++j) {
         const PointIdx nb = neighbors.neighbor(row, j);
-        float *out = values.data() + (row * k + j) * channels;
         if (nb == kInvalidPoint) {
             for (std::size_t c = 0; c < channels; ++c)
-                out[c] = 0.0f;
+                dst[c] = j == 0 ? 0.0f : std::max(dst[c], 0.0f);
             continue;
         }
         const float *src = features.data() +
                            static_cast<std::size_t>(nb) * channels;
+        if (j == 0) {
+            std::copy(src, src + channels, dst);
+            continue;
+        }
         for (std::size_t c = 0; c < channels; ++c)
-            out[c] = src[c];
+            dst[c] = std::max(dst[c], src[c]);
     }
 }
 
 } // namespace
 
-void
-gatherFeatureRows(std::span<const float> features, std::size_t channels,
-                  const NeighborResult &neighbors, core::Workspace &,
-                  GatherResult &out)
+OpStats
+gatherMaxPool(std::span<const float> features, std::size_t channels,
+              const NeighborResult &neighbors, core::ThreadPool *pool,
+              std::span<float> out)
 {
-    out.stats = {};
-    out.num_centers = neighbors.num_centers;
-    out.k = neighbors.k;
-    out.channels = channels;
-    out.values.resize(out.num_centers * out.k * out.channels);
+    fc_assert(out.size() == neighbors.num_centers * channels,
+              "pooled output holds %zu floats, need %zu x %zu",
+              out.size(), neighbors.num_centers, channels);
+    core::parallelFor(
+        pool, 0, neighbors.num_centers,
+        core::costGrain(neighbors.k * channels),
+        [&](std::size_t rb, std::size_t re) {
+            for (std::size_t row = rb; row < re; ++row)
+                gatherMaxPoolRow(features, channels, neighbors, row,
+                                 out.data() + row * channels);
+        });
 
-    // Feature rows are fp16-valued on the inference path, hence 2
-    // bytes per channel — the bandwidth the eager order re-reads
-    // k-fold and the delayed order reads once per pair.
-    const std::size_t bytes_per_row = out.k * channels * 2;
-    for (std::size_t row = 0; row < out.num_centers; ++row) {
-        gatherFeatureRow(features, channels, neighbors, row,
-                         out.values);
-        out.stats.points_visited += out.k;
-        out.stats.bytes_gathered += bytes_per_row;
-    }
+    // One random fp16 feature-row read per (center, neighbor) pair.
+    const std::uint64_t pairs =
+        static_cast<std::uint64_t>(neighbors.num_centers) * neighbors.k;
+    OpStats stats;
+    stats.points_visited = pairs;
+    stats.bytes_gathered = pairs * channels * 2;
+    return stats;
 }
 
-GatherResult
-gatherFeatureRows(std::span<const float> features, std::size_t channels,
-                  const NeighborResult &neighbors)
-{
-    core::Workspace ws;
-    GatherResult out;
-    gatherFeatureRows(features, channels, neighbors, ws, out);
-    return out;
-}
-
-void
-blockGatherFeatureRows(std::span<const float> features,
-                       std::size_t channels, const part::BlockTree &tree,
-                       const std::vector<std::uint32_t> &center_leaf_offsets,
-                       const NeighborResult &neighbors,
-                       core::ThreadPool *pool, core::Workspace &,
-                       GatherResult &out)
+OpStats
+blockGatherMaxPool(std::span<const float> features, std::size_t channels,
+                   const part::BlockTree &tree,
+                   const std::vector<std::uint32_t> &center_leaf_offsets,
+                   const NeighborResult &neighbors,
+                   core::ThreadPool *pool, std::span<float> out)
 {
     const auto &leaves = tree.leaves();
     fc_assert(center_leaf_offsets.size() == leaves.size() + 1,
               "leaf offsets do not match tree");
-
-    out.stats = {};
-    out.num_centers = neighbors.num_centers;
-    out.k = neighbors.k;
-    out.channels = channels;
-    out.values.resize(out.num_centers * out.k * out.channels);
+    fc_assert(out.size() == neighbors.num_centers * channels,
+              "pooled output holds %zu floats, need %zu x %zu",
+              out.size(), neighbors.num_centers, channels);
 
     // Same values as the global form; the accounting streams each
     // leaf's search-space slice of the feature tensor once (the DFT
     // layout makes it contiguous) instead of charging random access.
-    out.stats += core::parallelReduce(
+    return core::parallelReduce(
         pool, 0, leaves.size(), 1, OpStats{},
         [&](std::size_t lb, std::size_t le) {
             OpStats stats;
@@ -243,9 +238,9 @@ blockGatherFeatureRows(std::span<const float> features,
                     static_cast<std::uint64_t>(space.size()) *
                     channels * 2;
                 for (std::uint32_t row = first; row < last; ++row) {
-                    gatherFeatureRow(features, channels, neighbors,
-                                     row, out.values);
-                    stats.points_visited += out.k;
+                    gatherMaxPoolRow(features, channels, neighbors, row,
+                                     out.data() + row * channels);
+                    stats.points_visited += neighbors.k;
                 }
             }
             return stats;
@@ -257,8 +252,7 @@ void
 maxPoolRelativeCoords(const data::PointCloud &cloud,
                       const std::vector<PointIdx> &centers,
                       const NeighborResult &neighbors,
-                      core::ThreadPool *pool, core::Workspace &,
-                      std::vector<float> &out)
+                      core::ThreadPool *pool, std::vector<float> &out)
 {
     fc_assert(centers.size() == neighbors.num_centers,
               "centers (%zu) and neighbor rows (%zu) disagree",

@@ -96,60 +96,52 @@ void blockGatherNeighborhoods(
     core::Workspace &ws, GatherResult &out);
 
 // ---------------------------------------------------------------------
-// Feature-indexed gathering (delayed-aggregation inference)
+// Fused feature gather + max-pool (delayed-aggregation inference)
 // ---------------------------------------------------------------------
 //
-// The eager execution order gathers raw [rel-coord, feature] rows and
-// runs the per-point MLP on every one of the k neighbor copies of a
-// point. The delayed order (Mesorasi-style; see nn::Aggregation and
-// docs/ARCHITECTURE.md) runs the MLP once per unique point first, so
-// grouping becomes a pure index-gather over the resulting *feature
-// tensor* — these overloads are that gather. They know nothing about
-// coordinates: @p features is any row-major [n x channels] buffer and
-// the neighbor table supplies the row indices.
+// The delayed order (Mesorasi-style; see nn::Aggregation and
+// docs/ARCHITECTURE.md) runs the SA MLP once per unique point, so its
+// aggregation step is an index-gather over the resulting *feature
+// tensor* plus a max-pool over each center's k rows. These ops fuse
+// the two: the m x k gathered rows are never materialized. @p features
+// is any row-major [n x channels] buffer; the neighbor table supplies
+// the row indices.
 
 /**
- * Index-gather feature rows for each (center, neighbor) pair:
- * out.values is row-major [num_centers x k x channels] with row
- * (i, j) = features[neighbors.neighbor(i, j)]. Padded neighbor slots
- * replicate the pad index (so a following max-pool is unaffected);
- * kInvalidPoint slots yield zero rows, mirroring gatherNeighborhoods.
+ * out row i = max over slots j of features[neighbors.neighbor(i, j)],
+ * folded in slot order exactly like nn::maxPoolGroups over the
+ * gathered rows: slot 0 is copied, each later slot does
+ * dst = std::max(dst, src), and a kInvalidPoint slot reads as a zero
+ * row — bit for bit, NaN and signed zeros included.
  *
- * Deterministic (pure indexing) and allocation-free once @p out has
- * warm capacity; @p features must hold at least
- * (max neighbor index + 1) * channels floats. Global-access
- * accounting: every row is a random access into the feature space.
+ * @p out holds num_centers * channels floats. Center rows dispatch in
+ * chunks over @p pool into disjoint output rows: bit-identical at any
+ * thread count, allocation-free. Global-access accounting: each
+ * (center, neighbor) pair is a random read of an fp16 feature row
+ * (2 bytes per channel).
  */
-void gatherFeatureRows(std::span<const float> features,
-                       std::size_t channels,
-                       const NeighborResult &neighbors,
-                       core::Workspace &ws, GatherResult &out);
-
-/** Value-returning wrapper of gatherFeatureRows. */
-GatherResult gatherFeatureRows(std::span<const float> features,
-                               std::size_t channels,
-                               const NeighborResult &neighbors);
+OpStats gatherMaxPool(std::span<const float> features,
+                      std::size_t channels,
+                      const NeighborResult &neighbors,
+                      core::ThreadPool *pool, std::span<float> out);
 
 /**
- * Block-wise twin of gatherFeatureRows: identical values, block-wise
- * memory accounting (each leaf streams its search-space block of the
- * feature tensor once), per-leaf work items dispatched over @p pool.
- * Every center owns a disjoint output range, so the result is
- * bit-identical to the sequential path at any thread count;
- * allocation-free once @p out has warm capacity.
+ * Block-wise twin of gatherMaxPool: identical values, per-leaf work
+ * items over @p pool, and block-wise accounting (each non-empty leaf
+ * streams its search-space block of the feature tensor once).
  */
-void blockGatherFeatureRows(
+OpStats blockGatherMaxPool(
     std::span<const float> features, std::size_t channels,
     const part::BlockTree &tree,
     const std::vector<std::uint32_t> &center_leaf_offsets,
     const NeighborResult &neighbors, core::ThreadPool *pool,
-    core::Workspace &ws, GatherResult &out);
+    std::span<float> out);
 
 /**
  * The aggregation-step coordinate summary of the delayed order:
  * for every center i, the channel-wise max over its real neighbors j
- * of the relative coordinate (p_j - p_i) — the same max-pool applied
- * to the gathered feature rows, applied to the 3 relative-coordinate
+ * of the relative coordinate (p_j - p_i) — the max-pool gatherMaxPool
+ * applies to the feature rows, applied to the 3 relative-coordinate
  * channels the unique-point MLP did not see. @p out is resized to
  * centers.size() * 3 reusing capacity (zeros for centers with no real
  * neighbors). Center rows dispatch in chunks over @p pool;
@@ -159,8 +151,7 @@ void blockGatherFeatureRows(
 void maxPoolRelativeCoords(const data::PointCloud &cloud,
                            const std::vector<PointIdx> &centers,
                            const NeighborResult &neighbors,
-                           core::ThreadPool *pool, core::Workspace &ws,
-                           std::vector<float> &out);
+                           core::ThreadPool *pool, std::vector<float> &out);
 
 } // namespace fc::ops
 

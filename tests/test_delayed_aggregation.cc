@@ -14,12 +14,15 @@
  *    root_partition reuse, and through the serving path.
  *  - Row accounting: sa_mlp_rows counts unique points (Delayed) vs
  *    gathered rows (Eager), and Delayed is strictly smaller.
- *  - Ops level: blockGatherFeatureRows == gatherFeatureRows values;
+ *  - Ops level: gatherMaxPool and blockGatherMaxPool == gather-then-
+ *    fold, bitwise, on scene and handcrafted (NaN/±0/±inf) tables;
  *    maxPoolRelativeCoords on a handcrafted neighborhood.
  */
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -218,7 +221,8 @@ TEST(DelayedAggregation, BitIdenticalAcrossThreadCounts)
 
 TEST(DelayedAggregation, GlobalOpsPathMatchesItselfAcrossThreads)
 {
-    // method=None exercises the non-block gatherFeatureRows arm.
+    // method=None exercises the global gatherMaxPool arm, whose
+    // center rows dispatch over the pool.
     const data::PointCloud scene = data::makeS3disScene(1024, 19);
     const nn::Network net(tinyClsModel(), 42);
     nn::BackendOptions backend;
@@ -237,12 +241,10 @@ TEST(DelayedAggregation, GlobalOpsPathMatchesItselfAcrossThreads)
 
 TEST(DelayedAggregation, ForcedScalarIsDeterministic)
 {
-    // Dispatch arms agree within one fp16 ulp, not bitwise, so the
-    // scalar arm is checked for internal determinism: warm/cold and
-    // threaded runs under forced-scalar must match bit for bit.
-    LevelGuard guard;
-    ASSERT_TRUE(simd::setActiveLevel(simd::Level::Scalar));
-
+    // Every kernel is bit-identical across dispatch levels, so the
+    // forced-scalar run must reproduce the default level's run bit for
+    // bit, and warm/cold and threaded runs under forced-scalar must
+    // match too.
     const data::PointCloud scene = data::makeS3disScene(1024, 23);
     const nn::Network net(tinySegModel(), 42);
     nn::BackendOptions backend;
@@ -250,7 +252,12 @@ TEST(DelayedAggregation, ForcedScalarIsDeterministic)
     backend.threshold = 64;
     backend.aggregation = nn::Aggregation::Delayed;
 
+    const nn::InferenceResult default_level = net.run(scene, backend);
+
+    LevelGuard guard;
+    ASSERT_TRUE(simd::setActiveLevel(simd::Level::Scalar));
     const nn::InferenceResult cold = net.run(scene, backend);
+    expectBitIdentical(default_level, cold);
 
     core::Workspace ws;
     nn::InferenceResult warm;
@@ -380,40 +387,177 @@ TEST(DelayedAggregation, RowAccountingCountsUniquePoints)
 // Ops level
 // ---------------------------------------------------------------------
 
-TEST(FeatureGather, BlockMatchesGlobalValues)
+/**
+ * Test-local reference for the fused ops: materialize each center's k
+ * gathered rows (kInvalidPoint -> zero row), then fold them exactly
+ * like nn::maxPoolGroups — slot 0 copied, later slots std::max'd in.
+ */
+std::vector<float>
+gatherThenFold(const std::vector<float> &features, std::size_t channels,
+               const ops::NeighborResult &nbr)
 {
-    const data::PointCloud scene = data::makeS3disScene(2048, 43);
-    PipelineOptions options;
-    options.threshold = 64;
-    options.num_threads = 2;
-    const FractalCloudPipeline pipeline(scene, options);
+    std::vector<float> pooled(nbr.num_centers * channels);
+    std::vector<float> rows(nbr.k * channels);
+    for (std::size_t i = 0; i < nbr.num_centers; ++i) {
+        for (std::size_t j = 0; j < nbr.k; ++j) {
+            const PointIdx nb = nbr.neighbor(i, j);
+            for (std::size_t c = 0; c < channels; ++c)
+                rows[j * channels + c] =
+                    nb == kInvalidPoint
+                        ? 0.0f
+                        : features[static_cast<std::size_t>(nb) *
+                                       channels +
+                                   c];
+        }
+        float *dst = pooled.data() + i * channels;
+        for (std::size_t c = 0; c < channels; ++c)
+            dst[c] = rows[c];
+        for (std::size_t j = 1; j < nbr.k; ++j)
+            for (std::size_t c = 0; c < channels; ++c)
+                dst[c] = std::max(dst[c], rows[j * channels + c]);
+    }
+    return pooled;
+}
 
-    const ops::BlockSampleResult sampled = pipeline.sample(0.25);
-    const ops::NeighborResult neighbors =
-        pipeline.group(sampled, 0.3f, 16);
+/** Runs both fused ops with no pool and with 2- and 8-thread pools,
+ *  comparing bit patterns against gatherThenFold and pinning stats. */
+void
+expectFusedMatchesReference(const std::vector<float> &features,
+                            std::size_t channels,
+                            const ops::NeighborResult &nbr,
+                            const part::BlockTree &tree,
+                            const std::vector<std::uint32_t> &offsets)
+{
+    const std::vector<float> expected =
+        gatherThenFold(features, channels, nbr);
+    const std::uint64_t pairs =
+        static_cast<std::uint64_t>(nbr.num_centers) * nbr.k;
+    std::uint64_t block_bytes = 0;
+    for (std::size_t li = 0; li < tree.leaves().size(); ++li)
+        if (offsets[li] != offsets[li + 1])
+            block_bytes +=
+                static_cast<std::uint64_t>(
+                    tree.node(tree.searchSpaceNode(tree.leaves()[li]))
+                        .size()) *
+                channels * 2;
 
-    // A synthetic per-point feature tensor (any row-major buffer).
-    const std::size_t channels = 8;
-    std::vector<float> features(scene.size() * channels);
-    for (std::size_t i = 0; i < features.size(); ++i)
-        features[i] = static_cast<float>((i * 2654435761u) % 997) -
-                      498.0f;
+    core::ThreadPool pool2(2);
+    core::ThreadPool pool8(8);
+    for (core::ThreadPool *pool :
+         {static_cast<core::ThreadPool *>(nullptr), &pool2, &pool8}) {
+        SCOPED_TRACE(pool == nullptr ? 0u : pool->numThreads());
+        // NaN-filled outputs: every element must be overwritten.
+        std::vector<float> global(expected.size(),
+                                  std::numeric_limits<float>::quiet_NaN());
+        const ops::OpStats gstats =
+            ops::gatherMaxPool(features, channels, nbr, pool, global);
+        EXPECT_EQ(0, std::memcmp(global.data(), expected.data(),
+                                 expected.size() * sizeof(float)));
+        EXPECT_EQ(gstats.points_visited, pairs);
+        EXPECT_EQ(gstats.bytes_gathered, pairs * channels * 2);
 
-    const ops::GatherResult global =
-        ops::gatherFeatureRows(features, channels, neighbors);
+        std::vector<float> block(expected.size(),
+                                 std::numeric_limits<float>::quiet_NaN());
+        const ops::OpStats bstats = ops::blockGatherMaxPool(
+            features, channels, tree, offsets, nbr, pool, block);
+        EXPECT_EQ(0, std::memcmp(block.data(), expected.data(),
+                                 expected.size() * sizeof(float)));
+        EXPECT_EQ(bstats.points_visited, pairs);
+        EXPECT_EQ(bstats.bytes_gathered, block_bytes);
+    }
+}
 
-    core::Workspace ws;
-    ops::GatherResult block;
-    ops::blockGatherFeatureRows(features, channels, pipeline.tree(),
-                                sampled.leaf_offsets, neighbors,
-                                pipeline.pool(), ws, block);
-    EXPECT_EQ(global.values, block.values);
-    EXPECT_EQ(global.num_centers, block.num_centers);
-    EXPECT_EQ(global.k, block.k);
-    EXPECT_EQ(global.channels, block.channels);
-    // Block accounting streams leaf search spaces instead of random
-    // access; both charge the same per-pair visit count.
-    EXPECT_EQ(global.stats.points_visited, block.stats.points_visited);
+TEST(FeatureGather, MaxPoolMatchesGatherThenFoldBitwise)
+{
+    // (a) The scene neighbor table of a block-wise grouping stage.
+    {
+        const data::PointCloud scene = data::makeS3disScene(2048, 43);
+        PipelineOptions options;
+        options.threshold = 64;
+        options.num_threads = 2;
+        const FractalCloudPipeline pipeline(scene, options);
+
+        const ops::BlockSampleResult sampled = pipeline.sample(0.25);
+        const ops::NeighborResult neighbors =
+            pipeline.group(sampled, 0.3f, 16);
+
+        // A synthetic per-point feature tensor (any row-major buffer).
+        const std::size_t channels = 8;
+        std::vector<float> features(scene.size() * channels);
+        for (std::size_t i = 0; i < features.size(); ++i)
+            features[i] =
+                static_cast<float>((i * 2654435761u) % 997) - 498.0f;
+
+        SCOPED_TRACE("scene table");
+        expectFusedMatchesReference(features, channels, neighbors,
+                                    pipeline.tree(),
+                                    sampled.leaf_offsets);
+    }
+
+    // (b) Handcrafted tables over 6 points whose 4 channels put NaN,
+    // +0/-0 and +-inf in different slots, so the fold order shows in
+    // the bit patterns (std::max keeps its first argument on NaN and
+    // on equal signed zeros).
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const std::size_t channels = 4;
+    const std::vector<float> features = {
+        nan,   -0.0f, inf,   -inf,  // point 0
+        1.0f,  0.0f,  -inf,  nan,   // point 1
+        -2.0f, -0.0f, 3.0f,  -inf,  // point 2
+        nan,   0.0f,  -0.0f, inf,   // point 3
+        -inf,  -0.0f, -0.0f, -1.0f, // point 4
+        0.0f,  nan,   -inf,  0.0f,  // point 5
+    };
+    std::vector<Vec3> pts;
+    for (int i = 0; i < 6; ++i)
+        pts.emplace_back(static_cast<float>(i), 0.0f, 0.0f);
+    const data::PointCloud line(std::move(pts));
+    part::PartitionConfig pconfig;
+    pconfig.threshold = 2;
+    const part::PartitionResult part =
+        part::FractalPartitioner().partition(line, pconfig);
+    const std::size_t num_leaves = part.tree.leaves().size();
+    ASSERT_GT(num_leaves, 1u);
+    // Leaf li owns row li (the last leaf takes any remainder); leaves
+    // past the last row stay empty and must be charged nothing.
+    const auto leafOffsets = [&](std::size_t rows) {
+        std::vector<std::uint32_t> offsets(num_leaves + 1);
+        for (std::size_t li = 0; li < num_leaves; ++li)
+            offsets[li] =
+                static_cast<std::uint32_t>(std::min(li, rows));
+        offsets[num_leaves] = static_cast<std::uint32_t>(rows);
+        return offsets;
+    };
+
+    ops::NeighborResult padded;
+    padded.num_centers = 5;
+    padded.k = 4;
+    constexpr PointIdx kNone = kInvalidPoint;
+    padded.indices = {
+        0,     1,     0,     0,     // two real neighbors, padded
+        kNone, kNone, kNone, kNone, // no neighbors at all (count 0)
+        1,     3,     5,     2,     // NaN after a number, -0 vs +0
+        4,     2,     kNone, kNone, // -0 and -inf folded with zero rows
+        3,     0,     4,     3,     // NaN leads, then -inf and +inf
+    };
+    padded.counts = {2, 0, 4, 2, 4};
+    {
+        SCOPED_TRACE("padded k=4 table");
+        expectFusedMatchesReference(features, channels, padded, part.tree,
+                                    leafOffsets(padded.num_centers));
+    }
+
+    ops::NeighborResult single;
+    single.num_centers = 4;
+    single.k = 1;
+    single.indices = {3, kInvalidPoint, 4, 0};
+    single.counts = {1, 0, 1, 1};
+    {
+        SCOPED_TRACE("k=1 table");
+        expectFusedMatchesReference(features, channels, single, part.tree,
+                                    leafOffsets(single.num_centers));
+    }
 }
 
 TEST(FeatureGather, MaxPoolRelativeCoordsHandcrafted)
@@ -433,10 +577,8 @@ TEST(FeatureGather, MaxPoolRelativeCoordsHandcrafted)
                    3, 3, 3, 3}; // center 1: self only + pads
     nbr.counts = {3, 1};
 
-    core::Workspace ws;
     std::vector<float> pooled;
-    ops::maxPoolRelativeCoords(cloud, centers, nbr, nullptr, ws,
-                               pooled);
+    ops::maxPoolRelativeCoords(cloud, centers, nbr, nullptr, pooled);
     ASSERT_EQ(pooled.size(), 6u);
     // Channel-wise max over {(0,0,0), (1,0,0), (0,-2,3)}.
     EXPECT_EQ(pooled[0], 1.0f);
