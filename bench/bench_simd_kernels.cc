@@ -6,11 +6,12 @@
  * dispatch level forced to Scalar, once at the best level the machine
  * supports — and prints both times plus the speedup.
  *
- * CI contract (Release perf-smoke): the CSV shape is gated by
- * scripts/check_bench_csv.sh, and when the AVX2 kernels are active
- * this binary exits non-zero unless the FPS distance-update and
- * LinearRelu rows reach a 2x speedup over scalar — a floor on the two
- * paper-critical kernels. The LinearRelu row is a 131->136 layer over
+ * CI contract (Release perf-smoke): the CSV shape (six kernel rows)
+ * is gated by scripts/check_bench_csv.sh, and when the AVX2 kernels
+ * are active this binary exits non-zero unless the FPS
+ * distance-update and LinearRelu rows reach a 2x speedup over scalar
+ * — a floor on the two paper-critical kernels. The ball-scan row has
+ * no floor. The LinearRelu row is a 131->136 layer over
  * 512 rows, so the floor also covers both edges of the kernel's
  * 6-row x 16-output tiles: a partial output panel (136 % 16 = 8
  * lanes) and a narrower last row tile (512 % 6 = 2 rows). On
@@ -126,14 +127,34 @@ simdTable()
                       std::numeric_limits<float>::max());
             for (int sweep = 0; sweep < 16; ++sweep) {
                 const simd::FpsPartial p = simd::fpsUpdate(
-                    pts, nullptr, 0, query, min_dist.data(),
-                    sampled.data(), 0,
+                    pts, 0, query, min_dist.data(), sampled.data(), 0,
                     static_cast<std::uint32_t>(n));
                 benchmark::DoNotOptimize(p.best);
             }
         },
         kReps);
     add_row("fps-update", fps);
+
+    // Ball-query scan, shaped like one block ball query: each 512-point
+    // window (a leaf's search space) answers one center with radius
+    // 0.5 and k = 32, which uniform points fill near the window's end.
+    constexpr std::uint32_t kWindow = 512;
+    std::vector<std::uint32_t> hits(32);
+    const KernelTiming ball = timeBothLevels(
+        [&] {
+            for (int sweep = 0; sweep < 16; ++sweep)
+                for (std::uint32_t w = 0; w + kWindow <= n;
+                     w += kWindow) {
+                    const fc::Vec3 center(xs[w + sweep], ys[w + sweep],
+                                          zs[w + sweep]);
+                    const simd::BallScan s = simd::ballScan(
+                        pts, center, 0.25f, w, w + kWindow, hits.size(),
+                        hits.data());
+                    benchmark::DoNotOptimize(s.found);
+                }
+        },
+        kReps);
+    add_row("ball-scan", ball);
 
     // Neighbor distance screen.
     std::vector<float> dist_out(n);
@@ -235,7 +256,7 @@ BM_FpsUpdateSweep(benchmark::State &state)
     const fc::Vec3 query(0.0f, 0.0f, 0.0f);
     for (auto _ : state) {
         const simd::FpsPartial p =
-            simd::fpsUpdate(pts, nullptr, 0, query, min_dist.data(),
+            simd::fpsUpdate(pts, 0, query, min_dist.data(),
                             sampled.data(), 0,
                             static_cast<std::uint32_t>(n));
         benchmark::DoNotOptimize(p.best);

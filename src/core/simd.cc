@@ -17,16 +17,8 @@ namespace {
  * pre-SIMD library bit for bit.
  */
 
-inline PointIdx
-candidateIdx(const PointIdx *order, std::uint32_t identity_base,
-             std::uint32_t i)
-{
-    return order != nullptr ? order[i] : identity_base + i;
-}
-
 FpsPartial
-fpsUpdateScalar(const SoaView &pts, const PointIdx *order,
-                std::uint32_t identity_base, const Vec3 &query,
+fpsUpdateScalar(const SoaView &pts, std::uint32_t base, const Vec3 &query,
                 float *min_dist, const std::uint8_t *sampled,
                 std::uint32_t begin, std::uint32_t end)
 {
@@ -36,7 +28,7 @@ fpsUpdateScalar(const SoaView &pts, const PointIdx *order,
             ++p.sampled;
             continue;
         }
-        const PointIdx idx = candidateIdx(order, identity_base, i);
+        const std::uint32_t idx = base + i;
         const float dx = query.x - pts.xs[idx];
         const float dy = query.y - pts.ys[idx];
         const float dz = query.z - pts.zs[idx];
@@ -51,13 +43,38 @@ fpsUpdateScalar(const SoaView &pts, const PointIdx *order,
     return p;
 }
 
+BallScan
+ballScanScalar(const SoaView &pts, const Vec3 &query, float radius2,
+               std::uint32_t begin, std::uint32_t end, std::size_t k,
+               std::uint32_t *hits)
+{
+    BallScan s;
+    if (k == 0)
+        return s;
+    for (std::uint32_t pos = begin; pos < end; ++pos) {
+        const float dx = query.x - pts.xs[pos];
+        const float dy = query.y - pts.ys[pos];
+        const float dz = query.z - pts.zs[pos];
+        if (dx * dx + dy * dy + dz * dz <= radius2) {
+            hits[s.found++] = pos;
+            if (s.found == k) {
+                s.examined = pos - begin + 1;
+                return s;
+            }
+        }
+    }
+    s.examined = end - begin;
+    return s;
+}
+
 void
 distance2RangeScalar(const SoaView &pts, const PointIdx *order,
                      std::uint32_t identity_base, const Vec3 &query,
                      std::uint32_t begin, std::uint32_t end, float *out)
 {
     for (std::uint32_t i = begin; i < end; ++i) {
-        const PointIdx idx = candidateIdx(order, identity_base, i);
+        const PointIdx idx =
+            order != nullptr ? order[i] : identity_base + i;
         const float dx = query.x - pts.xs[idx];
         const float dy = query.y - pts.ys[idx];
         const float dz = query.z - pts.zs[idx];
@@ -105,8 +122,8 @@ linearReluRowsScalar(const float *w, const float *bias, std::size_t in,
 }
 
 constexpr detail::Kernels kScalarKernels = {
-    &fpsUpdateScalar, &distance2RangeScalar, &linearReluRowsScalar,
-    &axpyScalar,      &fp16RoundScalar,
+    &fpsUpdateScalar,      &ballScanScalar, &distance2RangeScalar,
+    &linearReluRowsScalar, &axpyScalar,     &fp16RoundScalar,
 };
 
 const detail::Kernels *
@@ -180,13 +197,21 @@ active()
 } // namespace detail
 
 FpsPartial
-fpsUpdate(const SoaView &pts, const PointIdx *order,
-          std::uint32_t identity_base, const Vec3 &query,
+fpsUpdate(const SoaView &pts, std::uint32_t base, const Vec3 &query,
           float *min_dist, const std::uint8_t *sampled,
           std::uint32_t begin, std::uint32_t end)
 {
-    return detail::active().fps_update(pts, order, identity_base, query,
-                                       min_dist, sampled, begin, end);
+    return detail::active().fps_update(pts, base, query, min_dist,
+                                       sampled, begin, end);
+}
+
+BallScan
+ballScan(const SoaView &pts, const Vec3 &query, float radius2,
+         std::uint32_t begin, std::uint32_t end, std::size_t k,
+         std::uint32_t *hits)
+{
+    return detail::active().ball_scan(pts, query, radius2, begin, end, k,
+                                      hits);
 }
 
 void

@@ -5,8 +5,9 @@
  * The paper's speedup comes from wide PE arrays crunching distance and
  * feature math; on a CPU the equivalent is explicit vectorization of
  * the same three inner loops (the Fig. 4 bottleneck trio): the FPS
- * min-distance update, the ball-query/KNN distance screens, and the
- * MLP inner products — a whole LinearRelu layer over a block of rows
+ * min-distance update (fpsUpdate), the ball-query scan (ballScan) and
+ * the KNN distance screen (distance2Range), and the MLP inner
+ * products — a whole LinearRelu layer over a block of rows
  * (linearReluRows, over weights laid out by packLinearWeights), plus
  * the axpy blend and fp16 rounding around them. This header exposes
  * exactly those primitives, with two implementations behind one
@@ -27,11 +28,14 @@
  *
  * Accuracy contract (asserted by tests/test_simd.cc):
  *
- *   - fpsUpdate, distance2Range, axpy: the Avx2 path is bit-identical
- *     to Scalar. The distance kernels deliberately avoid FMA and keep
- *     the scalar evaluation order ((dx*dx + dy*dy) + dz*dz), min/max
- *     and argmax semantics match the scalar comparisons including NaN
- *     behaviour, and axpy is elementwise mul+add.
+ *   - fpsUpdate, ballScan, distance2Range, axpy: the Avx2 path is
+ *     bit-identical to Scalar. The distance kernels deliberately avoid
+ *     FMA and keep the scalar evaluation order
+ *     ((dx*dx + dy*dy) + dz*dz), min/max and argmax semantics match
+ *     the scalar comparisons including NaN behaviour, and axpy is
+ *     elementwise mul+add. ballScan's radius test is the exact
+ *     comparison d <= radius2, so a NaN distance never hits, and its
+ *     hits, found and examined counts are equal at both levels.
  *   - fp16RoundBuffer: bit-identical to the software fp16Round in
  *     common/fp16.h for every non-NaN input; NaN payloads may differ
  *     (F16C propagates payload bits, the software path canonicalizes
@@ -133,35 +137,51 @@ struct FpsPartial
 };
 
 /**
- * Candidate addressing shared by fpsUpdate and distance2Range: local
- * position i in [begin, end) names point
- *
- *     order != nullptr ? order[i] : identity_base + i
- *
- * of @p pts. FPS callers pass their view's order pointer pre-offset
- * (order.data() + view_begin) so local positions index min_dist/
- * sampled directly; identity-view callers pass order = nullptr and
- * the view offset as @p identity_base.
- */
-
-/**
  * One fused FPS distance-update sweep: for every unsampled local
  * candidate i in [begin, end), compute the squared distance from
- * @p query, lower min_dist[i] with it, and track the running argmax
- * of the updated min_dist — the body of the paper's FPS iteration.
- * Scalar-loop semantics exactly (see file header); min_dist is
- * updated in place, sampled is read-only.
+ * @p query to point base + i of @p pts, lower min_dist[i] with it,
+ * and track the running argmax of the updated min_dist — the body of
+ * the paper's FPS iteration. Candidates are contiguous: callers pass
+ * the first position of their view (a whole cloud, or one block of a
+ * BlockTree's DFT-ordered points()) as @p base, so local positions
+ * index min_dist/sampled directly. Scalar-loop semantics exactly
+ * (see file header); min_dist is updated in place, sampled is
+ * read-only.
  */
-FpsPartial fpsUpdate(const SoaView &pts, const PointIdx *order,
-                     std::uint32_t identity_base, const Vec3 &query,
-                     float *min_dist, const std::uint8_t *sampled,
-                     std::uint32_t begin, std::uint32_t end);
+FpsPartial fpsUpdate(const SoaView &pts, std::uint32_t base,
+                     const Vec3 &query, float *min_dist,
+                     const std::uint8_t *sampled, std::uint32_t begin,
+                     std::uint32_t end);
+
+/** Outcome of one ballScan. */
+struct BallScan
+{
+    /** Hits written, at most k. */
+    std::uint32_t found = 0;
+    /** Positions tested: through the k-th hit, else all of them. */
+    std::uint32_t examined = 0;
+};
+
+/**
+ * The ball-query scan over the contiguous positions [begin, end) of
+ * @p pts: writes every position whose squared distance from @p query
+ * is <= @p radius2 to @p hits in ascending order, and stops at the
+ * k-th hit. @p hits must hold k entries; those from `found` on are
+ * scratch on return (the Avx2 entry stores 8 at a time). A caller
+ * maps the positions to point ids itself (a BlockTree's order(), or
+ * none for a whole cloud) and counts `examined` as its visited
+ * candidates.
+ */
+BallScan ballScan(const SoaView &pts, const Vec3 &query, float radius2,
+                  std::uint32_t begin, std::uint32_t end, std::size_t k,
+                  std::uint32_t *hits);
 
 /**
  * Squared distances from @p query to the local candidates
- * [begin, end), written to out[i - begin]. The distance screen of
- * ball query and KNN: callers scan the tile with their own
- * radius/top-k logic.
+ * [begin, end), written to out[i - begin]. Local position i names
+ * point order[i] of @p pts, or identity_base + i when @p order is
+ * null. The distance screen of KNN over explicit candidate lists:
+ * callers scan the tile with their own top-k logic.
  */
 void distance2Range(const SoaView &pts, const PointIdx *order,
                     std::uint32_t identity_base, const Vec3 &query,
@@ -221,10 +241,12 @@ namespace detail {
 /** Per-level kernel table; one instance per Level. */
 struct Kernels
 {
-    FpsPartial (*fps_update)(const SoaView &, const PointIdx *,
-                             std::uint32_t, const Vec3 &, float *,
-                             const std::uint8_t *, std::uint32_t,
-                             std::uint32_t);
+    FpsPartial (*fps_update)(const SoaView &, std::uint32_t,
+                             const Vec3 &, float *, const std::uint8_t *,
+                             std::uint32_t, std::uint32_t);
+    BallScan (*ball_scan)(const SoaView &, const Vec3 &, float,
+                          std::uint32_t, std::uint32_t, std::size_t,
+                          std::uint32_t *);
     void (*distance2_range)(const SoaView &, const PointIdx *,
                             std::uint32_t, const Vec3 &, std::uint32_t,
                             std::uint32_t, float *);

@@ -11,9 +11,15 @@
  *
  * Bit-identity notes (the contract tests/test_simd.cc asserts):
  *
- *   - fpsUpdate / distance2Range avoid FMA on purpose: each lane
- *     evaluates ((dx*dx + dy*dy) + dz*dz) exactly like the scalar
+ *   - fpsUpdate / ballScan / distance2Range avoid FMA on purpose: each
+ *     lane evaluates ((dx*dx + dy*dy) + dz*dz) exactly like the scalar
  *     expression, so per-element distances are bit-equal.
+ *   - ballScan's _CMP_LE_OQ is the scalar d <= radius2: false when
+ *     either side is NaN. Each 8-lane hit mask yields its positions
+ *     lowest lane first (packed through a 256-entry lane table, or
+ *     bit by bit in the step that can reach the k-th hit), so hits
+ *     stay ascending and the scan stops exactly where the scalar loop
+ *     does.
  *   - The running min uses _mm256_min_ps(d, old) = (d < old) ? d : old,
  *     which matches the scalar comparison for every input including
  *     NaNs (a NaN distance keeps the old entry; a NaN entry stays).
@@ -39,6 +45,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <utility>
 
@@ -46,28 +53,25 @@ namespace fc::core::simd {
 
 namespace {
 
-/** 8 candidate positions' coordinates, contiguous or gathered. */
-inline void
-loadLanes(const SoaView &pts, const PointIdx *order,
-          std::uint32_t identity_base, std::uint32_t i, __m256 &px,
-          __m256 &py, __m256 &pz)
+/**
+ * Squared distances from (qx, qy, qz) to the 8 points whose
+ * coordinates are in px/py/pz, with the scalar association and no
+ * FMA: ((dx*dx + dy*dy) + dz*dz).
+ */
+inline __m256
+distance8(__m256 qx, __m256 qy, __m256 qz, __m256 px, __m256 py,
+          __m256 pz)
 {
-    if (order != nullptr) {
-        const __m256i idx = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(order + i));
-        px = _mm256_i32gather_ps(pts.xs, idx, 4);
-        py = _mm256_i32gather_ps(pts.ys, idx, 4);
-        pz = _mm256_i32gather_ps(pts.zs, idx, 4);
-    } else {
-        px = _mm256_loadu_ps(pts.xs + identity_base + i);
-        py = _mm256_loadu_ps(pts.ys + identity_base + i);
-        pz = _mm256_loadu_ps(pts.zs + identity_base + i);
-    }
+    const __m256 dx = _mm256_sub_ps(qx, px);
+    const __m256 dy = _mm256_sub_ps(qy, py);
+    const __m256 dz = _mm256_sub_ps(qz, pz);
+    return _mm256_add_ps(
+        _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
+        _mm256_mul_ps(dz, dz));
 }
 
 FpsPartial
-fpsUpdateAvx2(const SoaView &pts, const PointIdx *order,
-              std::uint32_t identity_base, const Vec3 &query,
+fpsUpdateAvx2(const SoaView &pts, std::uint32_t base, const Vec3 &query,
               float *min_dist, const std::uint8_t *sampled,
               std::uint32_t begin, std::uint32_t end)
 {
@@ -89,15 +93,10 @@ fpsUpdateAvx2(const SoaView &pts, const PointIdx *order,
         p.sampled += static_cast<std::uint32_t>(__builtin_popcount(
             static_cast<unsigned>(_mm256_movemask_ps(smask))));
 
-        __m256 px, py, pz;
-        loadLanes(pts, order, identity_base, i, px, py, pz);
-        const __m256 dx = _mm256_sub_ps(qx, px);
-        const __m256 dy = _mm256_sub_ps(qy, py);
-        const __m256 dz = _mm256_sub_ps(qz, pz);
-        // Scalar association, no FMA: ((dx*dx + dy*dy) + dz*dz).
-        const __m256 d = _mm256_add_ps(
-            _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
-            _mm256_mul_ps(dz, dz));
+        const __m256 d = distance8(
+            qx, qy, qz, _mm256_loadu_ps(pts.xs + base + i),
+            _mm256_loadu_ps(pts.ys + base + i),
+            _mm256_loadu_ps(pts.zs + base + i));
 
         const __m256 old = _mm256_loadu_ps(min_dist + i);
         // (d < old) ? d : old, NaN semantics matching the scalar test.
@@ -143,8 +142,7 @@ fpsUpdateAvx2(const SoaView &pts, const PointIdx *order,
             ++p.sampled;
             continue;
         }
-        const PointIdx idx =
-            order != nullptr ? order[i] : identity_base + i;
+        const std::uint32_t idx = base + i;
         const float dx = query.x - pts.xs[idx];
         const float dy = query.y - pts.ys[idx];
         const float dz = query.z - pts.zs[idx];
@@ -159,6 +157,82 @@ fpsUpdateAvx2(const SoaView &pts, const PointIdx *order,
     return p;
 }
 
+/**
+ * For each 8-lane mask, the indices of its set lanes, lowest first,
+ * one per byte.
+ */
+constexpr std::array<std::uint64_t, 256> kHitLanes = [] {
+    std::array<std::uint64_t, 256> table{};
+    for (unsigned mask = 0; mask < 256; ++mask) {
+        unsigned n = 0;
+        for (unsigned lane = 0; lane < 8; ++lane)
+            if (mask & (1u << lane))
+                table[mask] |= std::uint64_t{lane} << (8 * n++);
+    }
+    return table;
+}();
+
+BallScan
+ballScanAvx2(const SoaView &pts, const Vec3 &query, float radius2,
+             std::uint32_t begin, std::uint32_t end, std::size_t k,
+             std::uint32_t *hits)
+{
+    BallScan s;
+    if (k == 0)
+        return s;
+    const __m256 qx = _mm256_set1_ps(query.x);
+    const __m256 qy = _mm256_set1_ps(query.y);
+    const __m256 qz = _mm256_set1_ps(query.z);
+    const __m256 r2 = _mm256_set1_ps(radius2);
+    std::uint32_t i = begin;
+    for (; i + 8 <= end; i += 8) {
+        const __m256 d = distance8(qx, qy, qz, _mm256_loadu_ps(pts.xs + i),
+                                   _mm256_loadu_ps(pts.ys + i),
+                                   _mm256_loadu_ps(pts.zs + i));
+        unsigned mask = static_cast<unsigned>(
+            _mm256_movemask_ps(_mm256_cmp_ps(d, r2, _CMP_LE_OQ)));
+        const std::uint32_t count =
+            static_cast<std::uint32_t>(__builtin_popcount(mask));
+        if (s.found + 8 <= k && s.found + count < k) {
+            // This step cannot reach the k-th hit and 8 slots remain:
+            // store 8 positions, the hit lanes packed first, and keep
+            // `count` of them. Later hits overwrite the rest.
+            const __m256i lanes = _mm256_cvtepu8_epi32(_mm_loadl_epi64(
+                reinterpret_cast<const __m128i *>(&kHitLanes[mask])));
+            _mm256_storeu_si256(
+                reinterpret_cast<__m256i *>(hits + s.found),
+                _mm256_add_epi32(
+                    _mm256_set1_epi32(static_cast<int>(i)), lanes));
+            s.found += count;
+            continue;
+        }
+        // Near k: lowest set bit first, stopping at the k-th hit.
+        for (; mask != 0; mask &= mask - 1) {
+            const std::uint32_t pos =
+                i + static_cast<std::uint32_t>(__builtin_ctz(mask));
+            hits[s.found++] = pos;
+            if (s.found == k) {
+                s.examined = pos - begin + 1;
+                return s;
+            }
+        }
+    }
+    for (; i < end; ++i) {
+        const float dx = query.x - pts.xs[i];
+        const float dy = query.y - pts.ys[i];
+        const float dz = query.z - pts.zs[i];
+        if (dx * dx + dy * dy + dz * dz <= radius2) {
+            hits[s.found++] = i;
+            if (s.found == k) {
+                s.examined = i - begin + 1;
+                return s;
+            }
+        }
+    }
+    s.examined = end - begin;
+    return s;
+}
+
 void
 distance2RangeAvx2(const SoaView &pts, const PointIdx *order,
                    std::uint32_t identity_base, const Vec3 &query,
@@ -170,14 +244,19 @@ distance2RangeAvx2(const SoaView &pts, const PointIdx *order,
     std::uint32_t i = begin;
     for (; i + 8 <= end; i += 8) {
         __m256 px, py, pz;
-        loadLanes(pts, order, identity_base, i, px, py, pz);
-        const __m256 dx = _mm256_sub_ps(qx, px);
-        const __m256 dy = _mm256_sub_ps(qy, py);
-        const __m256 dz = _mm256_sub_ps(qz, pz);
-        const __m256 d = _mm256_add_ps(
-            _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
-            _mm256_mul_ps(dz, dz));
-        _mm256_storeu_ps(out + (i - begin), d);
+        if (order != nullptr) {
+            const __m256i idx = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(order + i));
+            px = _mm256_i32gather_ps(pts.xs, idx, 4);
+            py = _mm256_i32gather_ps(pts.ys, idx, 4);
+            pz = _mm256_i32gather_ps(pts.zs, idx, 4);
+        } else {
+            px = _mm256_loadu_ps(pts.xs + identity_base + i);
+            py = _mm256_loadu_ps(pts.ys + identity_base + i);
+            pz = _mm256_loadu_ps(pts.zs + identity_base + i);
+        }
+        _mm256_storeu_ps(out + (i - begin),
+                         distance8(qx, qy, qz, px, py, pz));
     }
     for (; i < end; ++i) {
         const PointIdx idx =
@@ -328,8 +407,8 @@ const Kernels *
 avx2Kernels()
 {
     static const Kernels table = {
-        &fpsUpdateAvx2,  &distance2RangeAvx2, &linearReluRowsAvx2,
-        &axpyAvx2,       &fp16RoundAvx2,
+        &fpsUpdateAvx2,      &ballScanAvx2, &distance2RangeAvx2,
+        &linearReluRowsAvx2, &axpyAvx2,     &fp16RoundAvx2,
     };
     static const bool supported = __builtin_cpu_supports("avx2") &&
                                   __builtin_cpu_supports("fma") &&

@@ -135,7 +135,10 @@ struct BackendOptions
      * partition_stats, which still charge stage 0's construction work
      * — is bit-identical to recomputing. Borrowed, never owned.
      * FractalCloudPipeline::infer and the serve inference stage pass
-     * the partition they already built.
+     * the partition they already built. It must partition the same
+     * cloud run() gets: the block ops read coordinates from the
+     * tree's copy (BlockTree::points()), and they assert on a point
+     * count mismatch.
      */
     const part::PartitionResult *root_partition = nullptr;
 

@@ -14,13 +14,6 @@ namespace fc::ops {
 
 namespace {
 
-/** View index: an empty order span means the identity view. */
-inline PointIdx
-viewIdx(std::span<const PointIdx> order, std::uint32_t pos)
-{
-    return order.empty() ? pos : order[pos];
-}
-
 /** Chunk-local argmax candidate of one FPS sweep. */
 struct FpsBest
 {
@@ -32,13 +25,16 @@ struct FpsBest
 };
 
 /**
- * FPS over an index view. @p order maps dense positions to original
- * point indices (empty = identity). Writes exactly
- * min(num_samples, n) original indices to @p out — callers size their
- * output ranges from the same formula, so disjoint leaves can write
- * one shared buffer. Scratch (distance table + sampled flags) comes
- * from @p arena; the per-iteration sweep dispatches over @p pool
- * (block-wise callers pass null — their parallelism is per leaf).
+ * FPS over the contiguous positions [begin, end) of @p pts.
+ * @p order maps positions to original point indices (empty =
+ * identity): a whole cloud's soa() with no order, or a BlockTree's
+ * points() with its order(). Writes exactly min(num_samples, n)
+ * original indices to @p out, and their positions to @p positions
+ * unless it is null — callers size their output ranges from the same
+ * formula, so disjoint leaves can write one shared buffer. Scratch
+ * (distance table + sampled flags) comes from @p arena; the
+ * per-iteration sweep dispatches over @p pool (block-wise callers
+ * pass null — their parallelism is per leaf).
  *
  * The parallel sweep is bit-identical to the serial one: chunk
  * boundaries depend only on (n, grain), each chunk tracks its best
@@ -47,12 +43,12 @@ struct FpsBest
  * exactly the serial tie-break.
  */
 void
-fpsOverView(const data::PointCloud &cloud,
+fpsOverView(const core::simd::SoaView &pts,
             std::span<const PointIdx> order, std::uint32_t begin,
             std::uint32_t end, std::size_t num_samples,
             std::uint32_t start_offset, bool window_check,
-            PointIdx *out, OpStats &stats, core::ThreadPool *pool,
-            core::Arena &arena)
+            PointIdx *out, std::uint32_t *positions, OpStats &stats,
+            core::ThreadPool *pool, core::Arena &arena)
 {
     const std::uint32_t n = end - begin;
     if (n == 0 || num_samples == 0)
@@ -65,25 +61,27 @@ fpsOverView(const data::PointCloud &cloud,
         arena.allocSpan<std::uint8_t>(n, std::uint8_t{0});
 
     std::uint32_t current = std::min(start_offset, n - 1);
-    sampled[current] = 1;
-    *out++ = viewIdx(order, begin + current);
-
-    // Pre-offset the order view so kernel-local positions index
-    // min_dist/sampled directly (core/simd.h addressing convention);
-    // the identity view passes `begin` as the base instead.
-    const core::simd::SoaView pts = cloud.soa();
-    const PointIdx *order_ptr =
-        order.empty() ? nullptr : order.data() + begin;
+    const auto take = [&] {
+        sampled[current] = 1;
+        const std::uint32_t pos = begin + current;
+        *out++ = order.empty() ? pos : order[pos];
+        if (positions != nullptr)
+            *positions++ = pos;
+    };
+    take();
 
     const std::size_t grain = core::costGrain(8);
     for (std::size_t s = 1; s < num_samples; ++s) {
         ++stats.iterations;
-        const Vec3 &cur_pt = cloud[viewIdx(order, begin + current)];
+        const std::uint32_t cur = begin + current;
+        const Vec3 cur_pt(pts.xs[cur], pts.ys[cur], pts.zs[cur]);
         const FpsBest best = core::parallelReduce(
             pool, 0, n, grain, FpsBest{},
             [&](std::size_t cb, std::size_t ce) {
+                // Kernel-local positions index min_dist/sampled; the
+                // view starts at `begin` of pts.
                 const core::simd::FpsPartial p = core::simd::fpsUpdate(
-                    pts, order_ptr, begin, cur_pt, min_dist.data(),
+                    pts, begin, cur_pt, min_dist.data(),
                     sampled.data(), static_cast<std::uint32_t>(cb),
                     static_cast<std::uint32_t>(ce));
                 FpsBest local;
@@ -117,8 +115,7 @@ fpsOverView(const data::PointCloud &cloud,
         stats.distance_computations += best.computed;
         stats.skipped += best.skipped;
         current = best.pos;
-        sampled[current] = 1;
-        *out++ = viewIdx(order, begin + current);
+        take();
     }
     // Final iteration bookkeeping: the first sample costs one setup
     // iteration as well.
@@ -141,9 +138,11 @@ farthestPointSample(const data::PointCloud &cloud,
     out.indices.resize(std::min(num_samples, cloud.size()));
     // The identity view is implicit (empty order span): no O(n) index
     // fill, no per-call buffer.
-    fpsOverView(cloud, {}, 0, static_cast<std::uint32_t>(cloud.size()),
-                num_samples, options.start_index, options.window_check,
-                out.indices.data(), out.stats, pool, ws.arena());
+    fpsOverView(cloud.soa(), {}, 0,
+                static_cast<std::uint32_t>(cloud.size()), num_samples,
+                options.start_index, options.window_check,
+                out.indices.data(), nullptr, out.stats, pool,
+                ws.arena());
 }
 
 SampleResult
@@ -166,6 +165,13 @@ blockFarthestPointSample(const data::PointCloud &cloud,
 {
     fc_assert(rate > 0.0 && rate <= 1.0,
               "sampling rate %f outside (0, 1]", rate);
+    // The leaves read the tree's copy of the coordinates, so the tree
+    // must come from partitioning this cloud.
+    fc_assert(tree.numPoints() == cloud.size() && tree.hasPoints(),
+              "block op needs a tree partitioned from this cloud (tree: "
+              "%u points, coordinates %s; cloud: %zu points)",
+              tree.numPoints(), tree.hasPoints() ? "stored" : "missing",
+              cloud.size());
     out.stats = {};
     core::Arena &arena = ws.arena();
     const auto &leaves = tree.leaves();
@@ -210,10 +216,7 @@ blockFarthestPointSample(const data::PointCloud &cloud,
             static_cast<std::uint32_t>(quotas[li]));
     }
     out.indices.resize(out.leaf_offsets.back());
-
-    // Warm the SoA mirror serially: the per-leaf tasks below all call
-    // cloud.soa(), which must not rebuild concurrently.
-    (void)cloud.soa();
+    out.positions.resize(out.leaf_offsets.back());
 
     std::span<OpStats> leaf_stats =
         arena.allocSpan<OpStats>(leaves.size(), OpStats{});
@@ -224,28 +227,16 @@ blockFarthestPointSample(const data::PointCloud &cloud,
                 if (quotas[li] == 0)
                     continue;
                 const part::BlockNode &node = tree.node(leaves[li]);
-                fpsOverView(cloud, tree.order(), node.begin, node.end,
-                            quotas[li], options.start_index,
+                fpsOverView(tree.points(), tree.order(), node.begin,
+                            node.end, quotas[li], options.start_index,
                             options.window_check,
                             out.indices.data() + out.leaf_offsets[li],
+                            out.positions.data() + out.leaf_offsets[li],
                             leaf_stats[li], nullptr, arena);
             }
         });
     for (std::size_t li = 0; li < leaves.size(); ++li)
         out.stats += leaf_stats[li];
-
-    // Recover DFT positions with one inverse-permutation pass.
-    std::span<std::uint32_t> inverse =
-        arena.allocSpan<std::uint32_t>(tree.order().size());
-    core::parallelFor(pool, 0, tree.order().size(), 65536,
-                      [&](std::size_t cb, std::size_t ce) {
-                          for (std::size_t pos = cb; pos < ce; ++pos)
-                              inverse[tree.order()[pos]] =
-                                  static_cast<std::uint32_t>(pos);
-                      });
-    out.positions.resize(out.indices.size());
-    for (std::size_t i = 0; i < out.indices.size(); ++i)
-        out.positions[i] = inverse[out.indices[i]];
 }
 
 BlockSampleResult

@@ -14,22 +14,20 @@ namespace fc::ops {
 namespace {
 
 /**
- * Distance-screen tile width: small enough for the stack (512 B), big
- * enough that core::simd::distance2Range runs full-width. Using a
+ * KNN distance-screen tile width: small enough for the stack (512 B),
+ * big enough that core::simd::distance2Range runs full-width. Using a
  * fixed stack tile (not arena scratch) keeps the per-row kernels
  * allocation-free and reentrant inside pool tasks.
  */
 constexpr std::uint32_t kScreenTile = 128;
 
 /**
- * Ball query for one center over a view of candidate positions (an
- * empty order span is the identity view). Writes exactly k entries
- * (padded) into @p row; returns the number of real neighbors found.
- *
- * Distances are screened one kScreenTile at a time through
- * core::simd::distance2Range; the scalar scan over the tile keeps the
- * historical semantics — early stop at k neighbors, stats counted per
- * examined position only.
+ * Ball query for one center over the contiguous positions
+ * [begin, end) of @p pts, whose point ids @p order gives (empty =
+ * identity). Writes exactly k entries (padded) into @p row; returns
+ * the number of real neighbors found. core::simd::ballScan keeps the
+ * historical semantics — ascending scan, early stop at k neighbors,
+ * stats counted per examined position only.
  */
 std::uint32_t
 ballQueryRow(const core::simd::SoaView &pts, const Vec3 &center_pt,
@@ -37,29 +35,20 @@ ballQueryRow(const core::simd::SoaView &pts, const Vec3 &center_pt,
              std::uint32_t end, float radius2, std::size_t k,
              PointIdx *row, OpStats &stats)
 {
-    const PointIdx *order_ptr = order.empty() ? nullptr : order.data();
-    float dist_tile[kScreenTile];
-    std::uint32_t found = 0;
-    for (std::uint32_t tb = begin; tb < end && found < k;
-         tb += kScreenTile) {
-        const std::uint32_t te = std::min(end, tb + kScreenTile);
-        core::simd::distance2Range(pts, order_ptr, 0, center_pt, tb, te,
-                                   dist_tile);
-        for (std::uint32_t pos = tb; pos < te && found < k; ++pos) {
-            ++stats.points_visited;
-            ++stats.distance_computations;
-            if (dist_tile[pos - tb] <= radius2)
-                row[found++] =
-                    order_ptr != nullptr ? order_ptr[pos] : pos;
-        }
-    }
+    const core::simd::BallScan scan =
+        core::simd::ballScan(pts, center_pt, radius2, begin, end, k, row);
+    stats.points_visited += scan.examined;
+    stats.distance_computations += scan.examined;
+    if (!order.empty())
+        for (std::uint32_t j = 0; j < scan.found; ++j)
+            row[j] = order[row[j]];
     // PointNet++ padding: repeat the first neighbor; centers with no
     // neighbor at all (possible when the center is not among the
     // candidates) repeat kInvalidPoint.
-    const PointIdx pad = found > 0 ? row[0] : kInvalidPoint;
-    for (std::size_t j = found; j < k; ++j)
+    const PointIdx pad = scan.found > 0 ? row[0] : kInvalidPoint;
+    for (std::size_t j = scan.found; j < k; ++j)
         row[j] = pad;
-    return found;
+    return scan.found;
 }
 
 /**
@@ -190,10 +179,14 @@ blockBallQuery(const data::PointCloud &cloud, const part::BlockTree &tree,
               "center table does not match tree (%zu offsets, %zu "
               "leaves)",
               centers.leaf_offsets.size(), leaves.size());
-
-    // Serial SoA warm-up: the row tasks below share the view
-    // read-only.
-    const core::simd::SoaView pts = cloud.soa();
+    // The rows scan the tree's copy of the coordinates, so the tree
+    // must come from partitioning this cloud.
+    fc_assert(tree.numPoints() == cloud.size() && tree.hasPoints(),
+              "block op needs a tree partitioned from this cloud (tree: "
+              "%u points, coordinates %s; cloud: %zu points)",
+              tree.numPoints(), tree.hasPoints() ? "stored" : "missing",
+              cloud.size());
+    const core::simd::SoaView pts = tree.points();
 
     // Per-leaf work items. Every center owns one fixed k-wide row of
     // indices, so leaves write disjoint slots; per-chunk stats fold

@@ -18,6 +18,9 @@ BlockTree::reset(std::uint32_t num_points)
 {
     nodes_.clear();
     leaves_.clear();
+    points_.xs.clear();
+    points_.ys.clear();
+    points_.zs.clear();
     order_.resize(num_points);
     std::iota(order_.begin(), order_.end(), 0u);
 }

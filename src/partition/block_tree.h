@@ -8,6 +8,11 @@
  * are ordered left-to-right (spatially adjacent regions are adjacent in
  * memory), and the parent of a leaf is the search space used by
  * block-wise neighbor operations (§IV-B, Fig. 7).
+ *
+ * The layout holds the coordinates too: the tree keeps a copy of the
+ * cloud's points permuted into DFT order, so every block's points sit
+ * contiguously, as in the hardware's on-chip buffers, and the block
+ * ops scan a search space with plain contiguous loads.
  */
 
 #ifndef FC_PARTITION_BLOCK_TREE_H
@@ -18,6 +23,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "core/simd.h"
 
 namespace fc::part {
 
@@ -68,9 +74,10 @@ class BlockTree
 
     /**
      * Rebuild in place over @p num_points points (identity order):
-     * nodes and leaves are cleared, every buffer keeps its capacity.
-     * The in-place partitionInto path uses this so a warm re-partition
-     * of a same-shape cloud performs zero heap allocations.
+     * nodes, leaves and coordinates are cleared, every buffer keeps
+     * its capacity. The in-place partitionInto path uses this so a
+     * warm re-partition of a same-shape cloud performs zero heap
+     * allocations.
      */
     void reset(std::uint32_t num_points);
 
@@ -88,6 +95,34 @@ class BlockTree
 
     const std::vector<PointIdx> &order() const { return order_; }
     std::vector<PointIdx> &order() { return order_; }
+
+    /** Owning per-axis coordinate arrays. */
+    struct Points
+    {
+        std::vector<float> xs, ys, zs;
+    };
+
+    /**
+     * The cloud's coordinates in DFT order: points().xs[pos] is the x
+     * of point order()[pos]. Every partitioner fills them in its
+     * bounds pass (detail::computeBounds); a tree built by hand has
+     * none (see hasPoints()).
+     */
+    core::simd::SoaView
+    points() const
+    {
+        return {points_.xs.data(), points_.ys.data(), points_.zs.data()};
+    }
+
+    /** True when points() holds numPoints() coordinates. */
+    bool
+    hasPoints() const
+    {
+        return points_.xs.size() == order_.size();
+    }
+
+    /** Writable coordinate arrays, for the bounds pass to fill. */
+    Points &pointArrays() { return points_; }
 
     /** Leaf node ids in depth-first (= memory) order. */
     const std::vector<NodeIdx> &leaves() const { return leaves_; }
@@ -127,6 +162,7 @@ class BlockTree
   private:
     std::vector<BlockNode> nodes_;
     std::vector<PointIdx> order_;
+    Points points_;
     std::vector<NodeIdx> leaves_;
 };
 

@@ -46,6 +46,14 @@ replaySplits(BlockTree &tree, NodeIdx node_idx, const SplitRec *rec,
 void
 computeBounds(BlockTree &tree, const data::PointCloud &cloud)
 {
+    // The leaves tile [0, n), so the leaf reads below also write every
+    // position of the DFT-ordered coordinates (resized within their
+    // capacity on a warm rebuild).
+    BlockTree::Points &pts = tree.pointArrays();
+    pts.xs.resize(tree.numPoints());
+    pts.ys.resize(tree.numPoints());
+    pts.zs.resize(tree.numPoints());
+    const std::vector<PointIdx> &order = tree.order();
     // Leaves first (any order), then internal nodes children-before-
     // parent. Nodes are appended parent-before-child by all builders,
     // so a reverse sweep sees children first.
@@ -53,8 +61,13 @@ computeBounds(BlockTree &tree, const data::PointCloud &cloud)
         BlockNode &n = tree.node(static_cast<NodeIdx>(i));
         n.bounds = Aabb{};
         if (n.isLeaf()) {
-            for (std::uint32_t pos = n.begin; pos < n.end; ++pos)
-                n.bounds.extend(cloud[tree.order()[pos]]);
+            for (std::uint32_t pos = n.begin; pos < n.end; ++pos) {
+                const Vec3 &p = cloud[order[pos]];
+                n.bounds.extend(p);
+                pts.xs[pos] = p.x;
+                pts.ys[pos] = p.y;
+                pts.zs[pos] = p.z;
+            }
         } else {
             n.bounds.extend(tree.node(n.left).bounds);
             n.bounds.extend(tree.node(n.right).bounds);

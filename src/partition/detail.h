@@ -95,6 +95,8 @@ void replaySplits(BlockTree &tree, NodeIdx node_idx,
 /**
  * Fill node.bounds for every node from the actual point positions:
  * leaves from their ranges, internal nodes as the union of children.
+ * The same pass writes the tree's DFT-ordered coordinates
+ * (BlockTree::points()). Every partitioner ends with it.
  */
 void computeBounds(BlockTree &tree, const data::PointCloud &cloud);
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "dataset/point_cloud.h"
+#include "ops/fps.h"
+#include "ops/neighbor.h"
 #include "partition/block_tree.h"
 #include "partition/fractal.h"
 
@@ -107,6 +109,35 @@ TEST(BlockTreeDeathTest, ValidateCatchesBadPermutation)
     BlockTree tree = makeManualTree();
     tree.order()[0] = tree.order()[1]; // duplicate entry
     EXPECT_DEATH(tree.validate(), "duplicated");
+}
+
+TEST(BlockTreeDeathTest, BlockOpsNeedTheTreesCoordinates)
+{
+    // A hand-built tree never ran the partitioners' bounds pass, so it
+    // holds no DFT-ordered coordinates for the block ops to read.
+    const BlockTree tree = makeManualTree();
+    EXPECT_FALSE(tree.hasPoints());
+    const data::PointCloud cloud(std::vector<Vec3>(10));
+    EXPECT_DEATH(ops::blockFarthestPointSample(cloud, tree, 0.5),
+                 "coordinates missing");
+    ops::BlockSampleResult centers;
+    centers.leaf_offsets.assign(tree.leaves().size() + 1, 0);
+    EXPECT_DEATH(ops::blockBallQuery(cloud, tree, centers, 0.1f, 4),
+                 "coordinates missing");
+}
+
+TEST(BlockTreeDeathTest, BlockOpsNeedTheTreesCloud)
+{
+    std::vector<Vec3> coords;
+    for (int i = 0; i < 16; ++i)
+        coords.emplace_back(0.1f * i, 0.0f, 0.0f);
+    const data::PointCloud cloud(coords);
+    const auto part = FractalPartitioner().partition(cloud, {});
+    ASSERT_TRUE(part.tree.hasPoints());
+    coords.pop_back();
+    const data::PointCloud other(coords);
+    EXPECT_DEATH(ops::blockFarthestPointSample(other, part.tree, 0.5),
+                 "15 points");
 }
 
 TEST(BlockTree, SummaryMentionsCounts)

@@ -4,9 +4,13 @@
  * the cross-method comparisons the paper's Fig. 3 is built on.
  */
 
+#include <bit>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/parallel.h"
+#include "core/workspace.h"
 #include "dataset/s3dis.h"
 #include "partition/partitioner.h"
 
@@ -201,6 +205,55 @@ TEST_P(MethodSweep, TreeInvariants)
     for (const NodeIdx leaf : result.tree.leaves())
         covered += result.tree.node(leaf).size();
     EXPECT_EQ(covered, scene.size());
+}
+
+/** Every position of tree.points() is bitwise cloud[order[pos]]. */
+void
+expectPointsInDftOrder(const BlockTree &tree,
+                       const data::PointCloud &cloud)
+{
+    ASSERT_EQ(tree.numPoints(), cloud.size());
+    ASSERT_TRUE(tree.hasPoints());
+    const core::simd::SoaView pts = tree.points();
+    for (std::uint32_t pos = 0; pos < tree.numPoints(); ++pos) {
+        const Vec3 &p = cloud[tree.order()[pos]];
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(pts.xs[pos]),
+                  std::bit_cast<std::uint32_t>(p.x))
+            << "pos " << pos;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(pts.ys[pos]),
+                  std::bit_cast<std::uint32_t>(p.y))
+            << "pos " << pos;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(pts.zs[pos]),
+                  std::bit_cast<std::uint32_t>(p.z))
+            << "pos " << pos;
+    }
+}
+
+TEST_P(MethodSweep, PointsFollowDftOrder)
+{
+    const data::PointCloud scene = data::makeS3disScene(4096, 12);
+    const data::PointCloud smaller = randomCloud(1500, 13);
+    PartitionConfig config;
+    config.threshold = 128;
+    const auto partitioner = makePartitioner(GetParam());
+
+    // Cold, through the value-returning entry.
+    const PartitionResult cold = partitioner->partition(scene, config);
+    expectPointsInDftOrder(cold.tree, scene);
+
+    // Cold then warm in place on a pool, then a smaller cloud into
+    // the same result: the arrays shrink within capacity.
+    core::ThreadPool pool(2);
+    core::Workspace ws;
+    PartitionResult part;
+    for (int pass = 0; pass < 2; ++pass) {
+        ws.reset();
+        partitioner->partitionInto(scene, config, &pool, ws, part);
+        expectPointsInDftOrder(part.tree, scene);
+    }
+    ws.reset();
+    partitioner->partitionInto(smaller, config, &pool, ws, part);
+    expectPointsInDftOrder(part.tree, smaller);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, MethodSweep,

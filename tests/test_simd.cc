@@ -5,10 +5,10 @@
  *  - Dispatch resolution (FC_FORCE_SCALAR rule, setActiveLevel
  *    round-trips) as pure unit tests.
  *  - Scalar-vs-Avx2 equivalence for every kernel the contract calls
- *    bit-identical (fpsUpdate, distance2Range, axpy, fp16 rounding),
- *    on adversarial inputs: all-equal points, denormal coordinates,
- *    every binary16 bit pattern, and sizes straddling the 8-lane
- *    vector remainder.
+ *    bit-identical (fpsUpdate, ballScan, distance2Range, axpy, fp16
+ *    rounding), on adversarial inputs: all-equal points, NaN, Inf and
+ *    denormal coordinates, every binary16 bit pattern, and sizes
+ *    straddling the 8-lane vector remainder.
  *  - The LinearRelu row kernel over packed weights bit-equal, at both
  *    levels, to one level-free loop (bias, ascending inputs, ReLU,
  *    fp16Round) over every partial row tile and partial output panel,
@@ -158,38 +158,28 @@ TEST(SimdEquivalence, FpsUpdateBitIdentical)
             sampled[i] = rng.uniform() < 0.2f ? 1 : 0;
             seed_dist[i] = rng.uniform(0.0f, 4.0f);
         }
-        std::vector<PointIdx> order(n);
-        for (std::size_t i = 0; i < n; ++i)
-            order[i] = static_cast<PointIdx>((i * 5 + 3) % (n + 16));
         const Vec3 query(0.3f, -0.2f, 0.8f);
+        // A view that starts past the first points (offset base).
+        const std::uint32_t base = 4;
 
-        // Identity view (offset base) and order view, both levels.
-        for (const bool use_order : {false, true}) {
-            const PointIdx *order_ptr =
-                use_order ? order.data() : nullptr;
-            const std::uint32_t base = use_order ? 0u : 4u;
+        std::vector<float> dist_scalar = seed_dist;
+        ASSERT_TRUE(simd::setActiveLevel(simd::Level::Scalar));
+        const simd::FpsPartial ps = simd::fpsUpdate(
+            cloud.view(), base, query, dist_scalar.data(),
+            sampled.data(), 0, static_cast<std::uint32_t>(n));
 
-            std::vector<float> dist_scalar = seed_dist;
-            ASSERT_TRUE(simd::setActiveLevel(simd::Level::Scalar));
-            const simd::FpsPartial ps = simd::fpsUpdate(
-                cloud.view(), order_ptr, base, query,
-                dist_scalar.data(), sampled.data(), 0,
-                static_cast<std::uint32_t>(n));
+        std::vector<float> dist_avx2 = seed_dist;
+        ASSERT_TRUE(simd::setActiveLevel(simd::Level::Avx2));
+        const simd::FpsPartial pa = simd::fpsUpdate(
+            cloud.view(), base, query, dist_avx2.data(), sampled.data(),
+            0, static_cast<std::uint32_t>(n));
 
-            std::vector<float> dist_avx2 = seed_dist;
-            ASSERT_TRUE(simd::setActiveLevel(simd::Level::Avx2));
-            const simd::FpsPartial pa = simd::fpsUpdate(
-                cloud.view(), order_ptr, base, query,
-                dist_avx2.data(), sampled.data(), 0,
-                static_cast<std::uint32_t>(n));
-
-            EXPECT_EQ(ps.best, pa.best) << "n=" << n;
-            EXPECT_EQ(ps.pos, pa.pos) << "n=" << n;
-            EXPECT_EQ(ps.sampled, pa.sampled) << "n=" << n;
-            for (std::size_t i = 0; i < n; ++i)
-                EXPECT_EQ(dist_scalar[i], dist_avx2[i])
-                    << "n=" << n << " i=" << i;
-        }
+        EXPECT_EQ(ps.best, pa.best) << "n=" << n;
+        EXPECT_EQ(ps.pos, pa.pos) << "n=" << n;
+        EXPECT_EQ(ps.sampled, pa.sampled) << "n=" << n;
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(dist_scalar[i], dist_avx2[i])
+                << "n=" << n << " i=" << i;
     }
 }
 
@@ -215,8 +205,8 @@ TEST(SimdEquivalence, FpsUpdateAllEqualPointsTieBreak)
                 n, std::numeric_limits<float>::max());
             ASSERT_TRUE(simd::setActiveLevel(level));
             const simd::FpsPartial p = simd::fpsUpdate(
-                cloud.view(), nullptr, 0, query, dist.data(),
-                sampled.data(), 0, static_cast<std::uint32_t>(n));
+                cloud.view(), 0, query, dist.data(), sampled.data(), 0,
+                static_cast<std::uint32_t>(n));
             if (n == 1) {
                 // Sole candidate is sampled: nothing updates.
                 EXPECT_EQ(p.best, -1.0f);
@@ -266,6 +256,118 @@ TEST(SimdEquivalence, Distance2RangeBitIdenticalIncludingDenormals)
                     << "n=" << n << " i=" << i
                     << " order=" << use_order;
         }
+    }
+}
+
+/**
+ * The ball-query loop ballScan replaced: one distance per position in
+ * ascending order, a hit when it is <= radius2, stop at the k-th hit.
+ */
+simd::BallScan
+referenceBallScan(const SoaCloud &cloud, const Vec3 &q, float radius2,
+                  std::uint32_t begin, std::uint32_t end, std::size_t k,
+                  std::uint32_t *hits)
+{
+    simd::BallScan s;
+    for (std::uint32_t pos = begin; pos < end && s.found < k; ++pos) {
+        ++s.examined;
+        const float dx = q.x - cloud.xs[pos];
+        const float dy = q.y - cloud.ys[pos];
+        const float dz = q.z - cloud.zs[pos];
+        if (dx * dx + dy * dy + dz * dz <= radius2)
+            hits[s.found++] = pos;
+    }
+    return s;
+}
+
+TEST(SimdEquivalence, BallScanBitIdentical)
+{
+    FC_REQUIRE_AVX2();
+    LevelGuard guard;
+    const float inf = std::numeric_limits<float>::infinity();
+    const float denorm = std::ldexp(1.0f, -140);
+    for (const std::size_t n : kRemainderSizes) {
+        // Three leading points sit before the scanned range, so the
+        // positions written are absolute, not range-local.
+        const std::uint32_t begin = 3;
+        const std::uint32_t end = begin + static_cast<std::uint32_t>(n);
+        SoaCloud cloud = randomSoa(end, n * 11 + 7);
+        for (std::size_t i = begin; i < end; i += 5) {
+            cloud.xs[i] = std::numeric_limits<float>::quiet_NaN();
+            if (i + 1 < end)
+                cloud.ys[i + 1] = (i % 2 == 0) ? inf : -inf;
+            if (i + 2 < end) {
+                cloud.xs[i + 2] = denorm * static_cast<float>(i);
+                cloud.ys[i + 2] = -denorm;
+                cloud.zs[i + 2] = 0.0f;
+            }
+        }
+        const Vec3 query(0.1f, -0.2f, 0.05f);
+        // The denormal points' squared distances from the origin
+        // underflow to 0, so they hit even at radius 0.
+        const Vec3 origin(0.0f, 0.0f, 0.0f);
+        for (const std::size_t k :
+             {std::size_t{0}, std::size_t{1}, std::size_t{7},
+              std::size_t{8}, std::size_t{9}, n, n + 5}) {
+            // Radius 0 (exact hits only), a mid radius whose k-th hit
+            // falls inside an 8-lane mask, one that covers every
+            // finite point, and an infinite one that takes the
+            // infinite points too (NaN distances never hit).
+            for (const float radius2 : {0.0f, 0.5f, 1.0e30f, inf}) {
+                for (const Vec3 &q : {query, origin}) {
+                    std::vector<std::uint32_t> ref(k, 0xdeadbeefu);
+                    const simd::BallScan want = referenceBallScan(
+                        cloud, q, radius2, begin, end, k, ref.data());
+                    ref.resize(want.found);
+                    for (const simd::Level level :
+                         {simd::Level::Scalar, simd::Level::Avx2}) {
+                        ASSERT_TRUE(simd::setActiveLevel(level));
+                        std::vector<std::uint32_t> hits(k, 0xdeadbeefu);
+                        const simd::BallScan got = simd::ballScan(
+                            cloud.view(), q, radius2, begin, end, k,
+                            hits.data());
+                        EXPECT_EQ(got.found, want.found)
+                            << simd::levelName(level) << " n=" << n
+                            << " k=" << k << " r2=" << radius2;
+                        EXPECT_EQ(got.examined, want.examined)
+                            << simd::levelName(level) << " n=" << n
+                            << " k=" << k << " r2=" << radius2;
+                        // Entries past `found` are scratch.
+                        hits.resize(got.found);
+                        EXPECT_EQ(hits, ref)
+                            << simd::levelName(level) << " n=" << n
+                            << " k=" << k << " r2=" << radius2;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdEquivalence, BallScanStopsMidMask)
+{
+    FC_REQUIRE_AVX2();
+    LevelGuard guard;
+    // 24 points, all hits but position 4: with k = 11 the scan must
+    // stop at position 11, lane 3 of the second 8-lane step, having
+    // examined 12.
+    SoaCloud cloud;
+    cloud.xs.assign(24, 0.0f);
+    cloud.ys.assign(24, 0.0f);
+    cloud.zs.assign(24, 0.0f);
+    cloud.xs[4] = 5.0f; // one miss in the first step
+    for (const simd::Level level :
+         {simd::Level::Scalar, simd::Level::Avx2}) {
+        ASSERT_TRUE(simd::setActiveLevel(level));
+        std::vector<std::uint32_t> hits(11);
+        const simd::BallScan s = simd::ballScan(
+            cloud.view(), Vec3(0.0f, 0.0f, 0.0f), 1.0f, 0, 24, 11,
+            hits.data());
+        EXPECT_EQ(s.found, 11u) << simd::levelName(level);
+        EXPECT_EQ(s.examined, 12u) << simd::levelName(level);
+        EXPECT_EQ(hits, (std::vector<std::uint32_t>{0, 1, 2, 3, 5, 6, 7,
+                                                    8, 9, 10, 11}))
+            << simd::levelName(level);
     }
 }
 
