@@ -60,7 +60,6 @@ ShardMap::shardFor(std::uint64_t key) const
 ShardedExecutor::ShardedExecutor(unsigned num_shards,
                                  unsigned threads_per_shard,
                                  bool standalone, bool pin_workers)
-    : map_(num_shards)
 {
     fc_assert(num_shards >= 1,
               "sharded executor needs at least one shard");
@@ -87,10 +86,6 @@ ShardedExecutor::ShardedExecutor(unsigned num_shards,
         shards_.push_back(std::make_unique<ThreadPool>(
             threads_per_shard, standalone,
             pinned_ ? std::move(cpu_sets[s]) : std::vector<int>{}));
-    task_counts_ =
-        std::make_unique<std::atomic<std::uint64_t>[]>(num_shards);
-    for (unsigned s = 0; s < num_shards; ++s)
-        task_counts_[s].store(0, std::memory_order_relaxed);
 }
 
 void
@@ -98,17 +93,8 @@ ShardedExecutor::noteSubmitted(unsigned shard)
 {
     fc_assert(shard < shards_.size(), "submit on unknown shard %u",
               shard);
-    task_counts_[shard].fetch_add(1, std::memory_order_relaxed);
     if (!task_counters_.empty())
         task_counters_[shard]->add();
-}
-
-std::uint64_t
-ShardedExecutor::tasksSubmitted(unsigned shard) const
-{
-    fc_assert(shard < shards_.size(),
-              "tasksSubmitted on unknown shard %u", shard);
-    return task_counts_[shard].load(std::memory_order_relaxed);
 }
 
 void

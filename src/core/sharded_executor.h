@@ -34,7 +34,6 @@
 #ifndef FC_CORE_SHARDED_EXECUTOR_H
 #define FC_CORE_SHARDED_EXECUTOR_H
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -166,9 +165,6 @@ class ShardedExecutor
         shards_[shard]->submitDetached(std::forward<Fn>(task));
     }
 
-    /** Detached tasks submitted onto @p shard so far (monotonic). */
-    std::uint64_t tasksSubmitted(unsigned shard) const;
-
     /**
      * Register per-shard task counters
      * (core.executor.tasks{shard=i}) into @p registry; subsequent
@@ -177,30 +173,15 @@ class ShardedExecutor
      */
     void attachMetrics(metrics::Registry &registry);
 
-    const ShardMap &map() const { return map_; }
-
-    /** Consistent-hash placement (see ShardMap). */
-    unsigned
-    shardForKey(std::uint64_t key) const
-    {
-        return map_.shardFor(key);
-    }
-
   private:
     /** Bounds-check @p shard and bump its task counters (the
      *  out-of-line half of submitDetached). */
     void noteSubmitted(unsigned shard);
 
     std::vector<std::unique_ptr<ThreadPool>> shards_;
-    ShardMap map_;
     bool pinned_ = false;
 
-    /** Per-shard detached-task counts (always maintained; the array
-     *  form keeps the atomics fixed in place). */
-    std::unique_ptr<std::atomic<std::uint64_t>[]> task_counts_;
-
-    /** Registry-backed mirrors of task_counts_; empty until
-     *  attachMetrics. */
+    /** Per-shard detached-task counters; empty until attachMetrics. */
     std::vector<metrics::Counter *> task_counters_;
 };
 

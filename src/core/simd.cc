@@ -5,6 +5,7 @@
 
 #include "common/fp16.h"
 #include "common/logging.h"
+#include "core/workspace.h"
 
 namespace fc::core::simd {
 
@@ -195,6 +196,20 @@ active()
 }
 
 } // namespace detail
+
+SoaView
+soaInto(std::span<const Vec3> coords, Arena &arena)
+{
+    const std::span<float> xs = arena.allocSpan<float>(coords.size());
+    const std::span<float> ys = arena.allocSpan<float>(coords.size());
+    const std::span<float> zs = arena.allocSpan<float>(coords.size());
+    for (std::size_t i = 0; i < coords.size(); ++i) {
+        xs[i] = coords[i].x;
+        ys[i] = coords[i].y;
+        zs[i] = coords[i].z;
+    }
+    return {xs.data(), ys.data(), zs.data()};
+}
 
 FpsPartial
 fpsUpdate(const SoaView &pts, std::uint32_t base, const Vec3 &query,

@@ -72,9 +72,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
+
+namespace fc::core {
+class Arena;
+}
 
 namespace fc::core::simd {
 
@@ -111,8 +116,11 @@ const char *levelName(Level level);
 Level resolveLevel(bool avx2_available, const char *force_scalar_env);
 
 /**
- * Structure-of-arrays view of point coordinates (data::PointCloud::
- * soa()). Non-owning; pointers must stay valid for the kernel call.
+ * Structure-of-arrays view of point coordinates. Non-owning; pointers
+ * must stay valid for the kernel call. Two sources feed the kernels:
+ * a part::BlockTree's points() (the cloud in DFT order, for the block
+ * ops) and soaInto() (a whole cloud in its own order, for the global
+ * ops).
  */
 struct SoaView
 {
@@ -120,6 +128,15 @@ struct SoaView
     const float *ys = nullptr;
     const float *zs = nullptr;
 };
+
+/**
+ * Copy @p coords into three spans of @p arena and view them:
+ * xs[i] == coords[i].x, and likewise for y and z. The global point ops
+ * call it once per call, before any pooled dispatch, so their row
+ * tasks share the view read-only. The copy is O(n) against their
+ * O(n * m) scans, and a warm arena replays it without allocating.
+ */
+SoaView soaInto(std::span<const Vec3> coords, Arena &arena);
 
 /**
  * Result of one fpsUpdate sweep over a chunk of local candidates.

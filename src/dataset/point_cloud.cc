@@ -7,62 +7,22 @@
 
 namespace fc::data {
 
-core::simd::SoaView
-PointCloud::soa() const
-{
-    if (external_)
-        return {ext_.x, ext_.y, ext_.z};
-    // Double-checked rebuild-once: the acquire load pairs with the
-    // release store below, so a thread that observes "clean" also
-    // observes the rebuilt mirror. Concurrent first-touch callers
-    // serialize on the mutex; steady-state callers never take it.
-    if (soa_dirty_.load(std::memory_order_acquire)) {
-        std::lock_guard<std::mutex> lock(soa_mutex_);
-        if (soa_dirty_.load(std::memory_order_relaxed)) {
-            rebuildSoa();
-            soa_dirty_.store(false, std::memory_order_release);
-        }
-    }
-    return {soa_x_.data(), soa_y_.data(), soa_z_.data()};
-}
-
-void
-PointCloud::rebuildSoa() const
-{
-    const std::size_t n = coords_.size();
-    soa_x_.resize(n);
-    soa_y_.resize(n);
-    soa_z_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        soa_x_[i] = coords_[i].x;
-        soa_y_[i] = coords_[i].y;
-        soa_z_[i] = coords_[i].z;
-    }
-}
-
 void
 PointCloud::bindExternal(const ExternalCloudView &view,
                          std::shared_ptr<const void> owner)
 {
-    fc_assert(view.coords != nullptr && view.x != nullptr &&
-                  view.y != nullptr && view.z != nullptr,
-              "external view must provide AoS coords and SoA columns");
+    fc_assert(view.coords != nullptr,
+              "external view must provide AoS coords");
     fc_assert(view.feature_dim == 0 || view.features != nullptr,
               "external view declares %zu feature channels but no data",
               view.feature_dim);
     coords_.clear();
     features_.clear();
     labels_.clear();
-    soa_x_.clear();
-    soa_y_.clear();
-    soa_z_.clear();
     external_ = true;
     ext_ = view;
     ext_owner_ = std::move(owner);
     featureDim_ = view.feature_dim;
-    // The mapped columns ARE the mirror; the lazy flag is moot until
-    // a mutator detaches, at which point detach() re-arms it.
-    soa_dirty_.store(false, std::memory_order_release);
 }
 
 void
@@ -84,7 +44,6 @@ PointCloud::detach()
         labels_.assign(view.labels, view.labels + view.size);
     else
         labels_.clear();
-    markCoordsDirty();
     ext_owner_.reset(); // last: the view above aliased this memory
 }
 
@@ -97,29 +56,6 @@ PointCloud::resetToOwned()
 }
 
 void
-PointCloud::assignFrom(const PointCloud &other)
-{
-    coords_ = other.coords_;
-    features_ = other.features_;
-    featureDim_ = other.featureDim_;
-    labels_ = other.labels_;
-    external_ = other.external_;
-    ext_ = other.ext_;
-    ext_owner_ = other.ext_owner_;
-    if (other.soa_dirty_.load(std::memory_order_acquire)) {
-        soa_x_.clear();
-        soa_y_.clear();
-        soa_z_.clear();
-        soa_dirty_.store(true, std::memory_order_release);
-    } else {
-        soa_x_ = other.soa_x_;
-        soa_y_ = other.soa_y_;
-        soa_z_ = other.soa_z_;
-        soa_dirty_.store(false, std::memory_order_release);
-    }
-}
-
-void
 PointCloud::moveFrom(PointCloud &other) noexcept
 {
     coords_ = std::move(other.coords_);
@@ -129,16 +65,9 @@ PointCloud::moveFrom(PointCloud &other) noexcept
     external_ = other.external_;
     ext_ = other.ext_;
     ext_owner_ = std::move(other.ext_owner_);
-    soa_x_ = std::move(other.soa_x_);
-    soa_y_ = std::move(other.soa_y_);
-    soa_z_ = std::move(other.soa_z_);
-    soa_dirty_.store(
-        other.soa_dirty_.load(std::memory_order_acquire),
-        std::memory_order_release);
     other.external_ = false;
     other.ext_ = {};
     other.featureDim_ = 0;
-    other.soa_dirty_.store(true, std::memory_order_release);
 }
 
 void
@@ -167,17 +96,8 @@ PointCloud::permuted(const std::vector<PointIdx> &order) const
     const std::span<const Vec3> src = coords();
     PointCloud out;
     out.coords_.resize(src.size());
-    out.soa_x_.resize(src.size());
-    out.soa_y_.resize(src.size());
-    out.soa_z_.resize(src.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        const Vec3 &p = src[order[i]];
-        out.coords_[i] = p;
-        out.soa_x_[i] = p.x;
-        out.soa_y_[i] = p.y;
-        out.soa_z_[i] = p.z;
-    }
-    out.soa_dirty_.store(false, std::memory_order_release);
+    for (std::size_t i = 0; i < order.size(); ++i)
+        out.coords_[i] = src[order[i]];
     if (featureDim_ > 0) {
         const std::span<const float> feat = features();
         out.featureDim_ = featureDim_;
@@ -205,20 +125,12 @@ PointCloud::subsetInto(const std::vector<PointIdx> &indices,
     out.resetToOwned();
     const std::span<const Vec3> src = coords();
     out.coords_.resize(indices.size());
-    out.soa_x_.resize(indices.size());
-    out.soa_y_.resize(indices.size());
-    out.soa_z_.resize(indices.size());
     for (std::size_t i = 0; i < indices.size(); ++i) {
         const PointIdx idx = indices[i];
         fc_assert(idx < src.size(), "subset index %u out of range",
                   idx);
-        const Vec3 &p = src[idx];
-        out.coords_[i] = p;
-        out.soa_x_[i] = p.x;
-        out.soa_y_[i] = p.y;
-        out.soa_z_[i] = p.z;
+        out.coords_[i] = src[idx];
     }
-    out.soa_dirty_.store(false, std::memory_order_release);
     out.featureDim_ = featureDim_;
     out.features_.resize(indices.size() * featureDim_);
     if (featureDim_ > 0) {
@@ -252,7 +164,6 @@ void
 PointCloud::normalizeToUnitSphere()
 {
     detach();
-    markCoordsDirty();
     if (coords_.empty())
         return;
     Vec3 centroid{0, 0, 0};

@@ -8,16 +8,10 @@
  * split between the coordinate stream consumed by point operations and
  * the feature stream consumed by gathering / MLPs (§II-A).
  *
- * A structure-of-arrays mirror of the coordinates (xs/ys/zs) feeds the
- * core::simd distance kernels. It is maintained lazily: mutators only
- * mark it dirty, and soa() rebuilds on demand. The rebuild is
- * first-touch safe: an atomic dirty flag plus a rebuild mutex let any
- * number of threads call soa() concurrently on a shared cloud — the
- * first one in rebuilds, the rest wait, and every later call is a
- * lock-free acquire load. The bulk writers on the warm inference path
- * (subsetInto, permuted) fill the mirror directly while they copy
- * coordinates, so steady-state requests never rebuild and never
- * allocate (vectors shrink within retained capacity).
+ * The core::simd distance kernels read structure-of-arrays views that
+ * their callers own: a BlockTree's DFT-ordered points() for the block
+ * ops, or arena scratch that a global op fills once per call
+ * (core::simd::soaInto).
  *
  * Storage comes in two modes:
  *
@@ -25,9 +19,9 @@
  *     by the cloud. All mutators work.
  *   - External (zero-copy): the arrays alias caller-provided memory —
  *     in practice an mmap'd .fcpc block (storage/fcpc_reader.h) whose
- *     on-disk layout is exactly the in-memory one (AoS coords + SoA
- *     columns + row-major features), so materializing a cloud binds
- *     six pointers and copies nothing. A shared keepalive handle
+ *     AoS coordinates, row-major features and labels are laid out
+ *     exactly as in memory, so materializing a cloud binds three
+ *     pointers and copies nothing. A shared keepalive handle
  *     guarantees the memory outlives the cloud even if the reader
  *     that produced it is destroyed first. The first mutation
  *     detach()es: the cloud deep-copies into owning vectors and drops
@@ -38,32 +32,26 @@
 #ifndef FC_DATASET_POINT_CLOUD_H
 #define FC_DATASET_POINT_CLOUD_H
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
 #include "common/types.h"
-#include "core/simd.h"
 
 namespace fc::data {
 
 /**
  * Non-owning view of externally stored point-cloud arrays (the
  * zero-copy binding handed to PointCloud::bindExternal). All pointers
- * alias caller-owned memory; coords/x/y/z must each hold @p size
- * elements, features @p size x @p feature_dim row-major floats (null
- * when feature_dim == 0), labels @p size ints (null when unlabeled).
+ * alias caller-owned memory; coords must hold @p size elements,
+ * features @p size x @p feature_dim row-major floats (null when
+ * feature_dim == 0), labels @p size ints (null when unlabeled).
  */
 struct ExternalCloudView
 {
     std::size_t size = 0;
     const Vec3 *coords = nullptr;
-    const float *x = nullptr;
-    const float *y = nullptr;
-    const float *z = nullptr;
     const float *features = nullptr;
     std::size_t feature_dim = 0;
     const std::int32_t *labels = nullptr;
@@ -84,16 +72,10 @@ class PointCloud
 
     /** Deep copy; copies of an external cloud share the alias (and
      *  its keepalive) without copying point data. */
-    PointCloud(const PointCloud &other) { assignFrom(other); }
+    PointCloud(const PointCloud &) = default;
+    PointCloud &operator=(const PointCloud &) = default;
 
-    PointCloud &
-    operator=(const PointCloud &other)
-    {
-        if (this != &other)
-            assignFrom(other);
-        return *this;
-    }
-
+    /** Moves leave @p other an empty owning cloud. */
     PointCloud(PointCloud &&other) noexcept { moveFrom(other); }
 
     PointCloud &
@@ -122,7 +104,6 @@ class PointCloud
     operator[](std::size_t i)
     {
         detach();
-        markCoordsDirty();
         return coords_[i];
     }
 
@@ -141,31 +122,7 @@ class PointCloud
     coords()
     {
         detach();
-        markCoordsDirty();
         return coords_;
-    }
-
-    /**
-     * Structure-of-arrays view of the coordinates for core::simd
-     * kernels; rebuilt here if a mutator ran since the last call.
-     *
-     * Safe to call concurrently with other soa() (and any const)
-     * calls, even on a dirty cloud: the first caller rebuilds under
-     * an internal mutex, everyone else waits, and subsequent calls
-     * are a single acquire load. Not safe to race against mutators —
-     * mutation is owner-only, as everywhere on this class. A caller
-     * that keeps mutating through a reference obtained from a
-     * non-const accessor after calling soa() must call
-     * markCoordsDirty() itself. External clouds return the mapped
-     * columns directly (never dirty, never rebuilt).
-     */
-    core::simd::SoaView soa() const;
-
-    /** Force the next soa() call to rebuild. */
-    void
-    markCoordsDirty()
-    {
-        soa_dirty_.store(true, std::memory_order_release);
     }
 
     /** Feature channel count (0 when the cloud has no features). */
@@ -236,7 +193,6 @@ class PointCloud
     {
         detach();
         coords_.push_back(p);
-        markCoordsDirty();
     }
 
     void
@@ -245,7 +201,6 @@ class PointCloud
         detach();
         coords_.push_back(p);
         labels_.push_back(label);
-        markCoordsDirty();
     }
 
     /** Bounding box of all coordinates. */
@@ -310,13 +265,10 @@ class PointCloud
     }
 
   private:
-    void rebuildSoa() const;
-
     /** Reset to owning mode with empty (capacity-retaining) vectors;
      *  the bulk writers call this before overwriting @c this. */
     void resetToOwned();
 
-    void assignFrom(const PointCloud &other);
     void moveFrom(PointCloud &other) noexcept;
 
     std::vector<Vec3> coords_;
@@ -329,15 +281,6 @@ class PointCloud
     bool external_ = false;
     ExternalCloudView ext_;
     std::shared_ptr<const void> ext_owner_;
-
-    // Lazy SoA mirror of coords_ (see soa()); mutable because a const
-    // soa() call may rebuild it. The atomic flag + mutex implement
-    // safe concurrent first touch (double-checked rebuild-once).
-    mutable std::vector<float> soa_x_;
-    mutable std::vector<float> soa_y_;
-    mutable std::vector<float> soa_z_;
-    mutable std::atomic<bool> soa_dirty_{true};
-    mutable std::mutex soa_mutex_;
 };
 
 } // namespace fc::data

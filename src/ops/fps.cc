@@ -27,14 +27,14 @@ struct FpsBest
 /**
  * FPS over the contiguous positions [begin, end) of @p pts.
  * @p order maps positions to original point indices (empty =
- * identity): a whole cloud's soa() with no order, or a BlockTree's
- * points() with its order(). Writes exactly min(num_samples, n)
- * original indices to @p out, and their positions to @p positions
- * unless it is null — callers size their output ranges from the same
- * formula, so disjoint leaves can write one shared buffer. Scratch
- * (distance table + sampled flags) comes from @p arena; the
- * per-iteration sweep dispatches over @p pool (block-wise callers
- * pass null — their parallelism is per leaf).
+ * identity): a whole cloud's core::simd::soaInto() copy with no
+ * order, or a BlockTree's points() with its order(). Writes exactly
+ * min(num_samples, n) original indices to @p out, and their positions
+ * to @p positions unless it is null — callers size their output
+ * ranges from the same formula, so disjoint leaves can write one
+ * shared buffer. Scratch (distance table + sampled flags) comes from
+ * @p arena; the per-iteration sweep dispatches over @p pool
+ * (block-wise callers pass null — their parallelism is per leaf).
  *
  * The parallel sweep is bit-identical to the serial one: chunk
  * boundaries depend only on (n, grain), each chunk tracks its best
@@ -137,12 +137,12 @@ farthestPointSample(const data::PointCloud &cloud,
     }
     out.indices.resize(std::min(num_samples, cloud.size()));
     // The identity view is implicit (empty order span): no O(n) index
-    // fill, no per-call buffer.
-    fpsOverView(cloud.soa(), {}, 0,
+    // fill.
+    core::Arena &arena = ws.arena();
+    fpsOverView(core::simd::soaInto(cloud.coords(), arena), {}, 0,
                 static_cast<std::uint32_t>(cloud.size()), num_samples,
                 options.start_index, options.window_check,
-                out.indices.data(), nullptr, out.stats, pool,
-                ws.arena());
+                out.indices.data(), nullptr, out.stats, pool, arena);
 }
 
 SampleResult

@@ -84,7 +84,7 @@ blockGatherNeighborhoods(
     const std::vector<PointIdx> &centers,
     const std::vector<std::uint32_t> &center_leaf_offsets,
     const NeighborResult &neighbors, core::ThreadPool *pool,
-    core::Workspace &, GatherResult &out)
+    core::Workspace &ws, GatherResult &out)
 {
     fc_assert(centers.size() == neighbors.num_centers,
               "centers (%zu) and neighbor rows (%zu) disagree",
@@ -131,7 +131,8 @@ blockGatherNeighborhoods(
             }
             return stats;
         },
-        [](OpStats &acc, OpStats &&chunk) { acc += chunk; });
+        [](OpStats &acc, OpStats &&chunk) { acc += chunk; },
+        &ws.arena());
 }
 
 GatherResult

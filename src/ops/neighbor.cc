@@ -52,25 +52,26 @@ ballQueryRow(const core::simd::SoaView &pts, const Vec3 &center_pt,
 }
 
 /**
- * KNN for one query over an explicit candidate list. Writes exactly k
- * entries (padded) into @p row; returns the real neighbor count.
- * Distances come from core::simd::distance2Range tiles feeding the
- * inline top-k (ops/topk.h) — no per-row heap use.
+ * KNN for one query over an explicit candidate list: candidate j sits
+ * at position @p positions[j] of @p pts and has point id @p ids[j].
+ * Writes exactly k entries (padded) into @p row; returns the real
+ * neighbor count. Distances come from core::simd::distance2Range
+ * tiles feeding the inline top-k (ops/topk.h) — no per-row heap use.
  */
 std::uint32_t
 knnRow(const core::simd::SoaView &pts, const Vec3 &query,
-       std::span<const PointIdx> candidates, std::size_t k,
-       PointIdx *row, OpStats &stats)
+       std::span<const std::uint32_t> positions,
+       std::span<const PointIdx> ids, std::size_t k, PointIdx *row,
+       OpStats &stats)
 {
     TopK top(k);
     float dist_tile[kScreenTile];
-    const std::uint32_t n =
-        static_cast<std::uint32_t>(candidates.size());
+    const std::uint32_t n = static_cast<std::uint32_t>(ids.size());
     for (std::uint32_t tb = 0; tb < n; tb += kScreenTile) {
         const std::uint32_t te = std::min(n, tb + kScreenTile);
-        core::simd::distance2Range(pts, candidates.data(), 0, query, tb,
+        core::simd::distance2Range(pts, positions.data(), 0, query, tb,
                                    te, dist_tile);
-        top.offerBatch(dist_tile, candidates.data() + tb, te - tb);
+        top.offerBatch(dist_tile, ids.data() + tb, te - tb);
     }
     stats.points_visited += n;
     stats.distance_computations += n;
@@ -94,9 +95,9 @@ ballQuery(const data::PointCloud &cloud,
     out.counts.resize(centers.size());
 
     const float r2 = radius * radius;
-    // Serial SoA warm-up: the row tasks below share the view
-    // read-only.
-    const core::simd::SoaView pts = cloud.soa();
+    // The row tasks below share the copy read-only.
+    const core::simd::SoaView pts =
+        core::simd::soaInto(cloud.coords(), ws.arena());
     // Center rows are disjoint k-wide slots; per-chunk stats fold in
     // chunk order. The candidate view is the identity (whole cloud).
     out.stats += core::parallelReduce(
@@ -133,7 +134,7 @@ void
 knnSearch(const data::PointCloud &cloud,
           const std::vector<PointIdx> &candidates,
           std::span<const Vec3> queries, std::size_t k,
-          core::Workspace &, NeighborResult &out)
+          core::Workspace &ws, NeighborResult &out)
 {
     fc_assert(k > 0, "knn needs k > 0");
     out.stats = {};
@@ -141,10 +142,13 @@ knnSearch(const data::PointCloud &cloud,
     out.k = k;
     out.indices.resize(queries.size() * k);
     out.counts.resize(queries.size());
-    const core::simd::SoaView pts = cloud.soa();
+    // Candidate ids are positions of the cloud-order copy.
+    const core::simd::SoaView pts =
+        core::simd::soaInto(cloud.coords(), ws.arena());
     for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-        out.counts[qi] = knnRow(pts, queries[qi], candidates, k,
-                                out.indices.data() + qi * k, out.stats);
+        out.counts[qi] =
+            knnRow(pts, queries[qi], candidates, candidates, k,
+                   out.indices.data() + qi * k, out.stats);
         ++out.stats.iterations;
     }
 }
@@ -236,14 +240,24 @@ blockKnnToSamples(const data::PointCloud &cloud,
                   NeighborResult &out)
 {
     fc_assert(k > 0, "knn needs k > 0");
+    // The rows read the tree's copy of the coordinates and write one
+    // row per point of the cloud, so the tree must come from
+    // partitioning this cloud.
+    fc_assert(tree.numPoints() == cloud.size() && tree.hasPoints(),
+              "block op needs a tree partitioned from this cloud (tree: "
+              "%u points, coordinates %s; cloud: %zu points)",
+              tree.numPoints(), tree.hasPoints() ? "stored" : "missing",
+              cloud.size());
     out.stats = {};
     out.num_centers = cloud.size();
     out.k = k;
     out.indices.resize(cloud.size() * k);
     out.counts.resize(cloud.size());
 
-    // Sorted copy of sampled DFT positions for range extraction
-    // (arena scratch, shared read-only during the parallel phase).
+    // Sorted copy of sampled DFT positions for range extraction, and
+    // their point ids (arena scratch, shared read-only during the
+    // parallel phase). The rows screen the tree's points() at these
+    // positions and offer the ids to the top-k in the same order.
     core::Arena &arena = ws.arena();
     std::span<std::uint32_t> sorted_pos =
         arena.allocSpan<std::uint32_t>(sampled.positions.size());
@@ -254,15 +268,13 @@ blockKnnToSamples(const data::PointCloud &cloud,
         arena.allocSpan<PointIdx>(sorted_pos.size());
     for (std::size_t i = 0; i < sorted_pos.size(); ++i)
         sorted_idx[i] = tree.order()[sorted_pos[i]];
-
-    // Serial SoA warm-up: the row tasks below share the view
-    // read-only.
-    const core::simd::SoaView pts = cloud.soa();
+    const core::simd::SoaView pts = tree.points();
 
     // Per-leaf work items; every query writes the row of its original
     // point id, so rows come out in original order directly. Each
-    // leaf's candidate list is a contiguous subrange of sorted_idx —
-    // a span, not a copy — so the per-chunk loop never allocates.
+    // leaf's candidates are a contiguous subrange of sorted_pos and
+    // sorted_idx — spans, not copies — so the per-chunk loop never
+    // allocates.
     const auto &leaves = tree.leaves();
     out.stats += core::parallelReduce(
         pool, 0, leaves.size(), 1, OpStats{},
@@ -282,20 +294,28 @@ blockKnnToSamples(const data::PointCloud &cloud,
                 const auto hi =
                     std::lower_bound(sorted_pos.begin(),
                                      sorted_pos.end(), space.end);
-                std::span<const PointIdx> candidates = sorted_idx.subspan(
-                    static_cast<std::size_t>(lo - sorted_pos.begin()),
-                    static_cast<std::size_t>(hi - lo));
-                if (candidates.empty() && !sorted_idx.empty()) {
-                    // Degenerate foreign tree: fall back to all
-                    // samples.
-                    candidates = sorted_idx;
+                const std::size_t first =
+                    static_cast<std::size_t>(lo - sorted_pos.begin());
+                const std::size_t count =
+                    static_cast<std::size_t>(hi - lo);
+                std::span<const std::uint32_t> positions =
+                    sorted_pos.subspan(first, count);
+                std::span<const PointIdx> ids =
+                    sorted_idx.subspan(first, count);
+                if (ids.empty()) {
+                    // No sample in the search space (samples of
+                    // another tree): fall back to all samples.
+                    positions = sorted_pos;
+                    ids = sorted_idx;
                 }
 
                 for (std::uint32_t pos = leaf.begin; pos < leaf.end;
                      ++pos) {
                     const PointIdx query_idx = tree.order()[pos];
+                    const Vec3 query(pts.xs[pos], pts.ys[pos],
+                                     pts.zs[pos]);
                     out.counts[query_idx] = knnRow(
-                        pts, cloud[query_idx], candidates, k,
+                        pts, query, positions, ids, k,
                         out.indices.data() +
                             static_cast<std::size_t>(query_idx) * k,
                         stats);

@@ -87,14 +87,6 @@ AsyncPipeline::trySubmitShared(
     std::optional<Clock::duration> deadline, Priority priority,
     std::uint64_t placement_key)
 {
-    // Warm the cloud's SoA mirror on the submitter: the mirror is
-    // lazy-rebuild-on-first-read and must be first-touched serially
-    // (see PointCloud::soa), and a cloud shared across shards would
-    // otherwise be first-touched by two workers at once. Admission is
-    // the last point that sees the cloud single-threaded; once built,
-    // re-submits of the same cloud reduce to one clean flag check.
-    (void)cloud->soa();
-
     // One executor task per request, on the shard the scheduler
     // placed it on (returned by the admission call itself — no
     // second lock to read it back).
@@ -117,7 +109,6 @@ AsyncPipeline::submitShared(std::shared_ptr<const data::PointCloud> cloud,
                             Priority priority,
                             std::uint64_t placement_key)
 {
-    (void)cloud->soa(); // serial first-touch; see trySubmitShared
     unsigned shard = 0;
     std::optional<Ticket> ticket =
         scheduler_.submitBlocking(std::move(cloud), request, deadline,
@@ -278,10 +269,9 @@ AsyncPipeline::execute(unsigned shard)
     // the schedule differs. (A one-thread spill target degenerates
     // to inline: its TaskGroup would run chunks on this waiter
     // anyway.)
-    bool spill = job->spill;
     int spill_shard = job->spill_shard;
     const auto pool = [&]() -> core::ThreadPool * {
-        if (!spill || spill_shard < 0)
+        if (spill_shard < 0)
             return nullptr;
         core::ThreadPool &target =
             executor_.shard(static_cast<unsigned>(spill_shard));
@@ -350,7 +340,7 @@ AsyncPipeline::execute(unsigned shard)
         core::Workspace &ws = lease.ws->ws;
 
         notifyObserver(id, Stage::Started);
-        if (!scheduler_.checkpoint(id, &spill, &spill_shard))
+        if (!scheduler_.checkpoint(id, &spill_shard))
             return;
 
         part::PartitionConfig config;
@@ -363,7 +353,7 @@ AsyncPipeline::execute(unsigned shard)
             .partitionInto(cloud, config, pool(), ws, part);
         lap(0); // partition
         notifyObserver(id, Stage::Partitioned);
-        if (!scheduler_.checkpoint(id, &spill, &spill_shard))
+        if (!scheduler_.checkpoint(id, &spill_shard))
             return;
 
         ops::FpsOptions fps;
@@ -373,7 +363,7 @@ AsyncPipeline::execute(unsigned shard)
                                       pool(), ws, out.sampled);
         lap(1); // sample
         notifyObserver(id, Stage::Sampled);
-        if (!scheduler_.checkpoint(id, &spill, &spill_shard))
+        if (!scheduler_.checkpoint(id, &spill_shard))
             return;
 
         ops::blockBallQuery(cloud, part.tree, out.sampled,
@@ -382,7 +372,7 @@ AsyncPipeline::execute(unsigned shard)
                             out.grouped);
         lap(2); // group
         notifyObserver(id, Stage::Grouped);
-        if (!scheduler_.checkpoint(id, &spill, &spill_shard))
+        if (!scheduler_.checkpoint(id, &spill_shard))
             return;
 
         ops::blockGatherNeighborhoods(
@@ -400,7 +390,7 @@ AsyncPipeline::execute(unsigned shard)
             // workspace. Extra checkpoint first — inference is the
             // most expensive stage, so cancels/deadlines issued
             // during gathering are honored before it starts.
-            if (!scheduler_.checkpoint(id, &spill, &spill_shard))
+            if (!scheduler_.checkpoint(id, &spill_shard))
                 return;
             stage_mark = Clock::now(); // exclude checkpoint wait
             nn::BackendOptions backend;

@@ -265,13 +265,6 @@ Scheduler::submitBlocking(std::shared_ptr<const data::PointCloud> cloud,
     }
 }
 
-unsigned
-Scheduler::shardOf(Ticket ticket) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return recordFor(ticket).shard;
-}
-
 void
 Scheduler::retireLocked(std::uint64_t id, Record &record,
                         RequestState state)
@@ -449,12 +442,11 @@ Scheduler::acquire(unsigned shard)
     job.request = record.request;
     job.shard = shard;
     job.spill_shard = record.spill_shard;
-    job.spill = record.spill_shard >= 0;
     return job;
 }
 
 bool
-Scheduler::checkpoint(std::uint64_t id, bool *spill, int *spill_shard)
+Scheduler::checkpoint(std::uint64_t id, int *spill_shard)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     Record &record = records_.at(id);
@@ -473,7 +465,7 @@ Scheduler::checkpoint(std::uint64_t id, bool *spill, int *spill_shard)
         retireLocked(id, record, RequestState::Expired);
         return false;
     }
-    if (spill != nullptr) {
+    if (spill_shard != nullptr) {
         // Re-evaluate the work-conserving decision from scratch: at
         // a stage boundary every TaskGroup has joined, so no chunk
         // of this request is in flight anywhere and the target can
@@ -482,9 +474,7 @@ Scheduler::checkpoint(std::uint64_t id, bool *spill, int *spill_shard)
         // received its own work is released; a pool that saturated
         // stops being fought over.
         assignSpillLocked(record, spillShardLocked(record.shard));
-        *spill = record.spill_shard >= 0;
-        if (spill_shard != nullptr)
-            *spill_shard = record.spill_shard;
+        *spill_shard = record.spill_shard;
     }
     return true;
 }

@@ -265,14 +265,10 @@ class Scheduler
          *  executor's shard). */
         unsigned shard = 0;
 
-        /** Work-conserving decision; always == (spill_shard >= 0),
-         *  kept as a separate field for the single-pool API shape
-         *  (both are assigned together in acquire()). */
-        bool spill = false;
-
-        /** Shard whose pool should run this request's block items;
-         *  negative = run inline. Equals `shard` for a same-shard
-         *  spill, another index for a cross-shard borrow. */
+        /** Work-conserving decision: the shard whose pool should
+         *  run this request's block items; negative = run inline.
+         *  Equals `shard` for a same-shard spill, another index for a
+         *  cross-shard borrow. */
         int spill_shard = -1;
     };
 
@@ -308,13 +304,6 @@ class Scheduler
               const std::array<std::size_t, kNumPriorities>
                   &class_capacity = {});
 
-    /** Active aging weights (runtime-configured at construction). */
-    const std::array<std::uint64_t, kNumPriorities> &
-    priorityWeights() const
-    {
-        return weights_;
-    }
-
     ~Scheduler();
 
     Scheduler(const Scheduler &) = delete;
@@ -333,7 +322,7 @@ class Scheduler
      *        shards (client/session affinity).
      * @param shard_out when non-null, receives the placement shard —
      *        the caller (AsyncPipeline) needs it to enqueue the
-     *        executor task without re-locking for shardOf().
+     *        executor task without re-locking.
      */
     std::optional<Ticket>
     trySubmit(std::shared_ptr<const data::PointCloud> cloud,
@@ -353,9 +342,6 @@ class Scheduler
                    std::uint64_t placement_key = 0,
                    unsigned *shard_out = nullptr);
 
-    /** Shard a live (not yet consumed) ticket was placed on. */
-    unsigned shardOf(Ticket ticket) const;
-
     /**
      * Pop the best queued request of @p shard (must be non-empty:
      * one executor task exists per request admitted to the shard).
@@ -371,17 +357,15 @@ class Scheduler
      * Returns true to continue; false means the request was just
      * retired (Cancelled or Expired) and the executor must stop.
      *
-     * When continuing and @p spill is non-null, the work-conserving
-     * decision is re-evaluated from scratch into it (and, when
-     * @p spill_shard is non-null, the chosen shard): a request
-     * acquired at saturation starts spilling once capacity frees up
-     * anywhere, a borrowed neighbor is released once it has work of
-     * its own, and a saturated pool stops being fought over. Safe to
-     * change per stage — at a boundary every chunk of the request
-     * has already joined.
+     * When continuing and @p spill_shard is non-null, the
+     * work-conserving decision is re-evaluated from scratch into it
+     * (see Job::spill_shard): a request acquired at saturation starts
+     * spilling once capacity frees up anywhere, a borrowed neighbor is
+     * released once it has work of its own, and a saturated pool stops
+     * being fought over. Safe to change per stage — at a boundary
+     * every chunk of the request has already joined.
      */
-    bool checkpoint(std::uint64_t id, bool *spill = nullptr,
-                    int *spill_shard = nullptr);
+    bool checkpoint(std::uint64_t id, int *spill_shard = nullptr);
 
     /** Terminal transition: the request finished with @p result.
      *  (Value form, used by bare-scheduler callers; the serving

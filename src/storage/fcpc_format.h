@@ -4,13 +4,17 @@
  *
  * Design goal (ROADMAP direction 3, "Joint Optimization of Storage
  * and Loading"): the file layout IS the in-memory layout, so loading
- * a block is pointer binding, not parsing. A PointCloud keeps two
- * coordinate views — AoS Vec3 for random access and the SoA x/y/z
- * mirror for the core::simd kernels — and a transposition at load
- * time would be a per-point pass, so the container stores BOTH,
- * trading ~1.27x coordinate bytes for a zero-work load. Features are
- * row-major [n x feature_dim] and labels are plain int32, exactly as
- * PointCloud owns them.
+ * a block is pointer binding, not parsing. Coordinates are AoS Vec3,
+ * features are row-major [n x feature_dim] and labels are plain
+ * int32, exactly as PointCloud owns them.
+ *
+ * Version 1 also stores the coordinates transposed into x/y/z
+ * columns. They let a load bind the structure-of-arrays mirror that
+ * PointCloud used to keep for the core::simd kernels. The mirror is
+ * gone (the kernels read BlockTree::points() or per-call workspace
+ * copies), so readers checksum the columns but no longer bind them,
+ * and the writer fills them from the AoS coordinates. Dropping or
+ * reusing them changes the layout and needs a kFcpcVersion bump.
  *
  * File layout (all integers little-endian, all offsets absolute file
  * offsets, every section 64-byte aligned to match core::Arena's
@@ -81,7 +85,7 @@ struct FcpcBlockDesc
     std::uint32_t feature_dim; ///< 0 = no feature section
     std::uint32_t has_labels;  ///< 0/1 = label section absent/present
     std::uint64_t coords_offset;   ///< AoS Vec3[num_points]
-    std::uint64_t x_offset;        ///< float[num_points] (SoA column)
+    std::uint64_t x_offset;        ///< float[num_points], coords[i].x
     std::uint64_t y_offset;        ///< float[num_points]
     std::uint64_t z_offset;        ///< float[num_points]
     std::uint64_t features_offset; ///< float[num_points*feature_dim]

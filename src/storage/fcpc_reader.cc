@@ -314,9 +314,6 @@ FcpcReader::readBlock(std::size_t i, data::PointCloud &out,
     view.size = d.num_points;
     view.coords =
         reinterpret_cast<const Vec3 *>(base + d.coords_offset);
-    view.x = reinterpret_cast<const float *>(base + d.x_offset);
-    view.y = reinterpret_cast<const float *>(base + d.y_offset);
-    view.z = reinterpret_cast<const float *>(base + d.z_offset);
     view.feature_dim = d.feature_dim;
     if (d.feature_dim > 0)
         view.features =

@@ -118,8 +118,8 @@ class FcpcReader
 
     /**
      * Materialize block @p i into @p out. ZeroCopy performs zero
-     * per-point work: six pointer binds plus a checksum pass on first
-     * access. Returns BadChecksum/BadBlock without touching @p out on
+     * per-point work: three pointer binds plus a checksum pass on
+     * first access. Returns BadChecksum/BadBlock without touching @p out on
      * a corrupt block.
      */
     FcpcStatus readBlock(std::size_t i, data::PointCloud &out,

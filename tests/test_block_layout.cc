@@ -4,12 +4,14 @@
  * per-candidate loops they replaced.
  *
  * blockFarthestPointSample and blockBallQuery read each leaf's search
- * space from BlockTree::points() with contiguous addressing. The
- * references here read every candidate from the cloud through
- * tree.order(), one at a time, exactly as the ops did before the tree
- * carried coordinates. Rows, counts, indices, positions and every
- * OpStats field must match for every partitioner, on an indoor scene
- * and a LiDAR frame, at both SIMD levels, with no pool and with 2- and
+ * space from BlockTree::points() with contiguous addressing, and
+ * blockKnnToSamples (and so blockInterpolate) screens the samples of
+ * each search space there at their DFT positions. The references here
+ * read every candidate from the cloud by point id, one at a time,
+ * exactly as the ops did before the tree carried coordinates. Rows,
+ * counts, indices, positions, interpolated values and every OpStats
+ * field must match for every partitioner, on an indoor scene and a
+ * LiDAR frame, at both SIMD levels, with no pool and with 2- and
  * 8-thread pools (the pooled cases run in CI's TSan filter).
  */
 
@@ -27,7 +29,9 @@
 #include "dataset/s3dis.h"
 #include "dataset/synthetic.h"
 #include "ops/fps.h"
+#include "ops/interpolate.h"
 #include "ops/neighbor.h"
+#include "ops/topk.h"
 #include "partition/partitioner.h"
 
 namespace fc {
@@ -154,6 +158,54 @@ referenceBlockBallQuery(const data::PointCloud &cloud,
     return out;
 }
 
+/**
+ * blockKnnToSamples screening candidates from the cloud by point id:
+ * each leaf's candidates are the samples whose DFT position falls in
+ * its search space (all samples when none does), offered to the top-k
+ * in ascending position order.
+ */
+ops::NeighborResult
+referenceBlockKnn(const data::PointCloud &cloud,
+                  const part::BlockTree &tree,
+                  const ops::BlockSampleResult &sampled, std::size_t k)
+{
+    std::vector<std::uint32_t> sorted_pos = sampled.positions;
+    std::sort(sorted_pos.begin(), sorted_pos.end());
+    std::vector<PointIdx> sorted_idx;
+    for (const std::uint32_t pos : sorted_pos)
+        sorted_idx.push_back(tree.order()[pos]);
+
+    ops::NeighborResult out;
+    out.num_centers = cloud.size();
+    out.k = k;
+    out.indices.resize(cloud.size() * k);
+    out.counts.resize(cloud.size());
+    for (const part::NodeIdx leaf_idx : tree.leaves()) {
+        const part::BlockNode &leaf = tree.node(leaf_idx);
+        const part::BlockNode &space =
+            tree.node(tree.searchSpaceNode(leaf_idx));
+        std::vector<PointIdx> candidates;
+        for (std::size_t i = 0; i < sorted_pos.size(); ++i)
+            if (sorted_pos[i] >= space.begin && sorted_pos[i] < space.end)
+                candidates.push_back(sorted_idx[i]);
+        if (candidates.empty())
+            candidates = sorted_idx;
+        for (std::uint32_t pos = leaf.begin; pos < leaf.end; ++pos) {
+            const PointIdx query_idx = tree.order()[pos];
+            ops::TopK top(k);
+            for (const PointIdx c : candidates)
+                top.offer(distance2(cloud[query_idx], cloud[c]), c);
+            top.emitRow(out.indices.data() + std::size_t{query_idx} * k);
+            out.counts[query_idx] =
+                static_cast<std::uint32_t>(top.count());
+            out.stats.points_visited += candidates.size();
+            out.stats.distance_computations += candidates.size();
+            ++out.stats.iterations;
+        }
+    }
+    return out;
+}
+
 void
 expectSameStats(const ops::OpStats &got, const ops::OpStats &want,
                 const std::string &where)
@@ -194,10 +246,11 @@ class LevelGuard
 };
 
 /**
- * Both block ops on @p cloud against the references, for every
- * method, SIMD level and pool size. The ball query takes the
- * reference centers, so a sampling mismatch cannot mask a grouping
- * one.
+ * The block ops on @p cloud against the references, for every method,
+ * SIMD level and pool size. The ball query, the KNN and the
+ * interpolation take the reference samples, so a sampling mismatch
+ * cannot mask another one. The interpolation reference is the
+ * reference KNN fed to the serial ops::interpolateFeatures blend.
  */
 void
 expectMatchesReference(const char *name, const data::PointCloud &cloud,
@@ -210,6 +263,8 @@ expectMatchesReference(const char *name, const data::PointCloud &cloud,
     core::ThreadPool pool2(2);
     core::ThreadPool pool8(8);
     const double rate = 0.25;
+    const std::size_t knn_k = 3;
+    const std::size_t channels = 5;
 
     for (const part::Method method :
          {part::Method::Fractal, part::Method::KdTree,
@@ -224,6 +279,16 @@ expectMatchesReference(const char *name, const data::PointCloud &cloud,
             referenceBlockFps(cloud, part.tree, rate, options);
         const ops::NeighborResult want_group = referenceBlockBallQuery(
             cloud, part.tree, want_sample, radius, k);
+        const ops::NeighborResult want_knn =
+            referenceBlockKnn(cloud, part.tree, want_sample, knn_k);
+        std::vector<float> known(want_sample.indices.size() * channels);
+        Pcg32 rng(11);
+        for (float &v : known)
+            v = rng.uniform(-2.0f, 2.0f);
+        const ops::InterpolateResult want_interp =
+            ops::interpolateFeatures(cloud, known, channels,
+                                     want_sample.indices, want_knn,
+                                     nullptr);
 
         for (const simd::Level level : levels) {
             ASSERT_TRUE(simd::setActiveLevel(level));
@@ -256,6 +321,28 @@ expectMatchesReference(const char *name, const data::PointCloud &cloud,
                 EXPECT_EQ(group.counts, want_group.counts) << where;
                 expectSameStats(group.stats, want_group.stats,
                                 where + " ball query");
+
+                ops::NeighborResult knn;
+                ops::blockKnnToSamples(cloud, part.tree, want_sample,
+                                       knn_k, pool, ws, knn);
+                EXPECT_EQ(knn.num_centers, want_knn.num_centers) << where;
+                EXPECT_EQ(knn.k, want_knn.k) << where;
+                EXPECT_EQ(knn.indices, want_knn.indices) << where;
+                EXPECT_EQ(knn.counts, want_knn.counts) << where;
+                expectSameStats(knn.stats, want_knn.stats,
+                                where + " knn");
+
+                ops::InterpolateResult interp;
+                ops::blockInterpolate(cloud, part.tree, want_sample,
+                                      known, channels, knn_k, pool, ws,
+                                      interp);
+                EXPECT_EQ(interp.num_points, want_interp.num_points)
+                    << where;
+                EXPECT_EQ(interp.channels, want_interp.channels)
+                    << where;
+                EXPECT_EQ(interp.values, want_interp.values) << where;
+                expectSameStats(interp.stats, want_interp.stats,
+                                where + " interpolate");
             }
         }
     }

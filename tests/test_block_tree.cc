@@ -140,6 +140,35 @@ TEST(BlockTreeDeathTest, BlockOpsNeedTheTreesCloud)
                  "15 points");
 }
 
+TEST(BlockTreeDeathTest, KnnToSamplesNeedsTheTreesCoordinates)
+{
+    // The KNN rows screen the tree's DFT-ordered coordinates too.
+    const BlockTree tree = makeManualTree();
+    const data::PointCloud cloud(std::vector<Vec3>(10));
+    ops::BlockSampleResult sampled;
+    sampled.leaf_offsets.assign(tree.leaves().size() + 1, 0);
+    EXPECT_DEATH(ops::blockKnnToSamples(cloud, tree, sampled, 3),
+                 "coordinates missing");
+}
+
+TEST(BlockTreeDeathTest, KnnToSamplesNeedsTheTreesCloud)
+{
+    // Every tree position is a query whose row the op writes at its
+    // point id, so a tree of a larger cloud would write past the
+    // smaller cloud's rows.
+    std::vector<Vec3> coords;
+    for (int i = 0; i < 16; ++i)
+        coords.emplace_back(0.1f * i, 0.0f, 0.0f);
+    const data::PointCloud cloud(coords);
+    const auto part = FractalPartitioner().partition(cloud, {});
+    const ops::BlockSampleResult sampled =
+        ops::blockFarthestPointSample(cloud, part.tree, 0.5);
+    coords.pop_back();
+    const data::PointCloud other(coords);
+    EXPECT_DEATH(ops::blockKnnToSamples(other, part.tree, sampled, 3),
+                 "15 points");
+}
+
 TEST(BlockTree, SummaryMentionsCounts)
 {
     const BlockTree tree = makeManualTree();

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "common/types.h"
@@ -138,48 +137,12 @@ TEST(PointCloud, ByteAccounting)
     EXPECT_EQ(c.featureBytesFp16(), 4u * 4u * 2u);
 }
 
-TEST(PointCloudConcurrent, SoaFirstTouchFromManyThreads)
-{
-    // The ROADMAP SIMD gap: soa() used to require a serial pre-warm.
-    // Now any number of threads may first-touch a shared dirty cloud;
-    // the first one in rebuilds under the internal mutex (run under
-    // TSan in CI).
-    PointCloud cloud;
-    for (int i = 0; i < 5000; ++i)
-        cloud.addPoint({static_cast<float>(i),
-                        static_cast<float>(2 * i),
-                        static_cast<float>(3 * i)});
-
-    std::vector<std::thread> threads;
-    std::vector<int> mismatches(8, 0);
-    for (int t = 0; t < 8; ++t) {
-        threads.emplace_back([&cloud, &mismatches, t] {
-            // Read through a const view: the non-const operator[] is
-            // a mutator (detach + dirty-mark) and owner-only.
-            const PointCloud &c = cloud;
-            const core::simd::SoaView v = c.soa();
-            for (std::size_t i = 0; i < c.size(); i += 97)
-                if (v.xs[i] != c[i].x || v.ys[i] != c[i].y ||
-                    v.zs[i] != c[i].z)
-                    ++mismatches[t];
-        });
-    }
-    for (std::thread &th : threads)
-        th.join();
-    for (int m : mismatches)
-        EXPECT_EQ(m, 0);
-}
-
 ExternalCloudView
-viewOf(const PointCloud &cloud, const std::vector<float> &x,
-       const std::vector<float> &y, const std::vector<float> &z)
+viewOf(const PointCloud &cloud)
 {
     ExternalCloudView view;
     view.size = cloud.size();
     view.coords = cloud.coords().data();
-    view.x = x.data();
-    view.y = y.data();
-    view.z = z.data();
     if (cloud.hasLabels())
         view.labels = cloud.labels().data();
     return view;
@@ -190,13 +153,9 @@ TEST(PointCloudExternal, BindReadsAliasDetachCopies)
     // Backing storage the external cloud aliases (stand-in for an
     // mmap'd block; the real binding lives in storage/fcpc_reader).
     auto backing = std::make_shared<PointCloud>(makeCloud());
-    const core::simd::SoaView soa = backing->soa();
-    std::vector<float> x(soa.xs, soa.xs + backing->size());
-    std::vector<float> y(soa.ys, soa.ys + backing->size());
-    std::vector<float> z(soa.zs, soa.zs + backing->size());
 
     PointCloud ext;
-    ext.bindExternal(viewOf(*backing, x, y, z), backing);
+    ext.bindExternal(viewOf(*backing), backing);
     // Read through a const view: the non-const accessors are
     // mutators by contract (they detach a bound cloud).
     const PointCloud &cext = ext;
@@ -204,7 +163,6 @@ TEST(PointCloudExternal, BindReadsAliasDetachCopies)
     ASSERT_EQ(cext.size(), backing->size());
     EXPECT_EQ(cext.coords().data(),
               std::as_const(*backing).coords().data());
-    EXPECT_EQ(cext.soa().xs, x.data());
     EXPECT_TRUE(cext.hasLabels());
     EXPECT_EQ(cext.labels()[2], 2);
 
@@ -221,19 +179,14 @@ TEST(PointCloudExternal, BindReadsAliasDetachCopies)
     EXPECT_NE(cext.coords().data(),
               std::as_const(*backing).coords().data());
     EXPECT_EQ(cext[0], (*backing)[0]);
-    EXPECT_EQ(cext.soa().xs[4], 9.0f);
 }
 
 TEST(PointCloudExternal, SubsetAndPermuteWorkOnExternalClouds)
 {
     auto backing = std::make_shared<PointCloud>(makeCloud());
-    const core::simd::SoaView soa = backing->soa();
-    std::vector<float> x(soa.xs, soa.xs + backing->size());
-    std::vector<float> y(soa.ys, soa.ys + backing->size());
-    std::vector<float> z(soa.zs, soa.zs + backing->size());
 
     PointCloud ext;
-    ext.bindExternal(viewOf(*backing, x, y, z), backing);
+    ext.bindExternal(viewOf(*backing), backing);
 
     const PointCloud sub = ext.subset({2, 0});
     EXPECT_FALSE(sub.isExternal());
@@ -247,7 +200,7 @@ TEST(PointCloudExternal, SubsetAndPermuteWorkOnExternalClouds)
     // subsetInto must reset a previously-external output cloud to
     // owned storage instead of writing through the alias.
     PointCloud out;
-    out.bindExternal(viewOf(*backing, x, y, z), backing);
+    out.bindExternal(viewOf(*backing), backing);
     ext.subsetInto({1, 3}, out);
     EXPECT_FALSE(out.isExternal());
     ASSERT_EQ(out.size(), 2u);
@@ -259,27 +212,11 @@ TEST(PointCloudExternal, KeepaliveOutlivesOwnerHandle)
     PointCloud ext;
     {
         auto backing = std::make_shared<PointCloud>(makeCloud());
-        const core::simd::SoaView soa = backing->soa();
-        // SoA columns owned by the keepalive target itself: bundle
-        // everything whose lifetime matters into the owner token.
-        struct Bundle
-        {
-            std::shared_ptr<PointCloud> cloud;
-            std::vector<float> x, y, z;
-        };
-        auto bundle = std::make_shared<Bundle>();
-        bundle->cloud = backing;
-        bundle->x.assign(soa.xs, soa.xs + backing->size());
-        bundle->y.assign(soa.ys, soa.ys + backing->size());
-        bundle->z.assign(soa.zs, soa.zs + backing->size());
-        ext.bindExternal(
-            viewOf(*backing, bundle->x, bundle->y, bundle->z),
-            bundle);
-    } // local handles die; the cloud's keepalive holds the bundle
+        ext.bindExternal(viewOf(*backing), backing);
+    } // the local handle dies; the cloud's keepalive holds the backing
     const PointCloud &cext = ext;
     ASSERT_EQ(cext.size(), 4u);
     EXPECT_FLOAT_EQ(cext[3].z, 3.0f);
-    EXPECT_FLOAT_EQ(cext.soa().zs[3], 3.0f);
 }
 
 } // namespace

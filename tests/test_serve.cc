@@ -181,14 +181,14 @@ TEST(Scheduler, SpillPolicyIsWorkConserving)
     for (int i = 0; i < 3; ++i) {
         const auto job = scheduler.acquire();
         ASSERT_TRUE(job);
-        EXPECT_FALSE(job->spill) << "request " << i;
+        EXPECT_LT(job->spill_shard, 0) << "request " << i;
         scheduler.complete(job->id, BatchResult{});
     }
     // 3, 2, 1 in flight: idle slots exist, spill.
     for (int i = 3; i < 6; ++i) {
         const auto job = scheduler.acquire();
         ASSERT_TRUE(job);
-        EXPECT_TRUE(job->spill) << "request " << i;
+        EXPECT_GE(job->spill_shard, 0) << "request " << i;
         scheduler.complete(job->id, BatchResult{});
         EXPECT_TRUE(scheduler.wait(tickets[i]).spilled);
     }
@@ -207,14 +207,14 @@ TEST(Scheduler, CheckpointRefreshesSpillAfterPoolDrains)
             *scheduler.trySubmit(cloud, {}, std::nullopt));
     for (int i = 0; i < 4; ++i) {
         jobs.push_back(*scheduler.acquire());
-        EXPECT_FALSE(jobs.back().spill) << "request " << i;
+        EXPECT_LT(jobs.back().spill_shard, 0) << "request " << i;
     }
     for (int i = 0; i < 3; ++i)
         scheduler.complete(jobs[i].id, BatchResult{});
 
-    bool spill = jobs[3].spill;
-    ASSERT_TRUE(scheduler.checkpoint(jobs[3].id, &spill));
-    EXPECT_TRUE(spill) << "1 in flight < 4 threads must now spill";
+    int spill_shard = jobs[3].spill_shard;
+    ASSERT_TRUE(scheduler.checkpoint(jobs[3].id, &spill_shard));
+    EXPECT_EQ(spill_shard, 0) << "1 in flight < 4 threads must now spill";
     scheduler.complete(jobs[3].id, BatchResult{});
     EXPECT_TRUE(scheduler.wait(tickets[3]).spilled);
 }
@@ -226,7 +226,7 @@ TEST(Scheduler, WorkConservingOffNeverSpills)
     const auto t = scheduler.trySubmit(cloud, {}, std::nullopt);
     const auto job = scheduler.acquire();
     ASSERT_TRUE(t && job);
-    EXPECT_FALSE(job->spill); // 1 in flight < 8 threads, but pinned
+    EXPECT_LT(job->spill_shard, 0); // 1 in flight < 8 threads, but pinned
     scheduler.complete(job->id, BatchResult{});
     EXPECT_FALSE(scheduler.wait(*t).spilled);
 }

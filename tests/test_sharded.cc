@@ -308,8 +308,8 @@ TEST(ShardedServe, CrossShardSpillBorrowsIdleNeighbor)
     const auto job = scheduler.acquire(0);
     ASSERT_TRUE(job);
     EXPECT_EQ(job->shard, 0u);
-    EXPECT_TRUE(job->spill) << "idle neighbor shard must be borrowed";
-    EXPECT_EQ(job->spill_shard, 1);
+    EXPECT_EQ(job->spill_shard, 1)
+        << "idle neighbor shard must be borrowed";
 
     // Drain the rest: with 2 still in flight on shard 0 (== its
     // thread count) the second request keeps borrowing shard 1; the

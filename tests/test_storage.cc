@@ -11,7 +11,10 @@
 #include <cstring>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
+#include <limits>
 #include <thread>
+#include <utility>
 
 // Reads the binary-wide allocation counter installed by
 // test_workspace.cc's alloc_hook TU.
@@ -23,6 +26,7 @@
 #include "dataset/shapenet.h"
 #include "serve/ingest.h"
 #include "storage/convert.h"
+#include "storage/fcpc_format.h"
 #include "storage/fcpc_reader.h"
 #include "storage/fcpc_writer.h"
 #include "storage/prefetch.h"
@@ -54,14 +58,6 @@ expectCloudsBitIdentical(const PointCloud &a, const PointCloud &b)
     EXPECT_EQ(std::memcmp(a.coords().data(), b.coords().data(),
                           a.size() * sizeof(Vec3)),
               0);
-    const core::simd::SoaView sa = a.soa();
-    const core::simd::SoaView sb = b.soa();
-    EXPECT_EQ(
-        std::memcmp(sa.xs, sb.xs, a.size() * sizeof(float)), 0);
-    EXPECT_EQ(
-        std::memcmp(sa.ys, sb.ys, a.size() * sizeof(float)), 0);
-    EXPECT_EQ(
-        std::memcmp(sa.zs, sb.zs, a.size() * sizeof(float)), 0);
     if (a.featureDim() > 0) {
         EXPECT_EQ(std::memcmp(a.features().data(),
                               b.features().data(),
@@ -229,6 +225,75 @@ TEST(StorageRoundtrip, MultiBlockIndexAndKeys)
         EXPECT_EQ(reader.placementKey(i), reader2.placementKey(i));
     std::remove(path.c_str());
     std::remove(path2.c_str());
+}
+
+TEST(StorageRoundtrip, XyzSectionsHoldTheCoordinatesTransposed)
+{
+    // No reader binds the v1 x/y/z sections, so nothing else pins
+    // what they hold: x[i] is the bit pattern of coords[i].x, and
+    // likewise for y and z. Signed zeros and a NaN payload must
+    // survive the transpose.
+    std::vector<PointCloud> clouds;
+    for (int c = 0; c < 3; ++c)
+        clouds.push_back(data::makeModelNetObject(c, 300 + 70 * c,
+                                                  40 + c));
+    clouds[1][5] = Vec3{-0.0f, std::numeric_limits<float>::quiet_NaN(),
+                        -std::numeric_limits<float>::denorm_min()};
+    const std::string path = tempPath("xyz.fcpc");
+    ASSERT_TRUE(writeFcpc(clouds, path));
+
+    std::string file;
+    {
+        std::ifstream in(path, std::ios::binary);
+        ASSERT_TRUE(in);
+        file.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    }
+    FcpcFileHeader header;
+    ASSERT_GE(file.size(), sizeof header);
+    std::memcpy(&header, file.data(), sizeof header);
+    ASSERT_EQ(header.version, kFcpcVersion);
+    ASSERT_EQ(header.block_count, clouds.size());
+    ASSERT_LE(header.index_offset +
+                  clouds.size() * sizeof(FcpcBlockDesc),
+              file.size());
+
+    for (std::size_t b = 0; b < clouds.size(); ++b) {
+        SCOPED_TRACE("block " + std::to_string(b));
+        FcpcBlockDesc d;
+        std::memcpy(&d,
+                    file.data() + header.index_offset +
+                        b * sizeof(FcpcBlockDesc),
+                    sizeof d);
+        const std::span<const Vec3> coords =
+            std::as_const(clouds[b]).coords();
+        ASSERT_EQ(d.num_points, coords.size());
+        ASSERT_LE(d.coords_offset + coords.size() * sizeof(Vec3),
+                  file.size());
+        for (const std::uint64_t offset :
+             {d.x_offset, d.y_offset, d.z_offset})
+            ASSERT_LE(offset + coords.size() * sizeof(float),
+                      file.size());
+        EXPECT_EQ(std::memcmp(file.data() + d.coords_offset,
+                              coords.data(),
+                              coords.size() * sizeof(Vec3)),
+                  0);
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < coords.size(); ++i) {
+            const char *at = file.data() + i * sizeof(float);
+            mismatches +=
+                std::memcmp(at + d.x_offset, &coords[i].x,
+                            sizeof(float)) != 0;
+            mismatches +=
+                std::memcmp(at + d.y_offset, &coords[i].y,
+                            sizeof(float)) != 0;
+            mismatches +=
+                std::memcmp(at + d.z_offset, &coords[i].z,
+                            sizeof(float)) != 0;
+        }
+        EXPECT_EQ(mismatches, 0u);
+    }
+    std::remove(path.c_str());
 }
 
 TEST(StorageErrors, MissingFile)
@@ -404,10 +469,9 @@ TEST(StorageAlloc, ZeroCopyLoadAllocatesNothingPerPoint)
 
 TEST(StorageConcurrent, ParallelReadBlockAndFirstTouch)
 {
-    // Many threads materialize and soa()-touch the same blocks
+    // Many threads materialize and first-read the same blocks
     // concurrently: exercises the reader's atomic validation memo
-    // and PointCloud's double-checked SoA rebuild (run under TSan in
-    // CI).
+    // (run under TSan in CI).
     std::vector<PointCloud> clouds;
     for (int c = 0; c < 4; ++c)
         clouds.push_back(data::makeModelNetObject(c, 500, 50 + c));
@@ -416,10 +480,6 @@ TEST(StorageConcurrent, ParallelReadBlockAndFirstTouch)
 
     auto reader = std::make_shared<FcpcReader>();
     ASSERT_EQ(reader->open(path), FcpcStatus::Ok);
-
-    // A shared OWNED cloud whose lazy mirror all threads first-touch.
-    auto shared_owned = std::make_shared<PointCloud>(
-        data::makeModelNetObject(7, 2000, 99));
 
     std::vector<std::thread> threads;
     std::vector<int> failures(8, 0);
@@ -435,12 +495,11 @@ TEST(StorageConcurrent, ParallelReadBlockAndFirstTouch)
                     continue;
                 }
                 // Const reads only: the non-const operator[] is a
-                // mutator (detach + dirty-mark) and owner-only.
+                // mutator (detach) and owner-only.
                 const PointCloud &c = cloud;
-                const PointCloud &shared_c = *shared_owned;
-                const core::simd::SoaView v = c.soa();
-                const core::simd::SoaView w = shared_c.soa();
-                if (v.xs[0] != c[0].x || w.xs[0] != shared_c[0].x)
+                const PointCloud &original = clouds[b];
+                if (c.size() != original.size() ||
+                    c[c.size() - 1] != original[c.size() - 1])
                     ++failures[t];
             }
         });

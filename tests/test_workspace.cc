@@ -29,6 +29,7 @@
 #include "nn/models.h"
 #include "nn/network.h"
 #include "ops/fps.h"
+#include "ops/gather.h"
 #include "ops/interpolate.h"
 #include "ops/knn_graph.h"
 #include "ops/neighbor.h"
@@ -312,6 +313,63 @@ TEST(WorkspaceAlloc, WarmOpsDrawOnlyFromTheWorkspace)
         known_feats.assign(sampled.indices.size() * 4, 0.5f);
         ops::blockInterpolate(scene, part.tree, sampled, known_feats,
                               4, 3, nullptr, ws, interp);
+    };
+
+    run_all(); // cold
+    ws.reset();
+    const std::uint64_t before = fc::heapAllocCount();
+    run_all(); // warm
+    EXPECT_EQ(fc::heapAllocCount() - before, 0u);
+}
+
+TEST(WorkspaceAlloc, PooledWarmBlockOpsDrawOnlyFromTheWorkspace)
+{
+    // The pooled sibling of WarmOpsDrawOnlyFromTheWorkspace: on a
+    // 2-thread pool over a tree of more than kReduceInlineChunks (64)
+    // leaves, every per-leaf reduce stages its chunk partials, and
+    // the warm block ops must stage them in the workspace arena.
+    const data::PointCloud scene = data::makeS3disScene(4096, 7);
+    const auto partitioner = part::makePartitioner(part::Method::Fractal);
+    part::PartitionConfig config;
+    config.threshold = 16;
+    core::ThreadPool pool(2);
+
+    core::Workspace ws;
+    part::PartitionResult part;
+    ops::BlockSampleResult sampled;
+    ops::NeighborResult grouped;
+    ops::GatherResult gathered;
+    ops::NeighborResult knn;
+
+    partitioner->partitionInto(scene, config, nullptr, ws, part);
+    const std::size_t leaves = part.tree.leaves().size();
+    ASSERT_GT(leaves, 64u);
+
+    // Pre-grow the pool's task ring past the ops' per-leaf backlog, as
+    // WideReduceStagesPartialsInTheArena does.
+    {
+        std::atomic<bool> release{false};
+        core::TaskGroup group(&pool);
+        for (std::size_t i = 0; i < leaves + 200; ++i)
+            group.run([&release] {
+                while (!release.load(std::memory_order_acquire))
+                    std::this_thread::yield();
+            });
+        release.store(true, std::memory_order_release);
+        group.wait();
+    }
+
+    const auto run_all = [&] {
+        partitioner->partitionInto(scene, config, nullptr, ws, part);
+        ops::blockFarthestPointSample(scene, part.tree, 0.25, {}, &pool,
+                                      ws, sampled);
+        ops::blockBallQuery(scene, part.tree, sampled, 0.3f, 8, &pool,
+                            ws, grouped);
+        ops::blockGatherNeighborhoods(scene, part.tree, sampled.indices,
+                                      sampled.leaf_offsets, grouped,
+                                      &pool, ws, gathered);
+        ops::blockKnnToSamples(scene, part.tree, sampled, 3, &pool, ws,
+                               knn);
     };
 
     run_all(); // cold
