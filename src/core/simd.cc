@@ -1,7 +1,9 @@
 #include "core/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 
 #include "common/fp16.h"
 #include "common/logging.h"
@@ -13,7 +15,8 @@ namespace {
 
 /**
  * Scalar reference kernels. Each body is the literal loop it replaced
- * in ops/fps.cc, ops/neighbor.cc, or nn/mlp.cc — same expressions,
+ * in ops/fps.cc, ops/neighbor.cc, nn/mlp.cc or partition/detail.cc
+ * (there, std::min/std::max and std::partition) — same expressions,
  * same evaluation order — so forcing this level reproduces the
  * pre-SIMD library bit for bit.
  */
@@ -83,6 +86,45 @@ distance2RangeScalar(const SoaView &pts, const PointIdx *order,
     }
 }
 
+std::pair<float, float>
+extremaScalar(const float *keys, std::uint32_t begin, std::uint32_t end)
+{
+    float lo = std::numeric_limits<float>::infinity();
+    float hi = -std::numeric_limits<float>::infinity();
+    for (std::uint32_t i = begin; i < end; ++i) {
+        lo = std::min(lo, keys[i]);
+        hi = std::max(hi, keys[i]);
+    }
+    return {lo, hi};
+}
+
+/** libstdc++'s bidirectional std::partition, moving all four arrays. */
+std::uint32_t
+splitBelowScalar(const SplitArrays &arrays, int dim, std::uint32_t begin,
+                 std::uint32_t end, float value)
+{
+    const float *keys = arrays.axis(dim);
+    std::uint32_t first = begin;
+    std::uint32_t last = end;
+    for (;;) {
+        for (;; ++first) {
+            if (first == last)
+                return first;
+            if (!(keys[first] < value))
+                break;
+        }
+        --last;
+        for (;; --last) {
+            if (first == last)
+                return first;
+            if (keys[last] < value)
+                break;
+        }
+        detail::swapPositions(arrays, first, last);
+        ++first;
+    }
+}
+
 void
 axpyScalar(float a, const float *x, float *y, std::size_t n)
 {
@@ -123,8 +165,9 @@ linearReluRowsScalar(const float *w, const float *bias, std::size_t in,
 }
 
 constexpr detail::Kernels kScalarKernels = {
-    &fpsUpdateScalar,      &ballScanScalar, &distance2RangeScalar,
-    &linearReluRowsScalar, &axpyScalar,     &fp16RoundScalar,
+    &fpsUpdateScalar,      &ballScanScalar,   &distance2RangeScalar,
+    &extremaScalar,        &splitBelowScalar, &linearReluRowsScalar,
+    &axpyScalar,           &fp16RoundScalar,
 };
 
 const detail::Kernels *
@@ -236,6 +279,19 @@ distance2Range(const SoaView &pts, const PointIdx *order,
 {
     detail::active().distance2_range(pts, order, identity_base, query,
                                      begin, end, out);
+}
+
+std::pair<float, float>
+extrema(const float *keys, std::uint32_t begin, std::uint32_t end)
+{
+    return detail::active().extrema(keys, begin, end);
+}
+
+std::uint32_t
+splitBelow(const SplitArrays &arrays, int dim, std::uint32_t begin,
+           std::uint32_t end, float value)
+{
+    return detail::active().split_below(arrays, dim, begin, end, value);
 }
 
 std::vector<float>

@@ -9,9 +9,11 @@
  * the KNN distance screen (distance2Range), and the MLP inner
  * products — a whole LinearRelu layer over a block of rows
  * (linearReluRows, over weights laid out by packLinearWeights), plus
- * the axpy blend and fp16 rounding around them. This header exposes
- * exactly those primitives, with two implementations behind one
- * function-pointer table:
+ * the axpy blend and fp16 rounding around them. The partitioners'
+ * two traversals, the extrema scan (extrema) and the in-place split
+ * (splitBelow), are the Fractal engine's inner loops. This header
+ * exposes exactly those primitives, with two implementations behind
+ * one function-pointer table:
  *
  *   - Scalar: a reference path whose arithmetic is literally the loop
  *     it replaced — bit-identical to the pre-SIMD code, element order
@@ -36,6 +38,28 @@
  *     elementwise mul+add. ballScan's radius test is the exact
  *     comparison d <= radius2, so a NaN distance never hits, and its
  *     hits, found and examined counts are equal at both levels.
+ *   - extrema: bit-identical to the sequential fold
+ *     lo = std::min(lo, k), hi = std::max(hi, k) at both levels. Avx2
+ *     keeps per-lane folds with _mm256_min_ps(k, lo) =
+ *     (k < lo) ? k : lo, which is std::min(lo, k) (likewise max), so
+ *     a NaN key is skipped in its lane as in the scalar fold. The
+ *     lanes then meet in another order, which cannot change the value.
+ *     It cannot change the bits either, except between +0 and -0:
+ *     every other pair of equal floats has equal bits. The sequential
+ *     fold keeps the first of equal keys, so a zero extremum is the
+ *     range's first zero, and Avx2 re-reads that key.
+ *   - splitBelow: the exact arrangement of libstdc++'s std::partition
+ *     (the bidirectional Hoare loop) at both levels. That loop swaps
+ *     the j-th key >= value from the left with the j-th key < value
+ *     from the right while the first lies left of the second. With m
+ *     keys < value, the swapped pairs are therefore exactly the keys
+ *     >= value in [begin, begin + m), ascending, against the keys
+ *     < value in [begin + m, end), descending; the two counts are
+ *     equal, and the loop returns begin + m. Scalar runs that loop.
+ *     Avx2 counts m with a compare and movemask, then collects both
+ *     position lists 8 keys at a time through the lane table of
+ *     ballScan and swaps them in that order. Both compare with the
+ *     scalar k < value (_CMP_LT_OQ), so a NaN key sorts to the right.
  *   - fp16RoundBuffer: bit-identical to the software fp16Round in
  *     common/fp16.h for every non-NaN input; NaN payloads may differ
  *     (F16C propagates payload bits, the software path canonicalizes
@@ -73,6 +97,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -127,6 +152,13 @@ struct SoaView
     const float *xs = nullptr;
     const float *ys = nullptr;
     const float *zs = nullptr;
+
+    /** The coordinate array of axis @p dim (0, 1 or 2). */
+    const float *
+    axis(int dim) const
+    {
+        return dim == 0 ? xs : dim == 1 ? ys : zs;
+    }
 };
 
 /**
@@ -204,6 +236,49 @@ void distance2Range(const SoaView &pts, const PointIdx *order,
                     std::uint32_t identity_base, const Vec3 &query,
                     std::uint32_t begin, std::uint32_t end, float *out);
 
+/**
+ * Min and max of keys[begin, end), bit for bit the sequential fold
+ * lo = std::min(lo, k), hi = std::max(hi, k) from (+inf, -inf): NaN
+ * keys are skipped, and of equal keys the first one wins, which
+ * decides the sign of a zero extremum. An empty range returns
+ * (+inf, -inf).
+ */
+std::pair<float, float> extrema(const float *keys, std::uint32_t begin,
+                                std::uint32_t end);
+
+/**
+ * The working arrays of a partition build, position for position:
+ * point ids and their coordinates (a part::BlockTree's order() and
+ * points() while a partitioner rearranges them).
+ */
+struct SplitArrays
+{
+    PointIdx *ids = nullptr;
+    float *xs = nullptr;
+    float *ys = nullptr;
+    float *zs = nullptr;
+
+    /** The coordinate array of axis @p dim (0, 1 or 2). */
+    float *
+    axis(int dim) const
+    {
+        return dim == 0 ? xs : dim == 1 ? ys : zs;
+    }
+};
+
+/**
+ * Partition positions [begin, end) of @p arrays in place on axis
+ * @p dim: positions whose coordinate is < @p value move before all
+ * others, ids and all three coordinates together. Returns the first
+ * position of the second group. The arrangement is exactly libstdc++'s
+ * std::partition over the same keys (see the file header), so it
+ * replaces one without changing any output; a NaN coordinate is never
+ * < value. Uses no memory beyond a few dozen stack bytes.
+ */
+std::uint32_t splitBelow(const SplitArrays &arrays, int dim,
+                         std::uint32_t begin, std::uint32_t end,
+                         float value);
+
 /** Outputs per packed weight panel (two 8-lane vectors). */
 inline constexpr std::size_t kLinearPanel = 16;
 
@@ -267,6 +342,10 @@ struct Kernels
     void (*distance2_range)(const SoaView &, const PointIdx *,
                             std::uint32_t, const Vec3 &, std::uint32_t,
                             std::uint32_t, float *);
+    std::pair<float, float> (*extrema)(const float *, std::uint32_t,
+                                       std::uint32_t);
+    std::uint32_t (*split_below)(const SplitArrays &, int, std::uint32_t,
+                                 std::uint32_t, float);
     void (*linear_relu_rows)(const float *, const float *, std::size_t,
                              std::size_t, const float *, std::size_t,
                              float *);
@@ -280,6 +359,17 @@ const Kernels &active();
 /** Avx2 table, or null when the build/CPU cannot run it. Defined in
  *  simd_avx2.cc (the only TU compiled with -mavx2 -mfma -mf16c). */
 const Kernels *avx2Kernels();
+
+/** Swap positions @p a and @p b of every array (both splitBelow
+ *  levels). */
+inline void
+swapPositions(const SplitArrays &arrays, std::uint32_t a, std::uint32_t b)
+{
+    std::swap(arrays.ids[a], arrays.ids[b]);
+    std::swap(arrays.xs[a], arrays.xs[b]);
+    std::swap(arrays.ys[a], arrays.ys[b]);
+    std::swap(arrays.zs[a], arrays.zs[b]);
+}
 
 } // namespace detail
 

@@ -20,6 +20,14 @@
  *     bit by bit in the step that can reach the k-th hit), so hits
  *     stay ascending and the scan stops exactly where the scalar loop
  *     does.
+ *   - extrema folds each lane with _mm256_min_ps(k, lo) /
+ *     _mm256_max_ps(k, hi), the scalar std::min(lo, k) /
+ *     std::max(hi, k) with NaN keys skipped, and re-reads the range's
+ *     first zero when an extremum is zero: the one case where folding
+ *     the lanes in another order could pick other bits.
+ *   - splitBelow compares with _CMP_LT_OQ, the scalar k < value, and
+ *     swaps the misplaced positions in std::partition's order (see
+ *     core/simd.h).
  *   - The running min uses _mm256_min_ps(d, old) = (d < old) ? d : old,
  *     which matches the scalar comparison for every input including
  *     NaNs (a NaN distance keeps the old entry; a NaN entry stays).
@@ -47,6 +55,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 namespace fc::core::simd {
@@ -172,6 +181,14 @@ constexpr std::array<std::uint64_t, 256> kHitLanes = [] {
     return table;
 }();
 
+/** The set lanes of 8-lane @p mask, lowest first, one per int32. */
+inline __m256i
+maskLanes(unsigned mask)
+{
+    return _mm256_cvtepu8_epi32(_mm_loadl_epi64(
+        reinterpret_cast<const __m128i *>(&kHitLanes[mask])));
+}
+
 BallScan
 ballScanAvx2(const SoaView &pts, const Vec3 &query, float radius2,
              std::uint32_t begin, std::uint32_t end, std::size_t k,
@@ -197,12 +214,10 @@ ballScanAvx2(const SoaView &pts, const Vec3 &query, float radius2,
             // This step cannot reach the k-th hit and 8 slots remain:
             // store 8 positions, the hit lanes packed first, and keep
             // `count` of them. Later hits overwrite the rest.
-            const __m256i lanes = _mm256_cvtepu8_epi32(_mm_loadl_epi64(
-                reinterpret_cast<const __m128i *>(&kHitLanes[mask])));
             _mm256_storeu_si256(
                 reinterpret_cast<__m256i *>(hits + s.found),
-                _mm256_add_epi32(
-                    _mm256_set1_epi32(static_cast<int>(i)), lanes));
+                _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(i)),
+                                 maskLanes(mask)));
             s.found += count;
             continue;
         }
@@ -231,6 +246,137 @@ ballScanAvx2(const SoaView &pts, const Vec3 &query, float radius2,
     }
     s.examined = end - begin;
     return s;
+}
+
+std::pair<float, float>
+extremaAvx2(const float *keys, std::uint32_t begin, std::uint32_t end)
+{
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    // Two accumulator pairs; _mm256_min_ps(k, lo) = (k < lo) ? k : lo
+    // is the scalar std::min(lo, k) per lane, NaN keys skipped.
+    __m256 lo0 = _mm256_set1_ps(kInf);
+    __m256 hi0 = _mm256_set1_ps(-kInf);
+    __m256 lo1 = lo0;
+    __m256 hi1 = hi0;
+    std::uint32_t i = begin;
+    for (; i + 16 <= end; i += 16) {
+        const __m256 a = _mm256_loadu_ps(keys + i);
+        const __m256 b = _mm256_loadu_ps(keys + i + 8);
+        lo0 = _mm256_min_ps(a, lo0);
+        hi0 = _mm256_max_ps(a, hi0);
+        lo1 = _mm256_min_ps(b, lo1);
+        hi1 = _mm256_max_ps(b, hi1);
+    }
+    if (i + 8 <= end) {
+        const __m256 a = _mm256_loadu_ps(keys + i);
+        lo0 = _mm256_min_ps(a, lo0);
+        hi0 = _mm256_max_ps(a, hi0);
+        i += 8;
+    }
+    alignas(32) float los[8];
+    alignas(32) float his[8];
+    _mm256_store_ps(los, _mm256_min_ps(lo1, lo0));
+    _mm256_store_ps(his, _mm256_max_ps(hi1, hi0));
+    float lo = kInf;
+    float hi = -kInf;
+    for (int j = 0; j < 8; ++j) {
+        lo = std::min(lo, los[j]);
+        hi = std::max(hi, his[j]);
+    }
+    for (; i < end; ++i) {
+        lo = std::min(lo, keys[i]);
+        hi = std::max(hi, keys[i]);
+    }
+    // Equal floats have equal bits except +0 and -0, and the
+    // sequential fold keeps the first of equal keys: a zero extremum
+    // is the range's first zero.
+    if (lo == 0.0f || hi == 0.0f) {
+        std::uint32_t z = begin;
+        while (keys[z] != 0.0f)
+            ++z;
+        if (lo == 0.0f)
+            lo = keys[z];
+        if (hi == 0.0f)
+            hi = keys[z];
+    }
+    return {lo, hi};
+}
+
+std::uint32_t
+splitBelowAvx2(const SplitArrays &arrays, int dim, std::uint32_t begin,
+               std::uint32_t end, float value)
+{
+    const float *keys = arrays.axis(dim);
+    const __m256 v = _mm256_set1_ps(value);
+    // Bit j set when keys[at + j] < value (false for NaN, as in the
+    // scalar compare).
+    const auto below8 = [&](__m256 k) {
+        return static_cast<unsigned>(
+            _mm256_movemask_ps(_mm256_cmp_ps(k, v, _CMP_LT_OQ)));
+    };
+
+    std::uint32_t mid = begin;
+    std::uint32_t i = begin;
+    for (; i + 8 <= end; i += 8)
+        mid += static_cast<std::uint32_t>(
+            __builtin_popcount(below8(_mm256_loadu_ps(keys + i))));
+    for (; i < end; ++i)
+        mid += keys[i] < value ? 1u : 0u;
+
+    // std::partition swaps the keys >= value in [begin, mid), lowest
+    // first, with the keys < value in [mid, end), highest first (see
+    // core/simd.h). Collect both in batches: each side scans 8 keys
+    // at a time until it holds kBatch positions or its region ends,
+    // then the common count is swapped and the rest (fewer than 8)
+    // carries over. The counts are equal in total, so when a side has
+    // nothing left, neither has the other.
+    constexpr std::uint32_t kBatch = 256;
+    std::uint32_t left[kBatch + 8];
+    std::uint32_t right[kBatch + 8];
+    std::uint32_t num_left = 0;
+    std::uint32_t num_right = 0;
+    std::uint32_t li = begin;
+    std::uint32_t ri = end;
+    const __m256i reverse = _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0);
+    for (;;) {
+        for (; num_left < kBatch && li + 8 <= mid; li += 8) {
+            const unsigned mask =
+                ~below8(_mm256_loadu_ps(keys + li)) & 0xffu;
+            _mm256_storeu_si256(
+                reinterpret_cast<__m256i *>(left + num_left),
+                _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(li)),
+                                 maskLanes(mask)));
+            num_left += static_cast<std::uint32_t>(__builtin_popcount(mask));
+        }
+        for (; num_left < kBatch && li < mid; ++li)
+            if (!(keys[li] < value))
+                left[num_left++] = li;
+        for (; num_right < kBatch && ri >= mid + 8; ri -= 8) {
+            // Reversed, lane j holds position ri - 1 - j, so the lane
+            // table yields the highest position first.
+            const unsigned mask = below8(_mm256_permutevar8x32_ps(
+                _mm256_loadu_ps(keys + ri - 8), reverse));
+            _mm256_storeu_si256(
+                reinterpret_cast<__m256i *>(right + num_right),
+                _mm256_sub_epi32(
+                    _mm256_set1_epi32(static_cast<int>(ri - 1)),
+                    maskLanes(mask)));
+            num_right +=
+                static_cast<std::uint32_t>(__builtin_popcount(mask));
+        }
+        for (; num_right < kBatch && ri > mid; --ri)
+            if (keys[ri - 1] < value)
+                right[num_right++] = ri - 1;
+        const std::uint32_t pairs = std::min(num_left, num_right);
+        if (pairs == 0)
+            return mid;
+        for (std::uint32_t j = 0; j < pairs; ++j)
+            detail::swapPositions(arrays, left[j], right[j]);
+        std::copy(left + pairs, left + num_left, left);
+        std::copy(right + pairs, right + num_right, right);
+        num_left -= pairs;
+        num_right -= pairs;
+    }
 }
 
 void
@@ -407,8 +553,9 @@ const Kernels *
 avx2Kernels()
 {
     static const Kernels table = {
-        &fpsUpdateAvx2,      &ballScanAvx2, &distance2RangeAvx2,
-        &linearReluRowsAvx2, &axpyAvx2,     &fp16RoundAvx2,
+        &fpsUpdateAvx2,      &ballScanAvx2,   &distance2RangeAvx2,
+        &extremaAvx2,        &splitBelowAvx2, &linearReluRowsAvx2,
+        &axpyAvx2,           &fp16RoundAvx2,
     };
     static const bool supported = __builtin_cpu_supports("avx2") &&
                                   __builtin_cpu_supports("fma") &&

@@ -8,21 +8,27 @@
 
 namespace fc::part {
 
-BlockTree::BlockTree(std::uint32_t num_points)
+BlockTree::BlockTree(std::uint32_t num_points) : order_(num_points)
 {
-    reset(num_points);
+    std::iota(order_.begin(), order_.end(), 0u);
 }
 
 void
-BlockTree::reset(std::uint32_t num_points)
+BlockTree::load(std::span<const Vec3> coords)
 {
+    const std::size_t n = coords.size();
     nodes_.clear();
     leaves_.clear();
-    points_.xs.clear();
-    points_.ys.clear();
-    points_.zs.clear();
-    order_.resize(num_points);
-    std::iota(order_.begin(), order_.end(), 0u);
+    order_.resize(n);
+    points_.xs.resize(n);
+    points_.ys.resize(n);
+    points_.zs.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        order_[i] = static_cast<PointIdx>(i);
+        points_.xs[i] = coords[i].x;
+        points_.ys[i] = coords[i].y;
+        points_.zs[i] = coords[i].z;
+    }
 }
 
 NodeIdx

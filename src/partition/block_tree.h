@@ -19,6 +19,7 @@
 #define FC_PARTITION_BLOCK_TREE_H
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,17 +70,21 @@ class BlockTree
   public:
     BlockTree() = default;
 
-    /** Start a tree over @p num_points points (identity order). */
+    /**
+     * Start a tree over @p num_points points (identity order) for
+     * building by hand: it holds no coordinates (see hasPoints()).
+     */
     explicit BlockTree(std::uint32_t num_points);
 
     /**
-     * Rebuild in place over @p num_points points (identity order):
-     * nodes, leaves and coordinates are cleared, every buffer keeps
-     * its capacity. The in-place partitionInto path uses this so a
-     * warm re-partition of a same-shape cloud performs zero heap
-     * allocations.
+     * Rebuild in place over the points @p coords: nodes and leaves
+     * are cleared, order() becomes 0..n-1 and points() the
+     * coordinates transposed, in one sequential pass. Every buffer
+     * keeps its capacity, so a warm re-partition of a same-shape
+     * cloud performs zero heap allocations. Every partitioner starts
+     * here and then rearranges order() and points() together.
      */
-    void reset(std::uint32_t num_points);
+    void load(std::span<const Vec3> coords);
 
     /** Append a node; returns its index. */
     NodeIdx addNode(const BlockNode &node);
@@ -96,16 +101,10 @@ class BlockTree
     const std::vector<PointIdx> &order() const { return order_; }
     std::vector<PointIdx> &order() { return order_; }
 
-    /** Owning per-axis coordinate arrays. */
-    struct Points
-    {
-        std::vector<float> xs, ys, zs;
-    };
-
     /**
      * The cloud's coordinates in DFT order: points().xs[pos] is the x
-     * of point order()[pos]. Every partitioner fills them in its
-     * bounds pass (detail::computeBounds); a tree built by hand has
+     * of point order()[pos]. Every partitioner loads them (load()) and
+     * splits them in place with order(); a tree built by hand has
      * none (see hasPoints()).
      */
     core::simd::SoaView
@@ -121,8 +120,16 @@ class BlockTree
         return points_.xs.size() == order_.size();
     }
 
-    /** Writable coordinate arrays, for the bounds pass to fill. */
-    Points &pointArrays() { return points_; }
+    /**
+     * The partition's working arrays: order() and points(), writable,
+     * position for position. The builders move them together.
+     */
+    core::simd::SplitArrays
+    splitArrays()
+    {
+        return {order_.data(), points_.xs.data(), points_.ys.data(),
+                points_.zs.data()};
+    }
 
     /** Leaf node ids in depth-first (= memory) order. */
     const std::vector<NodeIdx> &leaves() const { return leaves_; }
@@ -162,6 +169,11 @@ class BlockTree
   private:
     std::vector<BlockNode> nodes_;
     std::vector<PointIdx> order_;
+    /** Owning per-axis coordinate arrays. */
+    struct Points
+    {
+        std::vector<float> xs, ys, zs;
+    };
     Points points_;
     std::vector<NodeIdx> leaves_;
 };

@@ -1,8 +1,5 @@
 #include "partition/fractal.h"
 
-#include <algorithm>
-
-#include "common/logging.h"
 #include "core/parallel.h"
 #include "core/workspace.h"
 #include "partition/detail.h"
@@ -15,17 +12,17 @@ using detail::SplitRec;
 
 struct Builder
 {
-    const data::PointCloud &cloud;
     const PartitionConfig &config;
-    std::vector<PointIdx> &order;
+    BlockTree &tree;
     core::ThreadPool *pool;
     core::Arena &arena; ///< split records; reclaimed by Arena::reset
 
     /**
-     * Recursively split the order slice [begin, end), mutating only
-     * that slice and recording the split structure for the replay
-     * (see detail::SplitRec). @p dim_counter is the paper's cycling
-     * dimension index d. Returns null when the slice stays a leaf.
+     * Recursively split positions [begin, end) of the tree's working
+     * arrays, mutating only that slice and recording the split
+     * structure for the replay (see detail::SplitRec). @p dim_counter
+     * is the paper's cycling dimension index d. Returns null when the
+     * slice stays a leaf.
      */
     SplitRec *
     build(std::uint32_t begin, std::uint32_t end, std::uint16_t depth,
@@ -40,15 +37,16 @@ struct Builder
         // degenerate (non-splittable) layouts.
         for (int attempt = 0; attempt < 3; ++attempt) {
             const int dim = (dim_counter + attempt) % 3;
-            const auto [lo, hi] = detail::rangeExtrema(
-                order, cloud, begin, end, dim, pool, &arena);
+            const auto [lo, hi] =
+                detail::rangeExtrema(tree, begin, end, dim);
             rec->local.elements_traversed += size; // extrema traversal
             // Halve-then-add: lo + hi overflows to +/-inf for spans
             // beyond FLT_MAX, and an inf midpoint degenerates every
             // split (same guard as detail::medianSplit's pivot).
             const float mid = lo * 0.5f + hi * 0.5f;
             const std::uint32_t split = detail::splitRange(
-                order, cloud, begin, end, dim, mid, pool, &arena);
+                tree, begin, end, dim, mid,
+                detail::splitPool(pool, depth), &arena);
             rec->local.elements_traversed += size; // partition traversal
             if (split == begin || split == end) {
                 ++rec->local.degenerate_retries;
@@ -89,39 +87,17 @@ FractalPartitioner::partitionInto(const data::PointCloud &cloud,
                                   core::Workspace &ws,
                                   PartitionResult &out) const
 {
-    fc_assert(config.threshold > 0, "threshold must be positive");
-    out.method = Method::Fractal;
-    out.config = config;
-    out.stats = {};
-    out.tree.reset(static_cast<std::uint32_t>(cloud.size()));
-
-    BlockNode root;
-    root.begin = 0;
-    root.end = static_cast<std::uint32_t>(cloud.size());
-    out.tree.addNode(root);
-
-    // Phase 1 (parallel): reorder the DFT permutation and record the
-    // split structure. Phase 2 (sequential, cheap): replay the records
-    // into nodes, preserving the sequential allocation order.
-    Builder builder{cloud, config, out.tree.order(), pool, ws.arena()};
-    const SplitRec *root_rec =
-        builder.build(0, static_cast<std::uint32_t>(cloud.size()), 0,
-                      config.first_dim);
-    detail::replaySplits(out.tree, 0, root_rec, out.stats);
-
-    out.tree.rebuildLeafList();
-    detail::computeBounds(out.tree, cloud);
-
+    detail::beginBuild(cloud, Method::Fractal, config, out);
+    // Phase 1 (parallel): split the tree's working arrays in place and
+    // record the split structure. Phase 2 (sequential, cheap): replay
+    // the records into nodes, preserving the sequential allocation
+    // order.
+    Builder builder{config, out.tree, pool, ws.arena()};
+    detail::finishBuild(
+        builder.build(0, out.tree.numPoints(), 0, config.first_dim), out);
     // One level-parallel traversal pass per split level: the hardware
     // processes every node of a level concurrently (Fig. 5 right).
-    std::uint16_t internal_depth = 0;
-    for (std::size_t i = 0; i < out.tree.numNodes(); ++i) {
-        const BlockNode &n = out.tree.node(static_cast<NodeIdx>(i));
-        if (!n.isLeaf())
-            internal_depth = std::max<std::uint16_t>(
-                internal_depth, static_cast<std::uint16_t>(n.depth + 1));
-    }
-    out.stats.traversal_passes = internal_depth;
+    out.stats.traversal_passes = detail::internalLevels(out.tree);
 }
 
 } // namespace fc::part

@@ -1,9 +1,5 @@
 #include "partition/kdtree.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/logging.h"
 #include "core/parallel.h"
 #include "core/workspace.h"
 #include "partition/detail.h"
@@ -31,9 +27,8 @@ sortCost(std::uint32_t n)
 
 struct Builder
 {
-    const data::PointCloud &cloud;
     const PartitionConfig &config;
-    std::vector<PointIdx> &order;
+    BlockTree &tree;
     core::ThreadPool *pool;
     core::Arena &arena; ///< split records; reclaimed by Arena::reset
 
@@ -55,11 +50,11 @@ struct Builder
         // Small slices use nth_element; root-scale slices run the
         // parallel quickselect over chunked splitRange, so even the
         // first (serial-prefix) selections use the pool. Subtree
-        // tasks touch disjoint order slices, so the selection is safe
-        // to run concurrently across siblings.
+        // tasks touch disjoint slices of the working arrays, so the
+        // selection is safe to run concurrently across siblings.
         const std::uint32_t median = begin + size / 2;
-        detail::medianSplit(order, cloud, begin, end, dim, pool,
-                            &arena);
+        detail::medianSplit(tree, begin, end, dim,
+                            detail::splitPool(pool, depth), &arena);
         ++rec->local.num_sorts;
         rec->local.sort_compares += sortCost(size);
         rec->local.elements_traversed += size;
@@ -67,7 +62,7 @@ struct Builder
 
         rec->split = median;
         rec->dim = static_cast<std::int8_t>(dim);
-        rec->value = cloud[order[median]][dim];
+        rec->value = tree.points().axis(dim)[median];
 
         const std::uint16_t child_depth =
             static_cast<std::uint16_t>(depth + 1);
@@ -94,26 +89,10 @@ KdTreePartitioner::partitionInto(const data::PointCloud &cloud,
                                  core::Workspace &ws,
                                  PartitionResult &out) const
 {
-    fc_assert(config.threshold > 0, "threshold must be positive");
-    out.method = Method::KdTree;
-    out.config = config;
-    out.stats = {};
-    out.tree.reset(static_cast<std::uint32_t>(cloud.size()));
-
-    BlockNode root;
-    root.begin = 0;
-    root.end = static_cast<std::uint32_t>(cloud.size());
-    out.tree.addNode(root);
-
-    Builder builder{cloud, config, out.tree.order(), pool, ws.arena()};
-    const SplitRec *root_rec =
-        builder.build(0, static_cast<std::uint32_t>(cloud.size()), 0,
-                      config.first_dim);
-    detail::replaySplits(out.tree, 0, root_rec, out.stats);
-
-    out.tree.rebuildLeafList();
-    detail::computeBounds(out.tree, cloud);
-
+    detail::beginBuild(cloud, Method::KdTree, config, out);
+    Builder builder{config, out.tree, pool, ws.arena()};
+    detail::finishBuild(
+        builder.build(0, out.tree.numPoints(), 0, config.first_dim), out);
     // KD-tree sorts are exclusive and serial: every internal node is
     // its own pass (Fig. 5 left). traversal_passes therefore equals
     // the number of sorts.

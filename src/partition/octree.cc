@@ -1,8 +1,5 @@
 #include "partition/octree.h"
 
-#include <algorithm>
-
-#include "common/logging.h"
 #include "core/parallel.h"
 #include "core/workspace.h"
 #include "partition/detail.h"
@@ -15,17 +12,16 @@ using detail::SplitRec;
 
 struct Builder
 {
-    const data::PointCloud &cloud;
     const PartitionConfig &config;
-    std::vector<PointIdx> &order;
+    BlockTree &tree;
     core::ThreadPool *pool;
     core::Arena &arena; ///< split records; reclaimed by Arena::reset
 
     /**
-     * Recursively split the order slice [begin, end) at the space
-     * midpoint of @p cell, mutating only that slice and recording the
-     * split structure for the replay. Returns null when the slice
-     * stays a leaf.
+     * Recursively split positions [begin, end) of the tree's working
+     * arrays at the space midpoint of @p cell, mutating only that
+     * slice and recording the split structure for the replay. Returns
+     * null when the slice stays a leaf.
      */
     SplitRec *
     build(std::uint32_t begin, std::uint32_t end, std::uint16_t depth,
@@ -46,7 +42,8 @@ struct Builder
         }
         const float mid = cell.midpoint(dim);
         const std::uint32_t split = detail::splitRange(
-            order, cloud, begin, end, dim, mid, pool, &arena);
+            tree, begin, end, dim, mid, detail::splitPool(pool, depth),
+            &arena);
         rec->local.elements_traversed += size;
         ++rec->local.num_splits;
         rec->split = split;
@@ -85,43 +82,22 @@ OctreePartitioner::partitionInto(const data::PointCloud &cloud,
                                  core::Workspace &ws,
                                  PartitionResult &out) const
 {
-    fc_assert(config.threshold > 0, "threshold must be positive");
-    out.method = Method::Octree;
-    out.config = config;
-    out.stats = {};
-    out.tree.reset(static_cast<std::uint32_t>(cloud.size()));
-
-    BlockNode root;
-    root.begin = 0;
-    root.end = static_cast<std::uint32_t>(cloud.size());
-    out.tree.addNode(root);
-
-    // Phase 1 (parallel): reorder the DFT permutation and record the
-    // split structure — subtree tasks below the first splits, and the
-    // chunked splitRange above them. Phase 2 (sequential, cheap):
-    // replay the records into nodes in sequential allocation order.
-    Builder builder{cloud, config, out.tree.order(), pool, ws.arena()};
+    detail::beginBuild(cloud, Method::Octree, config, out);
+    // Phase 1 (parallel): split the tree's working arrays in place and
+    // record the split structure — subtree tasks below the first
+    // splits, and the chunked splitRange above them. Phase 2
+    // (sequential, cheap): replay the records into nodes in sequential
+    // allocation order.
+    Builder builder{config, out.tree, pool, ws.arena()};
     SplitRec *root_rec = nullptr;
     if (cloud.size() > 0)
-        root_rec =
-            builder.build(0, static_cast<std::uint32_t>(cloud.size()),
-                          0, config.first_dim, cloud.bounds());
-    detail::replaySplits(out.tree, 0, root_rec, out.stats);
-
-    out.tree.rebuildLeafList();
-    detail::computeBounds(out.tree, cloud);
-
-    std::uint16_t internal_depth = 0;
-    for (std::size_t i = 0; i < out.tree.numNodes(); ++i) {
-        const BlockNode &n = out.tree.node(static_cast<NodeIdx>(i));
-        if (!n.isLeaf())
-            internal_depth = std::max<std::uint16_t>(
-                internal_depth, static_cast<std::uint16_t>(n.depth + 1));
-    }
+        root_rec = builder.build(0, out.tree.numPoints(), 0,
+                                 config.first_dim, cloud.bounds());
+    detail::finishBuild(root_rec, out);
     // Octree needs level-order passes plus per-level occupancy
     // bookkeeping; the dynamic subdivision control adds a constant
     // factor modelled in the fractal-engine hardware model.
-    out.stats.traversal_passes = internal_depth;
+    out.stats.traversal_passes = detail::internalLevels(out.tree);
 }
 
 } // namespace fc::part

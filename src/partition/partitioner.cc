@@ -21,16 +21,8 @@ class NonePartitioner : public Partitioner
                   const PartitionConfig &config, core::ThreadPool *,
                   core::Workspace &, PartitionResult &out) const override
     {
-        out.method = Method::None;
-        out.config = config;
-        out.stats = {};
-        out.tree.reset(static_cast<std::uint32_t>(cloud.size()));
-        BlockNode root;
-        root.begin = 0;
-        root.end = static_cast<std::uint32_t>(cloud.size());
-        out.tree.addNode(root);
-        out.tree.rebuildLeafList();
-        detail::computeBounds(out.tree, cloud);
+        detail::beginBuild(cloud, Method::None, config, out);
+        detail::finishBuild(nullptr, out);
     }
 
     Method method() const override { return Method::None; }

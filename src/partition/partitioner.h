@@ -125,10 +125,10 @@ class Partitioner
                               core::ThreadPool *pool = nullptr) const;
 
     /**
-     * Partition in place: @p out is rebuilt (tree reset, stats
-     * zeroed) reusing its buffer capacity, and all construction
-     * scratch — split records, per-chunk staging — is drawn from
-     * @p ws's arena. A warm same-shape rebuild performs zero heap
+     * Partition in place: @p out is rebuilt (the cloud reloaded into
+     * the tree, stats zeroed) reusing its buffer capacity, and all
+     * construction scratch — split records, per-chunk staging — is
+     * drawn from @p ws's arena. A warm same-shape rebuild performs zero heap
      * allocations on the sequential path. Identical output to
      * partition() at any thread count.
      */

@@ -1,9 +1,5 @@
 #include "partition/uniform.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/logging.h"
 #include "core/parallel.h"
 #include "core/workspace.h"
 #include "partition/detail.h"
@@ -16,8 +12,7 @@ using detail::SplitRec;
 
 struct Builder
 {
-    const data::PointCloud &cloud;
-    std::vector<PointIdx> &order;
+    BlockTree &tree;
     core::ThreadPool *pool;
     core::Arena &arena; ///< split records; reclaimed by Arena::reset
     std::uint16_t target_depth;
@@ -25,8 +20,9 @@ struct Builder
     /**
      * @p cell is the node's space cell (not the point bounds); splits
      * happen at the cell's spatial midpoint regardless of the data.
-     * Mutates only the order slice [begin, end) and records the split
-     * structure for the replay. Returns null at the target depth.
+     * Mutates only positions [begin, end) of the tree's working arrays
+     * and records the split structure for the replay. Returns null at
+     * the target depth.
      */
     SplitRec *
     build(std::uint32_t begin, std::uint32_t end, std::uint16_t depth,
@@ -39,7 +35,8 @@ struct Builder
         const int dim = dim_counter % 3;
         const float mid = cell.midpoint(dim);
         const std::uint32_t split = detail::splitRange(
-            order, cloud, begin, end, dim, mid, pool, &arena);
+            tree, begin, end, dim, mid, detail::splitPool(pool, depth),
+            &arena);
         rec->local.elements_traversed += end - begin;
         ++rec->local.num_splits;
         rec->split = split;
@@ -78,16 +75,7 @@ UniformPartitioner::partitionInto(const data::PointCloud &cloud,
                                   core::Workspace &ws,
                                   PartitionResult &out) const
 {
-    fc_assert(config.threshold > 0, "threshold must be positive");
-    out.method = Method::Uniform;
-    out.config = config;
-    out.stats = {};
-    out.tree.reset(static_cast<std::uint32_t>(cloud.size()));
-
-    BlockNode root;
-    root.begin = 0;
-    root.end = static_cast<std::uint32_t>(cloud.size());
-    out.tree.addNode(root);
+    detail::beginBuild(cloud, Method::Uniform, config, out);
 
     // Fixed depth: enough levels that a uniform cloud would satisfy
     // the threshold.
@@ -100,19 +88,15 @@ UniformPartitioner::partitionInto(const data::PointCloud &cloud,
         ++depth;
     }
 
-    // Phase 1 (parallel): reorder the DFT permutation and record the
-    // split structure. Phase 2 (sequential, cheap): replay the records
-    // into nodes in sequential allocation order.
-    Builder builder{cloud, out.tree.order(), pool, ws.arena(), depth};
+    // Phase 1 (parallel): split the tree's working arrays in place and
+    // record the split structure. Phase 2 (sequential, cheap): replay
+    // the records into nodes in sequential allocation order.
+    Builder builder{out.tree, pool, ws.arena(), depth};
     SplitRec *root_rec = nullptr;
     if (cloud.size() > 0)
-        root_rec =
-            builder.build(0, static_cast<std::uint32_t>(cloud.size()),
-                          0, config.first_dim, cloud.bounds());
-    detail::replaySplits(out.tree, 0, root_rec, out.stats);
-
-    out.tree.rebuildLeafList();
-    detail::computeBounds(out.tree, cloud);
+        root_rec = builder.build(0, out.tree.numPoints(), 0,
+                                 config.first_dim, cloud.bounds());
+    detail::finishBuild(root_rec, out);
     // Space-uniform partitioning needs one streaming pass per level
     // (split planes are known a priori; no extrema traversals).
     out.stats.traversal_passes = depth;

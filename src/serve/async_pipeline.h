@@ -43,10 +43,13 @@
  *   - a slab-recycled outcome pool (also per shard): the BatchResult
  *     payload itself lives in a pooled OutcomeSlot whose lease rides
  *     the ticket from complete() to the consuming wait. waitInto()
- *     copies capacity-into-capacity and recycles the slot warm, so a
- *     warm same-shape submit -> poll -> waitInto round trip performs
- *     ZERO heap allocations end to end (value-returning wait() moves
- *     the payload out instead and the slot regrows on next use).
+ *     swaps buffers with the slot (O(1) under the scheduler mutex):
+ *     the caller leaves with the result's buffers and the slot
+ *     recycles with the caller's previous ones, so buffers circulate
+ *     between the client and the slots, and a warm same-shape
+ *     submit -> poll -> waitInto round trip performs ZERO heap
+ *     allocations end to end (value-returning wait() moves the
+ *     payload out instead and the slot regrows on next use).
  *
  * Results are byte-identical to the blocking path at any thread
  * count: every stage is deterministic with respect to its pool, so
@@ -254,11 +257,13 @@ class AsyncPipeline
     RequestOutcome wait(Ticket ticket) { return scheduler_.wait(ticket); }
 
     /**
-     * Allocation-free wait: consume the ticket into @p out, reusing
-     * @p out's payload capacity and recycling the pooled result slot
-     * warm. A warm same-shape submitShared -> waitInto loop with a
-     * reused RequestOutcome performs zero heap allocations on the
-     * serve path (bench_memory_churn gates this at exactly 0).
+     * Allocation-free wait: consume the ticket into @p out by swapping
+     * payload buffers with the pooled result slot, which recycles
+     * holding @p out's previous buffers (they circulate between the
+     * client and the slots; see Scheduler::waitInto). A warm
+     * same-shape submitShared -> waitInto loop with a reused
+     * RequestOutcome performs zero heap allocations on the serve path
+     * (bench_memory_churn gates this at exactly 0).
      */
     void
     waitInto(Ticket ticket, RequestOutcome &out)

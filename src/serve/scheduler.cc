@@ -1,5 +1,7 @@
 #include "serve/scheduler.h"
 
+#include <utility>
+
 #include "common/logging.h"
 
 namespace fc::serve {
@@ -581,15 +583,17 @@ Scheduler::state(Ticket ticket) const
 
 void
 Scheduler::consumeIntoLocked(std::uint64_t id, Record &record,
-                             RequestOutcome &out, bool copy_payload)
+                             RequestOutcome &out, bool swap_payload)
 {
     out.state = record.state;
     if (record.slot != nullptr) {
-        if (copy_payload) {
-            // Capacity-reusing copy on BOTH sides: the caller's warm
-            // outcome keeps its buffers, and the slot recycles warm
-            // for the next request — the zero-alloc round trip.
-            out.result = record.slot->result;
+        if (swap_payload) {
+            // Exchange buffers, not bytes: O(1) under the mutex every
+            // worker's checkpoint waits on. The caller takes the
+            // result's buffers and the slot recycles with the
+            // caller's previous ones, warm for the next request —
+            // the zero-alloc round trip.
+            std::swap(out.result, record.slot->result);
         } else {
             // Value wait: the caller takes ownership; the slot
             // recycles gutted and regrows on its next use.
@@ -635,7 +639,7 @@ Scheduler::wait(Ticket ticket)
     cv_.wait(lock, [record] { return isTerminal(record->state); });
     RequestOutcome outcome;
     consumeIntoLocked(ticket.id, *record, outcome,
-                      /*copy_payload=*/false);
+                      /*swap_payload=*/false);
     return outcome;
 }
 
@@ -649,7 +653,7 @@ Scheduler::waitInto(Ticket ticket, RequestOutcome &out)
               static_cast<unsigned long long>(ticket.id));
     Record *record = &it->second;
     cv_.wait(lock, [record] { return isTerminal(record->state); });
-    consumeIntoLocked(ticket.id, *record, out, /*copy_payload=*/true);
+    consumeIntoLocked(ticket.id, *record, out, /*swap_payload=*/true);
 }
 
 std::optional<RequestOutcome>
@@ -667,7 +671,7 @@ Scheduler::waitFor(Ticket ticket, Clock::duration timeout)
         return std::nullopt; // still pending; the ticket stays live
     std::optional<RequestOutcome> outcome(std::in_place);
     consumeIntoLocked(ticket.id, *record, *outcome,
-                      /*copy_payload=*/false);
+                      /*swap_payload=*/false);
     return outcome;
 }
 

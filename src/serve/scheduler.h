@@ -169,12 +169,15 @@ struct RequestOutcome
 
 /**
  * One slab slot of the serving outcome pool: a capacity-retaining
- * BatchResult an executor writes into and a waiter copies (waitInto)
- * or moves (wait) out of. Slots are owned and recycled by
+ * BatchResult an executor writes into and a waiter swaps buffers with
+ * (waitInto) or moves out of (wait). Slots are owned and recycled by
  * AsyncPipeline's per-shard pools; the Scheduler only carries the
  * lease from complete() to the consuming wait — the lease rides the
  * ticket. Recycled slots keep every vector's and tensor's capacity,
- * which is what drives warm serve-path allocations to zero.
+ * which is what drives warm serve-path allocations to zero. Under
+ * waitInto the buffers circulate: the caller leaves with the slot's
+ * buffers, the slot recycles with the caller's previous ones, and an
+ * executor overwrites whatever a slot holds.
  */
 struct OutcomeSlot
 {
@@ -420,12 +423,14 @@ class Scheduler
 
     /**
      * Allocation-free consumption: like wait(), but the outcome is
-     * written into @p out, whose payload vectors/tensors reuse their
-     * capacity — a warm same-shape round trip (submitShared ->
-     * waitInto with a reused RequestOutcome) performs zero heap
-     * allocations end to end. The pooled slot is copied from and
-     * recycled warm, so the pipeline's next request reuses its
-     * capacity too; @p out never aliases pool memory.
+     * written into @p out by swapping payload buffers with the pooled
+     * slot — O(1) while the scheduler mutex is held, whatever the
+     * payload size. @p out takes the slot's buffers, and the slot
+     * recycles holding @p out's previous ones, so buffers circulate
+     * between the client and the slots: after the first round trips
+     * a warm same-shape loop (submitShared -> waitInto with a reused
+     * RequestOutcome) performs zero heap allocations end to end.
+     * @p out never aliases pool memory: no two owners share a buffer.
      */
     void waitInto(Ticket ticket, RequestOutcome &out);
 
@@ -575,11 +580,12 @@ class Scheduler
     void assignSpillLocked(Record &record, int target);
 
     /** Consume a terminal record into @p out (mutex held): the
-     *  payload is copied from the pooled slot when @p copy_payload
-     *  (slot and @p out both stay warm — the zero-alloc path) or
-     *  moved out otherwise, then the record is reclaimed. */
+     *  payload is swapped with the pooled slot's when
+     *  @p swap_payload (O(1) under the mutex; both keep warm buffers
+     *  — the zero-alloc path) or moved out otherwise, then the
+     *  record is reclaimed. */
     void consumeIntoLocked(std::uint64_t id, Record &record,
-                           RequestOutcome &out, bool copy_payload);
+                           RequestOutcome &out, bool swap_payload);
 
     /** Take @p id's record out of the ledger (mutex held): recycle
      *  its outcome slot (if still leased), reset() it

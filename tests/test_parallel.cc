@@ -6,14 +6,18 @@
  * batched pipeline) against the sequential path.
  */
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <gtest/gtest.h>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
 #include "common/rng.h"
 #include "core/parallel.h"
 #include "core/pipeline.h"
+#include "core/simd.h"
 #include "dataset/s3dis.h"
 #include "ops/fps.h"
 #include "ops/gather.h"
@@ -403,14 +407,28 @@ TEST(ParallelDeterminism, PipelineEndToEndMatchesSequential)
 
 // ------------------------------------------------- parallel splitRange
 
-/** A cloud whose x coordinates come from @p xs (y = z = 0). */
+/**
+ * A cloud whose x coordinates come from @p xs. y and z tag each point
+ * (its index and minus its index), so a test can see them move with
+ * order() through a split on x.
+ */
 data::PointCloud
 cloudFromX(const std::vector<float> &xs)
 {
     data::PointCloud cloud;
-    for (const float x : xs)
-        cloud.addPoint({x, 0.0f, 0.0f});
+    for (std::size_t i = 0; i < xs.size(); ++i)
+        cloud.addPoint({xs[i], static_cast<float>(i),
+                        -static_cast<float>(i)});
     return cloud;
+}
+
+/** A tree loaded with @p cloud: identity order, coordinates in points(). */
+part::BlockTree
+loadedTree(const data::PointCloud &cloud)
+{
+    part::BlockTree tree;
+    tree.load(cloud.coords());
+    return tree;
 }
 
 /** Identity order [0, n). */
@@ -433,6 +451,27 @@ referenceSplit(std::vector<PointIdx> &order,
                                   return cloud[idx][0] < value;
                               });
     return static_cast<std::uint32_t>(mid - order.begin());
+}
+
+/** points() holds cloud[order()[pos]] at every position, bitwise. */
+void
+expectPointsFollowOrder(const part::BlockTree &tree,
+                        const data::PointCloud &cloud)
+{
+    ASSERT_TRUE(tree.hasPoints());
+    const core::simd::SoaView pts = tree.points();
+    for (std::uint32_t pos = 0; pos < tree.numPoints(); ++pos) {
+        const Vec3 &p = cloud[tree.order()[pos]];
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(pts.xs[pos]),
+                  std::bit_cast<std::uint32_t>(p.x))
+            << "position " << pos;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(pts.ys[pos]),
+                  std::bit_cast<std::uint32_t>(p.y))
+            << "position " << pos;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(pts.zs[pos]),
+                  std::bit_cast<std::uint32_t>(p.z))
+            << "position " << pos;
+    }
 }
 
 TEST(SplitRangeParallel, ByteIdenticalToStdPartitionOnAdversarialInputs)
@@ -471,18 +510,20 @@ TEST(SplitRangeParallel, ByteIdenticalToStdPartitionOnAdversarialInputs)
         for (const unsigned threads : kThreadSweep) {
             SCOPED_TRACE("threads=" + std::to_string(threads));
             ThreadPool pool(threads);
-            std::vector<PointIdx> order = identityOrder(n);
+            part::BlockTree tree = loadedTree(cloud);
             const std::uint32_t mid = part::detail::splitRange(
-                order, cloud, 0, n, 0, c.value, &pool);
+                tree, 0, n, 0, c.value, &pool);
             EXPECT_EQ(mid, expect_mid);
-            EXPECT_EQ(order, expect);
+            EXPECT_EQ(tree.order(), expect);
+            expectPointsFollowOrder(tree, cloud);
         }
         // Null pool takes the same chunked path inline.
-        std::vector<PointIdx> order = identityOrder(n);
-        const std::uint32_t mid = part::detail::splitRange(
-            order, cloud, 0, n, 0, c.value, nullptr);
+        part::BlockTree tree = loadedTree(cloud);
+        const std::uint32_t mid =
+            part::detail::splitRange(tree, 0, n, 0, c.value, nullptr);
         EXPECT_EQ(mid, expect_mid);
-        EXPECT_EQ(order, expect);
+        EXPECT_EQ(tree.order(), expect);
+        expectPointsFollowOrder(tree, cloud);
     }
 }
 
@@ -491,23 +532,20 @@ TEST(SplitRangeParallel, EmptyAndOnePointRanges)
     const data::PointCloud cloud =
         cloudFromX({0.5f, -1.0f, 2.0f, 0.0f});
     ThreadPool pool(4);
-    std::vector<PointIdx> order = identityOrder(4);
-    const std::vector<PointIdx> before = order;
+    part::BlockTree tree = loadedTree(cloud);
+    const std::vector<PointIdx> before = tree.order();
 
     // Empty range: nothing moves, mid == begin.
-    EXPECT_EQ(part::detail::splitRange(order, cloud, 2, 2, 0, 0.0f,
-                                       &pool),
-              2u);
-    EXPECT_EQ(order, before);
+    EXPECT_EQ(part::detail::splitRange(tree, 2, 2, 0, 0.0f, &pool), 2u);
+    EXPECT_EQ(tree.order(), before);
 
     // One-point ranges: mid reflects the single comparison.
-    EXPECT_EQ(part::detail::splitRange(order, cloud, 1, 2, 0, 0.0f,
-                                       &pool),
+    EXPECT_EQ(part::detail::splitRange(tree, 1, 2, 0, 0.0f, &pool),
               2u); // -1.0 < 0.0: left side
-    EXPECT_EQ(part::detail::splitRange(order, cloud, 2, 3, 0, 0.0f,
-                                       &pool),
+    EXPECT_EQ(part::detail::splitRange(tree, 2, 3, 0, 0.0f, &pool),
               2u); // 2.0 >= 0.0: right side
-    EXPECT_EQ(order, before);
+    EXPECT_EQ(tree.order(), before);
+    expectPointsFollowOrder(tree, cloud);
 }
 
 TEST(SplitRangeParallel, MatchesNullPoolOnRandomInput)
@@ -522,23 +560,66 @@ TEST(SplitRangeParallel, MatchesNullPoolOnRandomInput)
         x = rng.uniform(-1.0f, 1.0f);
     const data::PointCloud cloud = cloudFromX(xs);
 
-    std::vector<PointIdx> baseline = identityOrder(n);
-    const std::uint32_t base_mid = part::detail::splitRange(
-        baseline, cloud, 0, n, 0, 0.25f, nullptr);
+    part::BlockTree baseline = loadedTree(cloud);
+    const std::uint32_t base_mid =
+        part::detail::splitRange(baseline, 0, n, 0, 0.25f, nullptr);
     ASSERT_GT(base_mid, 0u);
     ASSERT_LT(base_mid, n);
     for (std::uint32_t pos = 0; pos < n; ++pos)
-        EXPECT_EQ(cloud[baseline[pos]][0] < 0.25f, pos < base_mid)
+        EXPECT_EQ(cloud[baseline.order()[pos]][0] < 0.25f, pos < base_mid)
             << "position " << pos;
+    expectPointsFollowOrder(baseline, cloud);
 
     for (const unsigned threads : kThreadSweep) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         ThreadPool pool(threads);
-        std::vector<PointIdx> order = identityOrder(n);
-        const std::uint32_t mid = part::detail::splitRange(
-            order, cloud, 0, n, 0, 0.25f, &pool);
+        part::BlockTree tree = loadedTree(cloud);
+        const std::uint32_t mid =
+            part::detail::splitRange(tree, 0, n, 0, 0.25f, &pool);
         EXPECT_EQ(mid, base_mid);
-        EXPECT_EQ(order, baseline);
+        EXPECT_EQ(tree.order(), baseline.order());
+        expectPointsFollowOrder(tree, cloud);
+    }
+}
+
+TEST(SplitRangeParallel, ChunkedSplitMatchesPerChunkStdPartition)
+{
+    // The chunked arrangement spelled out with std::partition: each
+    // kSplitGrain chunk partitioned on its own, then every chunk's
+    // left part in chunk order, then every right part. NaN keys go
+    // right, as in std::partition's predicate.
+    const std::uint32_t n = 3 * part::detail::kSplitParallelCutoff + 333;
+    const std::uint32_t grain = part::detail::kSplitGrain;
+    Pcg32 rng(2024);
+    std::vector<float> xs(n);
+    for (auto &x : xs)
+        x = rng.uniform(0.0f, 1.0f) < 0.02f
+                ? std::numeric_limits<float>::quiet_NaN()
+                : rng.uniform(-1.0f, 1.0f);
+    const data::PointCloud cloud = cloudFromX(xs);
+
+    std::vector<PointIdx> chunked = identityOrder(n);
+    std::vector<PointIdx> lefts;
+    std::vector<PointIdx> rights;
+    for (std::uint32_t cb = 0; cb < n; cb += grain) {
+        const std::uint32_t ce = std::min(n, cb + grain);
+        const std::uint32_t mid = referenceSplit(chunked, cloud, cb, ce, 0.1f);
+        lefts.insert(lefts.end(), chunked.begin() + cb,
+                     chunked.begin() + mid);
+        rights.insert(rights.end(), chunked.begin() + mid,
+                      chunked.begin() + ce);
+    }
+    std::vector<PointIdx> expect = lefts;
+    expect.insert(expect.end(), rights.begin(), rights.end());
+
+    for (const unsigned threads : kThreadSweep) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        ThreadPool pool(threads);
+        part::BlockTree tree = loadedTree(cloud);
+        EXPECT_EQ(part::detail::splitRange(tree, 0, n, 0, 0.1f, &pool),
+                  lefts.size());
+        EXPECT_EQ(tree.order(), expect);
+        expectPointsFollowOrder(tree, cloud);
     }
 }
 
@@ -552,25 +633,28 @@ TEST(SplitRangeParallel, MedianSplitDeterministicAndCorrect)
     const data::PointCloud cloud = cloudFromX(xs);
     const std::uint32_t median = n / 2;
 
-    std::vector<PointIdx> baseline = identityOrder(n);
-    part::detail::medianSplit(baseline, cloud, 0, n, 0, nullptr);
+    part::BlockTree baseline = loadedTree(cloud);
+    part::detail::medianSplit(baseline, 0, n, 0, nullptr);
+    const std::vector<PointIdx> &order = baseline.order();
 
     // nth_element semantics: left side <= order[median] <= right side,
     // and the median value matches a full sort.
     std::vector<float> sorted = xs;
     std::sort(sorted.begin(), sorted.end());
-    EXPECT_EQ(cloud[baseline[median]][0], sorted[median]);
+    EXPECT_EQ(cloud[order[median]][0], sorted[median]);
     for (std::uint32_t pos = 0; pos < median; ++pos)
-        EXPECT_LE(cloud[baseline[pos]][0], cloud[baseline[median]][0]);
+        EXPECT_LE(cloud[order[pos]][0], cloud[order[median]][0]);
     for (std::uint32_t pos = median; pos < n; ++pos)
-        EXPECT_GE(cloud[baseline[pos]][0], cloud[baseline[median]][0]);
+        EXPECT_GE(cloud[order[pos]][0], cloud[order[median]][0]);
+    expectPointsFollowOrder(baseline, cloud);
 
     for (const unsigned threads : kThreadSweep) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         ThreadPool pool(threads);
-        std::vector<PointIdx> order = identityOrder(n);
-        part::detail::medianSplit(order, cloud, 0, n, 0, &pool);
-        EXPECT_EQ(order, baseline);
+        part::BlockTree tree = loadedTree(cloud);
+        part::detail::medianSplit(tree, 0, n, 0, &pool);
+        EXPECT_EQ(tree.order(), order);
+        expectPointsFollowOrder(tree, cloud);
     }
 
     // All-equal coordinates: the quickselect must terminate (the
@@ -578,9 +662,41 @@ TEST(SplitRangeParallel, MedianSplitDeterministicAndCorrect)
     const data::PointCloud flat =
         cloudFromX(std::vector<float>(n, 3.0f));
     ThreadPool pool(4);
-    std::vector<PointIdx> order = identityOrder(n);
-    part::detail::medianSplit(order, flat, 0, n, 0, &pool);
-    EXPECT_EQ(order, identityOrder(n));
+    part::BlockTree tree = loadedTree(flat);
+    part::detail::medianSplit(tree, 0, n, 0, &pool);
+    EXPECT_EQ(tree.order(), identityOrder(n));
+    expectPointsFollowOrder(tree, flat);
+}
+
+TEST(SplitRangeParallel, SmallMedianSplitMatchesStdNthElement)
+{
+    // Below the parallel cutoff the selection runs nth_element over
+    // (key, slot) pairs and permutes the arrays by slot; that must
+    // equal nth_element over order() with a comparator reading the
+    // cloud, duplicates and NaN keys included.
+    Pcg32 rng(31);
+    for (const std::uint32_t n :
+         {2u, 3u, 17u, 100u, 1000u,
+          part::detail::kSplitParallelCutoff - 1}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        std::vector<float> xs(n);
+        for (auto &x : xs) {
+            const float u = rng.uniform(0.0f, 1.0f);
+            x = u < 0.05f   ? std::numeric_limits<float>::quiet_NaN()
+                : u < 0.3f ? static_cast<float>(rng.next() % 4)
+                           : rng.uniform(-5.0f, 5.0f);
+        }
+        const data::PointCloud cloud = cloudFromX(xs);
+        std::vector<PointIdx> expect = identityOrder(n);
+        std::nth_element(expect.begin(), expect.begin() + n / 2,
+                         expect.end(), [&](PointIdx a, PointIdx b) {
+                             return cloud[a][0] < cloud[b][0];
+                         });
+        part::BlockTree tree = loadedTree(cloud);
+        part::detail::medianSplit(tree, 0, n, 0, nullptr);
+        EXPECT_EQ(tree.order(), expect);
+        expectPointsFollowOrder(tree, cloud);
+    }
 }
 
 TEST(SplitRangeParallel, MedianSplitSurvivesHugeCoordinateRange)
@@ -599,8 +715,9 @@ TEST(SplitRangeParallel, MedianSplitSurvivesHugeCoordinateRange)
     const std::uint32_t median = n / 2;
 
     ThreadPool pool(4);
-    std::vector<PointIdx> order = identityOrder(n);
-    part::detail::medianSplit(order, cloud, 0, n, 0, &pool);
+    part::BlockTree tree = loadedTree(cloud);
+    part::detail::medianSplit(tree, 0, n, 0, &pool);
+    const std::vector<PointIdx> &order = tree.order();
 
     std::vector<float> sorted = xs;
     std::sort(sorted.begin(), sorted.end());
@@ -609,6 +726,7 @@ TEST(SplitRangeParallel, MedianSplitSurvivesHugeCoordinateRange)
         EXPECT_LE(cloud[order[pos]][0], cloud[order[median]][0]);
     for (std::uint32_t pos = median; pos < n; ++pos)
         EXPECT_GE(cloud[order[pos]][0], cloud[order[median]][0]);
+    expectPointsFollowOrder(tree, cloud);
 }
 
 TEST(ParallelDeterminism, RunBatchMatchesSequentialPipelines)

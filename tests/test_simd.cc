@@ -24,10 +24,12 @@
  * binary.
  */
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -393,6 +395,237 @@ TEST(SimdEquivalence, AxpyBitIdentical)
         for (std::size_t i = 0; i < n; ++i)
             EXPECT_EQ(y_scalar[i], y_avx2[i]) << "n=" << n;
     }
+}
+
+/** The levels this machine runs: Scalar, plus Avx2 when available. */
+std::vector<simd::Level>
+availableLevels()
+{
+    std::vector<simd::Level> levels{simd::Level::Scalar};
+    if (simd::avx2Available())
+        levels.push_back(simd::Level::Avx2);
+    return levels;
+}
+
+/** Sizes for the partition kernels: the 8-lane remainders, and slices
+ *  up to the largest one a partitioner hands a single kernel call
+ *  (kSplitParallelCutoff - 1 in partition/detail.h). */
+std::vector<std::size_t>
+splitSizes()
+{
+    std::vector<std::size_t> sizes(std::begin(kRemainderSizes),
+                                   std::end(kRemainderSizes));
+    for (const std::size_t n : {255u, 256u, 257u, 1000u, 4095u, 4096u,
+                                4097u, 8191u})
+        sizes.push_back(n);
+    return sizes;
+}
+
+std::uint32_t
+bits(float v)
+{
+    return std::bit_cast<std::uint32_t>(v);
+}
+
+/** Special values below 0.0f, and at or above it (or unordered). */
+const float kBelowZero[] = {-std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::max(), -1.5f,
+                            -1.0e-40f, -1.0e-45f};
+const float kNotBelowZero[] = {0.0f,
+                               -0.0f,
+                               std::numeric_limits<float>::quiet_NaN(),
+                               std::numeric_limits<float>::infinity(),
+                               std::numeric_limits<float>::max(),
+                               1.0e-45f,
+                               1.0e-40f,
+                               2.5f};
+
+TEST(SimdEquivalence, SplitBelowMatchesStdPartition)
+{
+    LevelGuard guard;
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const char *const kPatterns[] = {"all-left", "all-right", "alternating",
+                                     "presorted", "random"};
+    for (const std::size_t n : splitSizes()) {
+        for (int pattern = 0; pattern < 5; ++pattern) {
+            Pcg32 rng(n * 31 + pattern);
+            // Split keys in x. Three leading and trailing sentinel
+            // positions sit outside the range and must not move.
+            const std::uint32_t begin = 3;
+            const std::uint32_t end = begin + static_cast<std::uint32_t>(n);
+            std::vector<float> keys(end + 3, 7.0f);
+            std::vector<float> values{0.0f};
+            for (std::uint32_t i = begin; i < end; ++i) {
+                const std::uint32_t r = rng.next();
+                const float below = kBelowZero[r % 5];
+                const float above = kNotBelowZero[r % 8];
+                switch (pattern) {
+                  case 0: keys[i] = below; break;
+                  case 1: keys[i] = above; break;
+                  case 2: keys[i] = (i % 2 != 0) ? below : above; break;
+                  case 3: keys[i] = static_cast<float>(i); break;
+                  default:
+                    keys[i] = (r >> 16) % 3 == 0 ? rng.uniform(-1.0f, 1.0f)
+                              : (r >> 16) % 2 == 0 ? below
+                                                    : above;
+                }
+            }
+            if (pattern == 3)
+                values = {static_cast<float>(begin + n / 3)};
+            if (pattern == 4)
+                values = {0.0f, -0.0f, 1.0e-40f, 0.5f, nan, inf, -inf};
+            std::vector<PointIdx> identity(end + 3);
+            std::iota(identity.begin(), identity.end(), 0u);
+            for (const float value : values) {
+                // Reference: std::partition over the ids, keyed like
+                // the partition builders' predicate.
+                std::vector<PointIdx> want = identity;
+                const auto want_mid = static_cast<std::uint32_t>(
+                    std::partition(want.begin() + begin,
+                                   want.begin() + end,
+                                   [&](PointIdx id) {
+                                       return keys[id] < value;
+                                   }) -
+                    want.begin());
+                for (const simd::Level level : availableLevels()) {
+                    ASSERT_TRUE(simd::setActiveLevel(level));
+                    for (const int dim : {0, 1, 2}) {
+                        // The keys on axis dim; the other two axes tag
+                        // each position so a test sees them move.
+                        std::vector<PointIdx> ids = identity;
+                        std::vector<float> axes[3];
+                        for (int a = 0; a < 3; ++a) {
+                            axes[a].resize(ids.size());
+                            for (std::uint32_t i = 0; i < ids.size(); ++i)
+                                axes[a][i] = a == dim
+                                                 ? keys[i]
+                                                 : static_cast<float>(
+                                                       i * (a + 1));
+                        }
+                        const simd::SplitArrays arrays{
+                            ids.data(), axes[0].data(), axes[1].data(),
+                            axes[2].data()};
+                        const std::uint32_t mid = simd::splitBelow(
+                            arrays, dim, begin, end, value);
+                        SCOPED_TRACE(::testing::Message()
+                                     << simd::levelName(level)
+                                     << " n=" << n << " "
+                                     << kPatterns[pattern]
+                                     << " value=" << value
+                                     << " dim=" << dim);
+                        ASSERT_EQ(mid, want_mid);
+                        ASSERT_EQ(ids, want);
+                        for (std::uint32_t pos = 0; pos < ids.size(); ++pos)
+                            for (int a = 0; a < 3; ++a)
+                                ASSERT_EQ(bits(axes[a][pos]),
+                                          bits(a == dim
+                                                   ? keys[ids[pos]]
+                                                   : static_cast<float>(
+                                                         ids[pos] *
+                                                         (a + 1))))
+                                    << "position " << pos;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** The fold core::simd::extrema must reproduce, bit for bit. */
+std::pair<float, float>
+referenceExtrema(const std::vector<float> &keys, std::size_t begin,
+                 std::size_t end)
+{
+    float lo = std::numeric_limits<float>::infinity();
+    float hi = -std::numeric_limits<float>::infinity();
+    for (std::size_t i = begin; i < end; ++i) {
+        lo = std::min(lo, keys[i]);
+        hi = std::max(hi, keys[i]);
+    }
+    return {lo, hi};
+}
+
+TEST(SimdEquivalence, ExtremaMatchesSequentialFoldBitwise)
+{
+    LevelGuard guard;
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const auto check = [](const std::vector<float> &keys,
+                          std::uint32_t begin, std::uint32_t end,
+                          const char *what) {
+        const auto [want_lo, want_hi] = referenceExtrema(keys, begin, end);
+        for (const simd::Level level : availableLevels()) {
+            ASSERT_TRUE(simd::setActiveLevel(level));
+            const auto [lo, hi] = simd::extrema(keys.data(), begin, end);
+            EXPECT_EQ(bits(lo), bits(want_lo))
+                << simd::levelName(level) << " " << what
+                << " [" << begin << ", " << end << ")";
+            EXPECT_EQ(bits(hi), bits(want_hi))
+                << simd::levelName(level) << " " << what
+                << " [" << begin << ", " << end << ")";
+        }
+    };
+
+    // Empty range: the fold's seeds.
+    check({1.0f}, 0, 0, "empty");
+
+    for (const std::size_t n : splitSizes()) {
+        const std::uint32_t begin = 1;
+        const std::uint32_t end = begin + static_cast<std::uint32_t>(n);
+        Pcg32 rng(n * 17 + 3);
+        // Mixed special values, NaN included.
+        std::vector<float> keys(end + 1);
+        for (float &k : keys) {
+            const std::uint32_t r = rng.next();
+            k = r % 3 == 0 ? kBelowZero[(r >> 8) % 5]
+                : r % 3 == 1 ? kNotBelowZero[(r >> 8) % 8]
+                             : rng.uniform(-4.0f, 4.0f);
+        }
+        check(keys, begin, end, "special");
+
+        // Zero extrema: the minimum (then the maximum) is zero, and
+        // zeros of both signs sit in different lanes, so only the
+        // range's first zero may decide the sign. Ranges that start
+        // with NaN too.
+        for (int trial = 0; trial < 8; ++trial) {
+            std::vector<float> pos_keys(end + 1);
+            std::vector<float> neg_keys(end + 1);
+            for (std::size_t i = 0; i < pos_keys.size(); ++i) {
+                const std::uint32_t r = rng.next();
+                const float zero = (r & 1) != 0 ? 0.0f : -0.0f;
+                const bool is_zero = (r >> 1) % 4 == 0;
+                const bool is_nan = (r >> 3) % 8 == 0;
+                const float mag = rng.uniform(1.0e-3f, 3.0f);
+                pos_keys[i] = is_nan ? nan : is_zero ? zero : mag;
+                neg_keys[i] = is_nan ? nan : is_zero ? zero : -mag;
+            }
+            if (trial % 2 == 1) {
+                pos_keys[begin] = nan;
+                neg_keys[begin] = nan;
+            }
+            check(pos_keys, begin, end, "zero minimum");
+            check(neg_keys, begin, end, "zero maximum");
+        }
+
+        // Every key zero, the signs mixed: both extrema are the first.
+        std::vector<float> zeros(end + 1);
+        for (std::size_t i = 0; i < zeros.size(); ++i)
+            zeros[i] = (rng.next() & 1) != 0 ? 0.0f : -0.0f;
+        check(zeros, begin, end, "all zero");
+
+        // Only NaN: the seeds come back.
+        check(std::vector<float>(end + 1, nan), begin, end, "all NaN");
+    }
+
+    // The lane order disagrees with the range order: -0 in lane 1 of
+    // the second step, +0 in lane 2 of the first.
+    std::vector<float> keys(24, 5.0f);
+    keys[9] = -0.0f;
+    keys[2] = 0.0f;
+    check(keys, 0, 24, "+0 first, -0 in an earlier lane");
+    keys[2] = -0.0f;
+    keys[9] = 0.0f;
+    check(keys, 0, 24, "-0 first, +0 in an earlier lane");
 }
 
 TEST(SimdEquivalence, Fp16ConversionsExhaustiveNonNan)

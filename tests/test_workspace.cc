@@ -379,6 +379,49 @@ TEST(WorkspaceAlloc, PooledWarmBlockOpsDrawOnlyFromTheWorkspace)
     EXPECT_EQ(fc::heapAllocCount() - before, 0u);
 }
 
+TEST(WorkspaceAlloc, WarmPartitionIsAllocationFreeForEveryMethod)
+{
+    // Every partitioner builds inside its BlockTree: a warm same-shape
+    // partitionInto reloads the tree's arrays within their capacity
+    // and draws all split scratch (records, chunk tables, the merge
+    // buffer) from the arena, with no pool and on a 2-thread pool. The
+    // scene is large enough for the chunked split and forked
+    // subtrees.
+    const data::PointCloud scene = data::makeS3disScene(16384, 9);
+    part::PartitionConfig config;
+    config.threshold = 64;
+    core::ThreadPool pool(2);
+    {
+        // Pre-grow the pool's task ring past the builders' backlog.
+        std::atomic<bool> release{false};
+        core::TaskGroup group(&pool);
+        for (int i = 0; i < 256; ++i)
+            group.run([&release] {
+                while (!release.load(std::memory_order_acquire))
+                    std::this_thread::yield();
+            });
+        release.store(true, std::memory_order_release);
+        group.wait();
+    }
+    for (const part::Method method :
+         {part::Method::None, part::Method::Uniform, part::Method::Octree,
+          part::Method::KdTree, part::Method::Fractal}) {
+        const auto partitioner = part::makePartitioner(method);
+        for (core::ThreadPool *p : {static_cast<core::ThreadPool *>(nullptr),
+                                    &pool}) {
+            SCOPED_TRACE(part::methodName(method) +
+                         (p != nullptr ? " pooled" : " inline"));
+            core::Workspace ws;
+            part::PartitionResult part;
+            partitioner->partitionInto(scene, config, p, ws, part); // cold
+            ws.reset();
+            const std::uint64_t before = fc::heapAllocCount();
+            partitioner->partitionInto(scene, config, p, ws, part); // warm
+            EXPECT_EQ(fc::heapAllocCount() - before, 0u);
+        }
+    }
+}
+
 TEST(WorkspaceAlloc, WarmServeRoundTripIsAllocationFree)
 {
     // The acceptance bar of the shard-local memory work: a warm
