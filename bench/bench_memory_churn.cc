@@ -17,10 +17,11 @@
  *     slots (no std::function closures) and parallelReduce stages
  *     per-chunk values on the stack,
  *   - serve warm: AsyncPipeline steady state via the value wait()
- *     API, where the moved-out result payload still allocates,
- *   - serve warm pooled outcome: submitShared + waitInto against the
- *     slab-recycled outcome pool — 0 allocations per request, and
- *     hard-gated (the bench exits nonzero on regression).
+ *     API, where the result payload handed out still allocates,
+ *   - serve warm pooled outcome: submitShared + waitInto, which swaps
+ *     the payload buffers with the request's recycled scheduler
+ *     record — 0 allocations per request, and hard-gated (the bench
+ *     exits nonzero on regression).
  *
  * The CSV is gated by scripts/check_bench_csv.sh in the Release
  * perf-smoke CI step; the latency numbers are hardware-bound and only
@@ -178,14 +179,14 @@ churnTable()
                   std::to_string(kReps)});
 
     // Serve warm, pooled outcome: the zero-alloc serve path. waitInto
-    // copies the payload out of a slab-recycled outcome slot into a
-    // caller buffer whose capacity persists across calls, so the warm
+    // swaps the payload buffers of the request's recycled scheduler
+    // record with a caller outcome reused across calls, so the warm
     // submit -> poll round trip performs no heap allocation at all.
     // This row is the PR's hard guarantee and is gated below.
     const auto shared_scene =
         std::make_shared<const fc::data::PointCloud>(scene);
     fc::serve::RequestOutcome pooled_outcome;
-    for (int i = 0; i < 3; ++i) { // warm slot + caller buffer
+    for (int i = 0; i < 3; ++i) { // warm record + caller buffer
         server.waitInto(server.submitShared(shared_scene, request),
                         pooled_outcome);
         benchmark::DoNotOptimize(pooled_outcome.state);

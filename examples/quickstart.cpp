@@ -294,7 +294,6 @@ main()
         serve::ServeOptions stats_options;
         stats_options.pipeline.num_threads = 2;
         stats_options.num_shards = 2;
-        stats_options.priority_weights = {8, 4, 1};
         serve::AsyncPipeline observed(stats_options);
         const auto shared_scene =
             std::make_shared<const data::PointCloud>(

@@ -140,13 +140,18 @@ struct Aabb
         hi.z = std::max(hi.z, p.z);
     }
 
+    /** Per-axis merge: an axis @p o never saw (+inf/-inf, e.g. a
+     *  box of points that are all NaN there) leaves this axis as is,
+     *  while its other axes still merge. */
     void
     extend(const Aabb &o)
     {
-        if (o.empty())
-            return;
-        extend(o.lo);
-        extend(o.hi);
+        lo.x = std::min(lo.x, o.lo.x);
+        lo.y = std::min(lo.y, o.lo.y);
+        lo.z = std::min(lo.z, o.lo.z);
+        hi.x = std::max(hi.x, o.hi.x);
+        hi.y = std::max(hi.y, o.hi.y);
+        hi.z = std::max(hi.z, o.hi.z);
     }
 
     bool

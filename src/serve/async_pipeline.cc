@@ -35,8 +35,7 @@ AsyncPipeline::AsyncPipeline(const ServeOptions &options)
                 options.pin_shards),
       scheduler_(options.queue_capacity, executor_.threadsPerShard(),
                  options.work_conserving, executor_.numShards(),
-                 options.priority_weights, &registry_,
-                 options.class_capacity)
+                 &registry_, options.class_capacity)
 {
     executor_.attachMetrics(registry_);
     static constexpr const char *kStageLabels[5] = {
@@ -49,9 +48,8 @@ AsyncPipeline::AsyncPipeline(const ServeOptions &options)
     ws_checkouts_ = &registry_.counter("serve.workspace_checkouts");
     ws_created_gauge_ = &registry_.gauge("serve.workspaces_created");
 
-    // One memory pool per shard, instruments registered up front so
-    // the serve path mutates pointers only. With shard-local routing
-    // off, only pool 0 sees traffic; the others idle at zero.
+    // One workspace pool per shard, instruments registered up front
+    // so the serve path mutates pointers only.
     pools_.reserve(executor_.numShards());
     for (unsigned s = 0; s < executor_.numShards(); ++s) {
         auto pool = std::make_unique<ShardPool>();
@@ -62,14 +60,8 @@ AsyncPipeline::AsyncPipeline(const ServeOptions &options)
             &registry_.gauge("serve.workspace.created" + tag);
         pool->foreign_return =
             &registry_.counter("serve.workspace.foreign_return" + tag);
-        pool->outcome_checkout =
-            &registry_.counter("serve.outcome.checkout" + tag);
-        pool->outcome_created =
-            &registry_.gauge("serve.outcome.created" + tag);
         pools_.push_back(std::move(pool));
     }
-    scheduler_.setOutcomeRecycler(
-        [this](OutcomeSlot *slot) { recycleOutcome(slot); });
 }
 
 AsyncPipeline::~AsyncPipeline()
@@ -188,46 +180,6 @@ AsyncPipeline::checkinWorkspace(std::unique_ptr<ShardWorkspace> ws,
     pool.ws_free.push_back(std::move(ws));
 }
 
-OutcomeSlot *
-AsyncPipeline::checkoutOutcome(unsigned shard)
-{
-    ShardPool &pool = *pools_[shard];
-    pool.outcome_checkout->add();
-    {
-        std::lock_guard<std::mutex> lock(pool.mutex);
-        if (!pool.outcome_free.empty()) {
-            OutcomeSlot *slot = pool.outcome_free.back();
-            pool.outcome_free.pop_back();
-            return slot; // capacity intact from its previous life
-        }
-    }
-    // Cold path: grow the slab. Slot count is bounded by the peak
-    // number of concurrently un-consumed tickets on this shard.
-    auto owned = std::make_unique<OutcomeSlot>();
-    owned->owner_shard = shard;
-    OutcomeSlot *slot = owned.get();
-    std::size_t shard_total;
-    {
-        std::lock_guard<std::mutex> lock(pool.mutex);
-        pool.outcome_all.push_back(std::move(owned));
-        shard_total = pool.outcome_all.size();
-    }
-    pool.outcome_created->set(static_cast<std::int64_t>(shard_total));
-    outcomes_created_total_.fetch_add(1, std::memory_order_relaxed);
-    return slot;
-}
-
-void
-AsyncPipeline::recycleOutcome(OutcomeSlot *slot)
-{
-    // Called both from executor workers (abandoned leases) and from
-    // under the scheduler mutex (the consuming wait); the pool mutex
-    // is a leaf, so no inversion either way.
-    ShardPool &pool = *pools_[slot->owner_shard];
-    std::lock_guard<std::mutex> lock(pool.mutex);
-    pool.outcome_free.push_back(slot);
-}
-
 std::size_t
 AsyncPipeline::workspacesCreated() const
 {
@@ -242,12 +194,6 @@ AsyncPipeline::workspacesCreated(unsigned shard) const
     ShardPool &pool = *pools_[shard];
     std::lock_guard<std::mutex> lock(pool.mutex);
     return pool.ws_created;
-}
-
-std::size_t
-AsyncPipeline::outcomeSlotsCreated() const
-{
-    return outcomes_created_total_.load(std::memory_order_relaxed);
 }
 
 void
@@ -298,23 +244,6 @@ AsyncPipeline::execute(unsigned shard)
         }
     };
 
-    // The result payload lives in a pooled slot from this shard's
-    // slab; stages write into it in place (the Into ops clear what
-    // they fill), so a recycled slot's stale content is never
-    // observable. On the happy path the lease transfers to the
-    // scheduler at complete(); every early exit (checkpoint retire,
-    // exception) recycles it here instead.
-    struct OutcomeLease
-    {
-        AsyncPipeline *owner;
-        OutcomeSlot *slot;
-        ~OutcomeLease()
-        {
-            if (slot != nullptr)
-                owner->recycleOutcome(slot);
-        }
-    };
-
     // Per-stage service-time telemetry: lap() charges the time since
     // the previous boundary to one stage histogram. The two
     // steady-clock reads per stage cost nanoseconds against
@@ -333,8 +262,10 @@ AsyncPipeline::execute(unsigned shard)
         stage_mark = now;
     };
 
-    OutcomeLease outcome{this, checkoutOutcome(shard)};
-    BatchResult &out = outcome.slot->result;
+    // The result lives in the request's scheduler record; stages
+    // write into it in place (the Into ops clear what they fill), so
+    // a recycled record's stale content is never observable.
+    BatchResult &out = *job->result;
     try {
         WorkspaceLease lease{this, checkoutWorkspace(shard), shard};
         core::Workspace &ws = lease.ws->ws;
@@ -405,7 +336,7 @@ AsyncPipeline::execute(unsigned shard)
             // pipeline's registry (nn.stage_us{stage=...}).
             backend.metrics = &registry_;
             // Engage (don't re-emplace) the optional: a recycled
-            // slot's engaged InferenceResult keeps its tensor
+            // record's engaged InferenceResult keeps its tensor
             // capacity, which run() reuses in place.
             if (!out.inference)
                 out.inference.emplace();
@@ -413,7 +344,7 @@ AsyncPipeline::execute(unsigned shard)
                                       *out.inference);
             lap(4); // inference
         } else {
-            // A recycled slot may carry a stale inference payload
+            // A recycled record may carry a stale inference payload
             // from a previous network request; waiters key on the
             // optional's engagement.
             out.inference.reset();
@@ -424,8 +355,7 @@ AsyncPipeline::execute(unsigned shard)
         scheduler_.fail(id, std::current_exception());
         return;
     }
-    scheduler_.complete(id, outcome.slot);
-    outcome.slot = nullptr; // lease transferred to the record
+    scheduler_.complete(id);
 }
 
 } // namespace fc::serve

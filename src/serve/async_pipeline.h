@@ -40,16 +40,15 @@
  *     workspace always belongs to the home shard's pool. Each pool
  *     never exceeds its shard's thread count, so steady-state memory
  *     is bounded by the largest shapes seen, and
- *   - a slab-recycled outcome pool (also per shard): the BatchResult
- *     payload itself lives in a pooled OutcomeSlot whose lease rides
- *     the ticket from complete() to the consuming wait. waitInto()
- *     swaps buffers with the slot (O(1) under the scheduler mutex):
- *     the caller leaves with the result's buffers and the slot
- *     recycles with the caller's previous ones, so buffers circulate
- *     between the client and the slots, and a warm same-shape
- *     submit -> poll -> waitInto round trip performs ZERO heap
- *     allocations end to end (value-returning wait() moves the
- *     payload out instead and the slot regrows on next use).
+ *   - one home per result: the executor writes the BatchResult into
+ *     the request's scheduler record, which is recycled with its
+ *     buffers. waitInto() swaps buffers with the record (O(1) under
+ *     the scheduler mutex): the caller leaves with the result's
+ *     buffers and the record recycles with the caller's previous
+ *     ones, so a warm same-shape submit -> poll -> waitInto round
+ *     trip performs ZERO heap allocations end to end (value wait()
+ *     consumes into a fresh outcome, so the record regrows on next
+ *     use).
  *
  * Results are byte-identical to the blocking path at any thread
  * count: every stage is deterministic with respect to its pool, so
@@ -120,17 +119,6 @@ struct ServeOptions
     /** Enable the work-conserving spill policy. false = always
      *  one-cloud-per-thread (the PR 1 runBatch dispatch). */
     bool work_conserving = true;
-
-    /**
-     * Aging weight per priority class
-     * (Interactive : Batch : Background), each > 0. Backlogged
-     * classes share every shard in this proportion; the default is
-     * the historical 8:4:1. Runtime-configurable so deployments can
-     * retune fairness without rebuilding — the active weights are
-     * surfaced in /stats (serve.priority_weight{class=...}).
-     */
-    std::array<std::uint64_t, kNumPriorities> priority_weights =
-        kPriorityWeight;
 
     /**
      * Pin each shard's workers to a disjoint cpu set carved from the
@@ -257,10 +245,10 @@ class AsyncPipeline
     RequestOutcome wait(Ticket ticket) { return scheduler_.wait(ticket); }
 
     /**
-     * Allocation-free wait: consume the ticket into @p out by swapping
-     * payload buffers with the pooled result slot, which recycles
-     * holding @p out's previous buffers (they circulate between the
-     * client and the slots; see Scheduler::waitInto). A warm
+     * Allocation-free wait: consume the ticket into @p out. A Done
+     * request swaps payload buffers with @p out, and its record
+     * recycles holding @p out's previous ones; any other state leaves
+     * @p out.result untouched (see Scheduler::waitInto). A warm
      * same-shape submitShared -> waitInto loop with a reused
      * RequestOutcome performs zero heap allocations on the serve path
      * (bench_memory_churn gates this at exactly 0).
@@ -342,9 +330,13 @@ class AsyncPipeline
      *  migrate across pools. */
     std::size_t workspacesCreated(unsigned shard) const;
 
-    /** Outcome slots created so far, summed over shards: bounded by
-     *  the number of concurrently un-consumed tickets. */
-    std::size_t outcomeSlotsCreated() const;
+    /** Result payloads created so far: one per scheduler record
+     *  ever allocated (Scheduler::recordsCreated), so bounded by the
+     *  peak number of concurrently live tickets. */
+    std::size_t outcomeSlotsCreated() const
+    {
+        return scheduler_.recordsCreated();
+    }
 
     /**
      * The pipeline's metrics registry: per-(shard x class) queue
@@ -375,30 +367,16 @@ class AsyncPipeline
         unsigned owner = 0;
     };
 
-    /**
-     * One shard's memory pools plus their instruments: the workspace
-     * free list (intermediates) and the outcome slab (result
-     * payloads, leased to the scheduler from complete() until the
-     * consuming wait). The pool mutex is a LEAF lock — taken under
-     * the scheduler mutex by the recycler, so pool code must never
-     * call back into the scheduler.
-     */
+    /** One shard's workspace free list plus its instruments. */
     struct ShardPool
     {
         std::mutex mutex;
         std::vector<std::unique_ptr<ShardWorkspace>> ws_free;
         std::size_t ws_created = 0;
 
-        /** Every slot this shard ever created (ownership; outlives
-         *  any lease) and the subset currently free. */
-        std::vector<std::unique_ptr<OutcomeSlot>> outcome_all;
-        std::vector<OutcomeSlot *> outcome_free;
-
         core::metrics::Counter *checkout = nullptr;
         core::metrics::Gauge *created = nullptr;
         core::metrics::Counter *foreign_return = nullptr;
-        core::metrics::Counter *outcome_checkout = nullptr;
-        core::metrics::Gauge *outcome_created = nullptr;
     };
 
     /** Executor task body: process (or retire) the best queued
@@ -415,13 +393,6 @@ class AsyncPipeline
      *  feeds the foreign-return tripwire counter. */
     void checkinWorkspace(std::unique_ptr<ShardWorkspace> ws,
                           unsigned returning_shard);
-
-    /** Pop a warm outcome slot from @p shard's slab (or grow it). */
-    OutcomeSlot *checkoutOutcome(unsigned shard);
-
-    /** Return a slot to its owner's slab, capacity intact. Installed
-     *  as the scheduler's recycler (called under its mutex). */
-    void recycleOutcome(OutcomeSlot *slot);
 
     ServeOptions options_;
 
@@ -446,18 +417,14 @@ class AsyncPipeline
     core::metrics::Counter *ws_checkouts_ = nullptr;
     core::metrics::Gauge *ws_created_gauge_ = nullptr;
 
-    /** Pool-creation totals across shards (atomic: creations on
-     *  different shards race only on these). */
+    /** Workspace-creation total across shards (atomic: creations on
+     *  different shards race only on this). */
     std::atomic<std::size_t> ws_created_total_{0};
-    std::atomic<std::size_t> outcomes_created_total_{0};
 
-    /** Declared before executor_ and scheduler_ deliberately: an
-     *  executor task returns its workspace lease as its very last
-     *  action, and the scheduler's recycler returns outcome slots
-     *  during shutdown — ~AsyncPipeline retires all requests, the
-     *  shard pools join their workers, and only after both may the
-     *  pools die. unique_ptr elements keep each ShardPool's mutex at
-     *  a stable address. */
+    /** Declared before executor_ deliberately: an executor task
+     *  returns its workspace lease as its very last action, so the
+     *  pools must outlive the shard pools' workers. unique_ptr
+     *  elements keep each ShardPool's mutex at a stable address. */
     std::vector<std::unique_ptr<ShardPool>> pools_;
 
     core::ShardedExecutor executor_;

@@ -19,7 +19,6 @@ StorageIngestor::StorageIngestor(
     storage::PrefetchOptions popts;
     popts.depth = options_.prefetch_depth;
     popts.pool = io_pool_.get();
-    popts.num_shards = pipeline_.numShards();
     popts.mode = options_.mode;
     prefetcher_ = std::make_unique<storage::BlockPrefetcher>(reader_,
                                                              popts);

@@ -7,11 +7,9 @@
  * of a BlockPrefetcher (mmap + read-ahead, so disk latency overlaps
  * compute) and into AsyncPipeline::submit (moved in — the mapping
  * keepalive rides inside each zero-copy cloud), each submitted under
- * the placement key stored in the file's index.
- * The pipeline hashes that key through the same consistent-hash
- * ShardMap the prefetcher exposes, so a block lands on the shard
- * that owns its key — prefetch, placement, and processing agree on
- * WHERE without agreeing on WHEN.
+ * the placement key stored in the file's index. The pipeline hashes
+ * that key through its consistent-hash ShardMap, so every block lands
+ * on the shard that owns its key, pass after pass.
  *
  * Results are byte-identical to submitting preloaded in-memory
  * clouds: the zero-copy cloud aliases the same bytes the writer

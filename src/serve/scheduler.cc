@@ -91,21 +91,16 @@ shardName(const char *base, unsigned shard)
 Scheduler::Scheduler(
     std::size_t queue_capacity, unsigned num_threads,
     bool work_conserving, unsigned num_shards,
-    const std::array<std::uint64_t, kNumPriorities> &priority_weights,
     core::metrics::Registry *registry,
     const std::array<std::size_t, kNumPriorities> &class_capacity)
     : capacity_(queue_capacity), num_threads_(num_threads),
-      work_conserving_(work_conserving), weights_(priority_weights),
+      work_conserving_(work_conserving),
       class_capacity_(class_capacity), shard_map_(num_shards),
       shards_(num_shards), borrows_(num_shards, 0)
 {
     fc_assert(capacity_ > 0, "scheduler needs a positive capacity");
     fc_assert(num_threads_ > 0, "scheduler needs a positive pool size");
     fc_assert(num_shards >= 1, "scheduler needs at least one shard");
-    for (unsigned c = 0; c < kNumPriorities; ++c)
-        fc_assert(weights_[c] > 0,
-                  "priority weight for class %s must be positive",
-                  priorityName(static_cast<Priority>(c)));
     if (registry == nullptr)
         return;
 
@@ -138,13 +133,6 @@ Scheduler::Scheduler(
         sm.borrow_out = &registry->counter(shardName("borrow_out", s));
         sm.borrow_in = &registry->counter(shardName("borrow_in", s));
     }
-    // The active aging weights, surfaced so operators (and tests) can
-    // read the runtime configuration off /stats.
-    for (unsigned c = 0; c < kNumPriorities; ++c)
-        registry
-            ->gauge(std::string("serve.priority_weight{class=") +
-                    priorityName(static_cast<Priority>(c)) + "}")
-            .forceSet(static_cast<std::int64_t>(weights_[c]));
     // Per-class admission bounds and their rejection counters
     // (global, not per shard: a class bound is checked before
     // placement matters).
@@ -201,8 +189,9 @@ Scheduler::trySubmit(std::shared_ptr<const data::PointCloud> cloud,
         placement_key != 0 ? placement_key : id);
 
     // Recycle a reclaimed map node when one exists: re-keying and
-    // re-inserting reuses both the node and the Record's buffers, so
-    // warm admission never touches the heap.
+    // re-inserting reuses both the node and the Record's buffers
+    // (result payload included), so warm admission never touches the
+    // heap.
     Record *slot_record;
     if (!record_nodes_.empty()) {
         auto nh = std::move(record_nodes_.back());
@@ -211,6 +200,7 @@ Scheduler::trySubmit(std::shared_ptr<const data::PointCloud> cloud,
         slot_record = &records_.insert(std::move(nh)).position->second;
     } else {
         slot_record = &records_[id];
+        ++records_created_;
     }
     Record &record = *slot_record;
     record.cloud = std::move(cloud);
@@ -384,8 +374,6 @@ Scheduler::acquire(unsigned shard)
     // pop; the richest class wins (ties to the more interactive
     // one) and its credit resets. Classes whose queue drained reset
     // too — credit models the waiting requests, not the class.
-    // Weights are the runtime configuration passed at construction
-    // (default kPriorityWeight = 8:4:1).
     unsigned chosen = 0;
     std::uint64_t best_credit = 0;
     bool have = false;
@@ -394,7 +382,7 @@ Scheduler::acquire(unsigned shard)
             st.credit[c] = 0;
             continue;
         }
-        st.credit[c] += weights_[c];
+        st.credit[c] += kPriorityWeight[c];
         if (!have || st.credit[c] > best_credit) {
             have = true;
             chosen = c;
@@ -444,6 +432,7 @@ Scheduler::acquire(unsigned shard)
     job.request = record.request;
     job.shard = shard;
     job.spill_shard = record.spill_shard;
+    job.result = &record.result;
     return job;
 }
 
@@ -482,44 +471,16 @@ Scheduler::checkpoint(std::uint64_t id, int *spill_shard)
 }
 
 void
-Scheduler::complete(std::uint64_t id, BatchResult result)
+Scheduler::complete(std::uint64_t id)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     Record &record = records_.at(id);
     fc_assert(record.state == RequestState::Running,
               "complete on a request in state %s",
               stateName(record.state));
-    record.result = std::move(result);
     --shards_[record.shard].running;
     --running_;
     retireLocked(id, record, RequestState::Done);
-}
-
-void
-Scheduler::complete(std::uint64_t id, OutcomeSlot *slot)
-{
-    fc_assert(slot != nullptr, "complete with a null outcome slot");
-    std::lock_guard<std::mutex> lock(mutex_);
-    fc_assert(outcome_recycler_ != nullptr,
-              "slot-completed request without an outcome recycler");
-    Record &record = records_.at(id);
-    fc_assert(record.state == RequestState::Running,
-              "complete on a request in state %s",
-              stateName(record.state));
-    record.slot = slot; // lease rides the ticket until consumption
-    --shards_[record.shard].running;
-    --running_;
-    retireLocked(id, record, RequestState::Done);
-}
-
-void
-Scheduler::setOutcomeRecycler(
-    std::function<void(OutcomeSlot *)> recycler)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    fc_assert(outcome_recycler_ == nullptr,
-              "outcome recycler installed twice");
-    outcome_recycler_ = std::move(recycler);
 }
 
 void
@@ -583,25 +544,16 @@ Scheduler::state(Ticket ticket) const
 
 void
 Scheduler::consumeIntoLocked(std::uint64_t id, Record &record,
-                             RequestOutcome &out, bool swap_payload)
+                             RequestOutcome &out)
 {
     out.state = record.state;
-    if (record.slot != nullptr) {
-        if (swap_payload) {
-            // Exchange buffers, not bytes: O(1) under the mutex every
-            // worker's checkpoint waits on. The caller takes the
-            // result's buffers and the slot recycles with the
-            // caller's previous ones, warm for the next request —
-            // the zero-alloc round trip.
-            std::swap(out.result, record.slot->result);
-        } else {
-            // Value wait: the caller takes ownership; the slot
-            // recycles gutted and regrows on its next use.
-            out.result = std::move(record.slot->result);
-        }
-    } else {
-        out.result = std::move(record.result);
-    }
+    // Exchange buffers, not bytes: O(1) under the mutex every
+    // worker's checkpoint waits on. The caller takes the result's
+    // buffers and the record recycles with the caller's previous
+    // ones, warm for the next request. A request that did not finish
+    // has no result to hand over, and the caller keeps its buffers.
+    if (record.state == RequestState::Done)
+        std::swap(out.result, record.result);
     out.error = std::move(record.error);
     out.exception = record.exception;
     out.timing = record.timing;
@@ -617,15 +569,20 @@ Scheduler::reclaimRecordLocked(std::uint64_t id)
     auto nh = records_.extract(id);
     fc_assert(!nh.empty(), "reclaim of unknown record %llu",
               static_cast<unsigned long long>(id));
-    Record &record = nh.mapped();
-    if (record.slot != nullptr)
-        outcome_recycler_(record.slot); // pool mutex is a leaf lock
-    record.reset();
+    nh.mapped().reset();
     record_nodes_.push_back(std::move(nh));
 }
 
 RequestOutcome
 Scheduler::wait(Ticket ticket)
+{
+    RequestOutcome outcome;
+    waitInto(ticket, outcome);
+    return outcome;
+}
+
+void
+Scheduler::waitInto(Ticket ticket, RequestOutcome &out)
 {
     std::unique_lock<std::mutex> lock(mutex_);
     auto it = records_.find(ticket.id);
@@ -637,23 +594,7 @@ Scheduler::wait(Ticket ticket)
     // never element references (the map is node-based).
     Record *record = &it->second;
     cv_.wait(lock, [record] { return isTerminal(record->state); });
-    RequestOutcome outcome;
-    consumeIntoLocked(ticket.id, *record, outcome,
-                      /*swap_payload=*/false);
-    return outcome;
-}
-
-void
-Scheduler::waitInto(Ticket ticket, RequestOutcome &out)
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    auto it = records_.find(ticket.id);
-    fc_assert(it != records_.end(),
-              "waitInto on unknown or already-consumed ticket %llu",
-              static_cast<unsigned long long>(ticket.id));
-    Record *record = &it->second;
-    cv_.wait(lock, [record] { return isTerminal(record->state); });
-    consumeIntoLocked(ticket.id, *record, out, /*swap_payload=*/true);
+    consumeIntoLocked(ticket.id, *record, out);
 }
 
 std::optional<RequestOutcome>
@@ -670,8 +611,7 @@ Scheduler::waitFor(Ticket ticket, Clock::duration timeout)
         }))
         return std::nullopt; // still pending; the ticket stays live
     std::optional<RequestOutcome> outcome(std::in_place);
-    consumeIntoLocked(ticket.id, *record, *outcome,
-                      /*swap_payload=*/false);
+    consumeIntoLocked(ticket.id, *record, *outcome);
     return outcome;
 }
 
@@ -696,6 +636,13 @@ Scheduler::liveRecordCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return records_.size();
+}
+
+std::size_t
+Scheduler::recordsCreated() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return records_created_;
 }
 
 std::size_t

@@ -23,6 +23,12 @@
  *   complete/fail             terminal transitions, and
  *   poll/state/wait/waitFor/cancel  the client-facing side.
  *
+ * Each request's record is the one home of its result: the executor
+ * writes the stages into the record's BatchResult (Job::result), and
+ * the consuming wait swaps it with the caller's. Records are recycled
+ * with their buffers' capacity, so a warm round trip allocates
+ * nothing.
+ *
  * Placement: each request hashes onto a shard via core::ShardMap —
  * by its ticket id by default (spreads uniform traffic evenly), or by
  * a caller-supplied placement key (pins a client/session to one shard
@@ -70,7 +76,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -122,9 +127,7 @@ enum class Priority : std::uint8_t {
 
 inline constexpr unsigned kNumPriorities = 3;
 
-/** Default aging weight per class: relative share of a backlogged
- *  shard. The active weights are runtime-configurable per scheduler
- *  (ServeOptions::priority_weights); this array is only the default. */
+/** Aging weight per class: relative share of a backlogged shard. */
 inline constexpr std::array<std::uint64_t, kNumPriorities>
     kPriorityWeight = {8, 4, 1};
 
@@ -165,26 +168,6 @@ struct RequestOutcome
      *  intra-cloud block items onto a pool (its own shard's or a
      *  drained neighbor's) for at least one stage. */
     bool spilled = false;
-};
-
-/**
- * One slab slot of the serving outcome pool: a capacity-retaining
- * BatchResult an executor writes into and a waiter swaps buffers with
- * (waitInto) or moves out of (wait). Slots are owned and recycled by
- * AsyncPipeline's per-shard pools; the Scheduler only carries the
- * lease from complete() to the consuming wait — the lease rides the
- * ticket. Recycled slots keep every vector's and tensor's capacity,
- * which is what drives warm serve-path allocations to zero. Under
- * waitInto the buffers circulate: the caller leaves with the slot's
- * buffers, the slot recycles with the caller's previous ones, and an
- * executor overwrites whatever a slot holds.
- */
-struct OutcomeSlot
-{
-    BatchResult result;
-
-    /** Pool the slot recycles into (set once at creation). */
-    unsigned owner_shard = 0;
 };
 
 /**
@@ -273,6 +256,14 @@ class Scheduler
          *  Equals `shard` for a same-shard spill, another index for a
          *  cross-shard borrow. */
         int spill_shard = -1;
+
+        /** The record's result, which the executor fills in place.
+         *  It may hold a previous request's data (every stage
+         *  overwrites what it fills). Valid until this executor's own
+         *  complete()/fail(), or a checkpoint() that returns false:
+         *  records_ is node-based and a Running record is never
+         *  reclaimed before then. */
+        BatchResult *result = nullptr;
     };
 
     /**
@@ -283,9 +274,6 @@ class Scheduler
      * @param work_conserving false pins every request to
      *                        one-cloud-per-thread (spill always off)
      * @param num_shards      executor shards (placement targets)
-     * @param priority_weights aging weight per class (> 0 each);
-     *                        backlogged classes share a shard in this
-     *                        proportion
      * @param registry        when non-null, the scheduler registers
      *                        and maintains its serving telemetry
      *                        (per-(shard x class) queue depth, wait
@@ -301,8 +289,6 @@ class Scheduler
      */
     Scheduler(std::size_t queue_capacity, unsigned num_threads,
               bool work_conserving = true, unsigned num_shards = 1,
-              const std::array<std::uint64_t, kNumPriorities>
-                  &priority_weights = kPriorityWeight,
               core::metrics::Registry *registry = nullptr,
               const std::array<std::size_t, kNumPriorities>
                   &class_capacity = {});
@@ -370,28 +356,9 @@ class Scheduler
      */
     bool checkpoint(std::uint64_t id, int *spill_shard = nullptr);
 
-    /** Terminal transition: the request finished with @p result.
-     *  (Value form, used by bare-scheduler callers; the serving
-     *  pipeline completes with a pooled OutcomeSlot instead.) */
-    void complete(std::uint64_t id, BatchResult result);
-
-    /**
-     * Terminal transition with a pooled payload: @p slot holds the
-     * finished BatchResult and its lease transfers to the record —
-     * it rides the ticket until the consuming wait()/waitInto()
-     * (which recycles it through the recycler installed by
-     * setOutcomeRecycler) or, for abandoned/discarded tickets, until
-     * retirement reclaims the record. @p slot must stay valid until
-     * then (AsyncPipeline owns the slab storage).
-     */
-    void complete(std::uint64_t id, OutcomeSlot *slot);
-
-    /**
-     * Install the slot-return hook (called once, before any
-     * slot-completed request is consumed). Invoked under the
-     * scheduler mutex; must not call back into the scheduler.
-     */
-    void setOutcomeRecycler(std::function<void(OutcomeSlot *)> recycler);
+    /** Terminal transition: the request finished; its result is
+     *  what the executor wrote through Job::result. */
+    void complete(std::uint64_t id);
 
     /** Terminal transition: processing threw @p exception. */
     void fail(std::uint64_t id, std::exception_ptr exception);
@@ -417,20 +384,21 @@ class Scheduler
 
     /**
      * Block until terminal, then consume the record and return its
-     * outcome. Each ticket may be waited exactly once.
+     * outcome: waitInto() on a fresh RequestOutcome. Each ticket may
+     * be waited exactly once.
      */
     RequestOutcome wait(Ticket ticket);
 
     /**
-     * Allocation-free consumption: like wait(), but the outcome is
-     * written into @p out by swapping payload buffers with the pooled
-     * slot — O(1) while the scheduler mutex is held, whatever the
-     * payload size. @p out takes the slot's buffers, and the slot
-     * recycles holding @p out's previous ones, so buffers circulate
-     * between the client and the slots: after the first round trips
-     * a warm same-shape loop (submitShared -> waitInto with a reused
-     * RequestOutcome) performs zero heap allocations end to end.
-     * @p out never aliases pool memory: no two owners share a buffer.
+     * Block until terminal, then consume the record into @p out.
+     * A Done record swaps its result with @p out's — O(1) while the
+     * scheduler mutex is held, whatever the payload size — so @p out
+     * leaves with the result's buffers and the record recycles holding
+     * @p out's previous ones. Any other terminal state leaves
+     * @p out.result untouched. A warm same-shape loop (submitShared ->
+     * waitInto with a reused RequestOutcome) therefore performs zero
+     * heap allocations end to end, whatever states its tickets end
+     * in. No two owners ever share a buffer.
      */
     void waitInto(Ticket ticket, RequestOutcome &out);
 
@@ -471,6 +439,11 @@ class Scheduler
      *  serving telemetry and leak tests read this. */
     std::size_t liveRecordCount() const;
 
+    /** Records ever allocated (admissions that found no reclaimed
+     *  node to reuse): the high-water mark of concurrently live
+     *  tickets, and so of result payloads held. */
+    std::size_t recordsCreated() const;
+
     /**
      * Reject new submissions, flag all queued requests for
      * cancellation, and block until no request is Queued or Running
@@ -488,6 +461,9 @@ class Scheduler
         BatchRequest request;
         std::optional<Clock::time_point> deadline;
         RequestTiming timing;
+
+        /** Written by the executor outside the mutex while Running
+         *  (through Job::result), read by the consuming wait. */
         BatchResult result;
         std::string error;
         std::exception_ptr exception;
@@ -496,10 +472,6 @@ class Scheduler
         int spill_shard = -1;   ///< current spill pool (-1 = inline)
         bool spilled = false;   ///< spilled for at least one stage
         bool abandoned = false; ///< discard()ed; reclaim on retire
-
-        /** Pooled payload lease (Done via the slot overload only);
-         *  recycled when the record is reclaimed. */
-        OutcomeSlot *slot = nullptr;
 
         /** Return to a just-constructed state while KEEPING the
          *  capacity of request, result, and error — recycled records
@@ -519,7 +491,6 @@ class Scheduler
             spill_shard = -1;
             spilled = false;
             abandoned = false;
-            slot = nullptr;
         }
     };
 
@@ -579,17 +550,15 @@ class Scheduler
      *  here — acquire, checkpoint, and retirement. */
     void assignSpillLocked(Record &record, int target);
 
-    /** Consume a terminal record into @p out (mutex held): the
-     *  payload is swapped with the pooled slot's when
-     *  @p swap_payload (O(1) under the mutex; both keep warm buffers
-     *  — the zero-alloc path) or moved out otherwise, then the
-     *  record is reclaimed. */
+    /** Consume a terminal record into @p out (mutex held): a Done
+     *  record swaps its result with @p out's (O(1) under the mutex;
+     *  both keep warm buffers), any other state leaves @p out.result
+     *  alone. Then the record is reclaimed. */
     void consumeIntoLocked(std::uint64_t id, Record &record,
-                           RequestOutcome &out, bool swap_payload);
+                           RequestOutcome &out);
 
-    /** Take @p id's record out of the ledger (mutex held): recycle
-     *  its outcome slot (if still leased), reset() it
-     *  capacity-retaining, and stash the map node for the next
+    /** Take @p id's record out of the ledger (mutex held): reset()
+     *  it capacity-retaining and stash the map node for the next
      *  admission. Every record leaving records_ goes through here —
      *  warm steady state never touches the map's allocator. */
     void reclaimRecordLocked(std::uint64_t id);
@@ -606,7 +575,6 @@ class Scheduler
     const std::size_t capacity_;
     const unsigned num_threads_;
     const bool work_conserving_;
-    const std::array<std::uint64_t, kNumPriorities> weights_;
 
     /** Per-class admission bounds (0 = global bound only). */
     const std::array<std::size_t, kNumPriorities> class_capacity_;
@@ -642,9 +610,8 @@ class Scheduler
     std::vector<std::unordered_map<std::uint64_t, Record>::node_type>
         record_nodes_;
 
-    /** Slot-return hook into AsyncPipeline's per-shard pools; must
-     *  be installed before the first slot-completed consumption. */
-    std::function<void(OutcomeSlot *)> outcome_recycler_;
+    /** Map nodes ever allocated (see recordsCreated()). */
+    std::size_t records_created_ = 0;
 
     std::size_t queued_ = 0;
     std::size_t running_ = 0;

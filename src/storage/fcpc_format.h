@@ -2,11 +2,12 @@
  * @file
  * On-disk layout of the FractalCloud point-cloud container (.fcpc).
  *
- * Design goal (ROADMAP direction 3, "Joint Optimization of Storage
- * and Loading"): the file layout IS the in-memory layout, so loading
- * a block is pointer binding, not parsing. Coordinates are AoS Vec3,
- * features are row-major [n x feature_dim] and labels are plain
- * int32, exactly as PointCloud owns them.
+ * Design goal (from "Joint Optimization of Storage and Loading" in
+ * PAPERS.md; ROADMAP.md carries its follow-up as the "persist the DFT
+ * order in .fcpc" gap): the file layout IS the in-memory layout, so
+ * loading a block is pointer binding, not parsing. Coordinates are
+ * AoS Vec3, features are row-major [n x feature_dim] and labels are
+ * plain int32, exactly as PointCloud owns them.
  *
  * Version 1 also stores the coordinates transposed into x/y/z
  * columns. They let a load bind the structure-of-arrays mirror that

@@ -6,8 +6,7 @@ namespace fc::storage {
 
 BlockPrefetcher::BlockPrefetcher(std::shared_ptr<FcpcReader> reader,
                                  const PrefetchOptions &options)
-    : reader_(std::move(reader)), options_(options),
-      shard_map_(options.num_shards == 0 ? 1 : options.num_shards)
+    : reader_(std::move(reader)), options_(options)
 {
     fc_assert(reader_ != nullptr, "prefetcher needs a reader");
 }
@@ -18,12 +17,6 @@ BlockPrefetcher::~BlockPrefetcher()
     // retires so destruction never races a fill.
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [this] { return inflight_ == 0; });
-}
-
-unsigned
-BlockPrefetcher::shardFor(std::size_t block) const
-{
-    return shard_map_.shardFor(reader_->placementKey(block));
 }
 
 PrefetchStats
@@ -63,12 +56,6 @@ BlockPrefetcher::schedule(std::size_t block)
         --inflight_;
         cv_.notify_all();
     });
-}
-
-void
-BlockPrefetcher::hint(std::size_t block)
-{
-    schedule(block);
 }
 
 FcpcStatus

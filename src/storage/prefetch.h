@@ -8,30 +8,25 @@
  * running its checksum validation on a pool thread — that pass
  * faults every page of the block's sections into the page cache, so
  * by the time the consumer calls get() the zero-copy bind touches
- * only warm memory. The ring is keyed by block ordinal; each block
- * also carries its consistent-hash placement key (core::ShardMap),
- * so the serving layer can land a prefetched block on the shard that
- * will serve it (see serve/ingest.h).
+ * only warm memory. The ring is keyed by block ordinal.
  *
  * depth = 0 (or a null pool) degrades to a synchronous reader —
  * the prefetch-off reference the equality tests compare against.
  *
- * Thread-safety: one consumer thread calls get(); hint() may be
- * called from anywhere. Internal state is mutex-protected; the
- * destructor drains in-flight reads before returning (the pool must
- * outlive the prefetcher).
+ * Thread-safety: one consumer thread calls get(). Internal state is
+ * mutex-protected; the destructor drains in-flight reads before
+ * returning (the pool must outlive the prefetcher).
  */
 
 #ifndef FC_STORAGE_PREFETCH_H
 #define FC_STORAGE_PREFETCH_H
 
 #include <condition_variable>
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 
-#include "core/sharded_executor.h"
+#include "core/parallel.h"
 #include "dataset/point_cloud.h"
 #include "storage/fcpc_reader.h"
 
@@ -48,10 +43,6 @@ struct PrefetchOptions
      *  pool with idle capacity); null = synchronous. Must outlive
      *  the prefetcher. */
     core::ThreadPool *pool = nullptr;
-
-    /** Shard count of the consumer's ShardMap keyspace; shardFor()
-     *  maps a block's placement key through it. */
-    unsigned num_shards = 1;
 
     /** How get() materializes clouds. */
     ReadMode mode = ReadMode::ZeroCopy;
@@ -86,22 +77,6 @@ class BlockPrefetcher
      */
     FcpcStatus get(std::size_t block, data::PointCloud &out);
 
-    /** Schedule @p block (and nothing else) without waiting. */
-    void hint(std::size_t block);
-
-    /** Shard (under options.num_shards) that block @p block's
-     *  placement key consistently hashes to. */
-    unsigned shardFor(std::size_t block) const;
-
-    /** Placement key of @p block (from the file's index). */
-    std::uint64_t
-    placementKey(std::size_t block) const
-    {
-        return reader_->placementKey(block);
-    }
-
-    std::size_t blockCount() const { return reader_->blockCount(); }
-
     PrefetchStats stats() const;
 
   private:
@@ -118,7 +93,6 @@ class BlockPrefetcher
 
     std::shared_ptr<FcpcReader> reader_;
     PrefetchOptions options_;
-    core::ShardMap shard_map_;
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;

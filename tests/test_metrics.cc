@@ -7,8 +7,7 @@
  * suite runs under TSan in CI), and the /stats surface — rendered
  * after a mixed-priority serve run and parsed back: per-class
  * submitted/completed/expired/cancelled counters must match observed
- * outcomes, spill counters must fire under work-conserving load, and
- * the runtime-configured priority weights must be surfaced.
+ * outcomes, and spill counters must fire under work-conserving load.
  */
 
 #include <algorithm>
@@ -399,7 +398,6 @@ TEST(ServeStats, MixedPriorityRunRendersAccurateCounters)
     options.pipeline.num_threads = 2;
     options.num_shards = 2;
     options.queue_capacity = 64;
-    options.priority_weights = {6, 3, 2}; // non-default, must surface
 
     const auto cloud = std::make_shared<const data::PointCloud>(
         data::makeS3disScene(512, 7));
@@ -500,17 +498,6 @@ TEST(ServeStats, MixedPriorityRunRendersAccurateCounters)
         }
         EXPECT_GT(spills, 0);
 
-        // Runtime-configured aging weights are surfaced.
-        EXPECT_EQ(statValue(stats,
-                            "serve.priority_weight{class=interactive}"),
-                  6);
-        EXPECT_EQ(statValue(stats, "serve.priority_weight{class=batch}"),
-                  3);
-        EXPECT_EQ(
-            statValue(stats,
-                      "serve.priority_weight{class=background}"),
-            2);
-
         // The executor counted one task per admitted request.
         EXPECT_EQ(statValue(stats, "core.executor.tasks{shard=0}") +
                       statValue(stats, "core.executor.tasks{shard=1}"),
@@ -566,22 +553,6 @@ TEST(ServeStats, CancelledQueuedRequestIsCounted)
                   stats,
                   "serve.cancelled{shard=0,class=background}"),
               static_cast<std::int64_t>(cancelled));
-}
-
-TEST(ServeStats, DefaultWeightsSurfacedAndAccessorAgrees)
-{
-    ServeOptions options;
-    options.pipeline.num_threads = 1;
-    AsyncPipeline pipeline(options);
-    const auto stats = parseStats(serve::renderStats(pipeline));
-    EXPECT_EQ(statValue(stats,
-                        "serve.priority_weight{class=interactive}"),
-              static_cast<std::int64_t>(serve::kPriorityWeight[0]));
-    EXPECT_EQ(statValue(stats, "serve.priority_weight{class=batch}"),
-              static_cast<std::int64_t>(serve::kPriorityWeight[1]));
-    EXPECT_EQ(statValue(stats,
-                        "serve.priority_weight{class=background}"),
-              static_cast<std::int64_t>(serve::kPriorityWeight[2]));
 }
 
 } // namespace

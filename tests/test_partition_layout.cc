@@ -5,8 +5,9 @@
  * tests pin what that must preserve, for every method, with no pool
  * and on 2- and 8-thread pools (the pooled cases run in CI's TSan
  * filter), at both SIMD levels, on a LiDAR frame, an indoor scene and
- * adversarial clouds: all-duplicate points, NaN coordinates, signed
- * zeros and denormals, spans beyond FLT_MAX, and collinear points.
+ * adversarial clouds: all-duplicate points, NaN coordinates, a
+ * cluster with NaN x, signed zeros and denormals, spans beyond
+ * FLT_MAX, and collinear points.
  *
  *  - points() holds cloud[order()[pos]] at every position, bitwise;
  *  - every node's bounds are the Aabb fold of its points, bitwise;
@@ -86,6 +87,23 @@ layoutClouds()
                 p.at(d) = nan;
     }
     clouds.push_back({"nan", data::PointCloud(with_nan)});
+
+    // Half in the unit cube, half a cluster whose x is NaN: every
+    // node holding only the cluster has an x range no point set, and
+    // its y range must still reach the ancestors' bounds.
+    // Its own generator keeps the other clouds' draws unchanged.
+    Pcg32 cluster_rng(91);
+    std::vector<Vec3> nan_x(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i % 2 == 0)
+            nan_x[i] = {cluster_rng.uniform(0.0f, 1.0f),
+                        cluster_rng.uniform(0.0f, 1.0f),
+                        cluster_rng.uniform(0.0f, 1.0f)};
+        else
+            nan_x[i] = {nan, cluster_rng.uniform(10.0f, 20.0f),
+                        cluster_rng.uniform(0.0f, 1.0f)};
+    }
+    clouds.push_back({"nan-x-cluster", data::PointCloud(nan_x)});
 
     const float tiny[] = {0.0f, -0.0f, 1.0e-45f, -1.0e-45f,
                           1.0e-40f, -1.0e-40f, 3.0e-39f, -3.0e-39f};

@@ -100,7 +100,7 @@ TEST(Scheduler, FifoOrderAndCapacity)
     const auto c = scheduler.trySubmit(cloud, {}, std::nullopt);
     ASSERT_TRUE(c);
 
-    scheduler.complete(job_a->id, BatchResult{});
+    scheduler.complete(job_a->id);
     EXPECT_TRUE(scheduler.poll(*a));
     EXPECT_EQ(scheduler.wait(*a).state, RequestState::Done);
 
@@ -109,8 +109,8 @@ TEST(Scheduler, FifoOrderAndCapacity)
     ASSERT_TRUE(job_b && job_c);
     EXPECT_EQ(job_b->id, b->id);
     EXPECT_EQ(job_c->id, c->id);
-    scheduler.complete(job_b->id, BatchResult{});
-    scheduler.complete(job_c->id, BatchResult{});
+    scheduler.complete(job_b->id);
+    scheduler.complete(job_c->id);
 }
 
 TEST(Scheduler, AcquireRetiresCancelledHead)
@@ -182,14 +182,14 @@ TEST(Scheduler, SpillPolicyIsWorkConserving)
         const auto job = scheduler.acquire();
         ASSERT_TRUE(job);
         EXPECT_LT(job->spill_shard, 0) << "request " << i;
-        scheduler.complete(job->id, BatchResult{});
+        scheduler.complete(job->id);
     }
     // 3, 2, 1 in flight: idle slots exist, spill.
     for (int i = 3; i < 6; ++i) {
         const auto job = scheduler.acquire();
         ASSERT_TRUE(job);
         EXPECT_GE(job->spill_shard, 0) << "request " << i;
-        scheduler.complete(job->id, BatchResult{});
+        scheduler.complete(job->id);
         EXPECT_TRUE(scheduler.wait(tickets[i]).spilled);
     }
 }
@@ -210,12 +210,12 @@ TEST(Scheduler, CheckpointRefreshesSpillAfterPoolDrains)
         EXPECT_LT(jobs.back().spill_shard, 0) << "request " << i;
     }
     for (int i = 0; i < 3; ++i)
-        scheduler.complete(jobs[i].id, BatchResult{});
+        scheduler.complete(jobs[i].id);
 
     int spill_shard = jobs[3].spill_shard;
     ASSERT_TRUE(scheduler.checkpoint(jobs[3].id, &spill_shard));
     EXPECT_EQ(spill_shard, 0) << "1 in flight < 4 threads must now spill";
-    scheduler.complete(jobs[3].id, BatchResult{});
+    scheduler.complete(jobs[3].id);
     EXPECT_TRUE(scheduler.wait(tickets[3]).spilled);
 }
 
@@ -227,7 +227,7 @@ TEST(Scheduler, WorkConservingOffNeverSpills)
     const auto job = scheduler.acquire();
     ASSERT_TRUE(t && job);
     EXPECT_LT(job->spill_shard, 0); // 1 in flight < 8 threads, but pinned
-    scheduler.complete(job->id, BatchResult{});
+    scheduler.complete(job->id);
     EXPECT_FALSE(scheduler.wait(*t).spilled);
 }
 
@@ -573,34 +573,65 @@ TEST(AsyncPipeline, StressConcurrentSubmitPollCancel)
     options.queue_capacity = kSubmitters * kPerSubmitter;
     AsyncPipeline server(options);
 
+    // Each submitter consumes three ways: value wait(), waitInto()
+    // into one reused outcome, and discard(). Workers write results
+    // into their records while other records are admitted, consumed
+    // and reclaimed around them.
     std::atomic<int> done{0};
     std::atomic<int> cancelled{0};
+    std::atomic<int> discarded{0};
     std::vector<std::thread> submitters;
     for (int s = 0; s < kSubmitters; ++s) {
         submitters.emplace_back([&, s] {
+            RequestOutcome reused;
+            int reused_idx = -1; // request whose result `reused` holds
             for (int i = 0; i < kPerSubmitter; ++i) {
                 const int idx = s * kPerSubmitter + i;
                 const Ticket ticket = server.submit(
                     data::makeS3disScene(kPoints, 80 + idx), request);
                 if (idx % 3 == 0)
                     server.cancel(ticket);
-                const RequestOutcome outcome = server.wait(ticket);
+                if (idx % 4 == 3) {
+                    server.discard(ticket);
+                    discarded.fetch_add(1);
+                    continue;
+                }
+                RequestOutcome value;
+                const bool into = idx % 2 == 0;
+                if (into)
+                    server.waitInto(ticket, reused);
+                else
+                    value = server.wait(ticket);
+                const RequestOutcome &outcome = into ? reused : value;
                 if (outcome.state == RequestState::Done) {
                     done.fetch_add(1);
                     expectResultsIdentical(outcome.result,
                                            baseline[idx]);
+                    if (into)
+                        reused_idx = idx;
                 } else {
                     EXPECT_EQ(outcome.state, RequestState::Cancelled);
                     cancelled.fetch_add(1);
+                    // A request without a result leaves the caller's
+                    // previous one in place.
+                    if (into && reused_idx >= 0)
+                        expectResultsIdentical(outcome.result,
+                                               baseline[reused_idx]);
                 }
             }
         });
     }
     for (std::thread &t : submitters)
         t.join();
-    EXPECT_EQ(done.load() + cancelled.load(),
+    EXPECT_EQ(done.load() + cancelled.load() + discarded.load(),
               kSubmitters * kPerSubmitter);
     EXPECT_GT(done.load(), 0);
+    EXPECT_GT(discarded.load(), 0);
+
+    // Discarded tickets are reclaimed once they retire.
+    while (server.liveRecordCount() != 0 || server.runningCount() != 0 ||
+           server.queuedCount() != 0)
+        std::this_thread::yield();
 }
 
 } // namespace

@@ -370,8 +370,7 @@ TEST(SchedulerClassCapacity, BoundsRejectOnlyTheBoundedClass)
     bounds[static_cast<unsigned>(serve::Priority::Background)] = 1;
     serve::Scheduler scheduler(
         /*queue_capacity=*/8, /*num_threads=*/1,
-        /*work_conserving=*/true, /*num_shards=*/1,
-        serve::kPriorityWeight, &registry, bounds);
+        /*work_conserving=*/true, /*num_shards=*/1, &registry, bounds);
 
     const auto admit = [&](serve::Priority priority) {
         return scheduler.trySubmit(cloud, request, std::nullopt,
@@ -400,7 +399,7 @@ TEST(SchedulerClassCapacity, BoundsRejectOnlyTheBoundedClass)
     for (int i = 0; i < 3; ++i) {
         const auto job = scheduler.acquire(0);
         ASSERT_TRUE(job.has_value());
-        scheduler.complete(job->id, BatchResult{});
+        scheduler.complete(job->id);
     }
     const auto bg2 = admit(serve::Priority::Background);
     ASSERT_TRUE(bg2.has_value());
@@ -408,7 +407,7 @@ TEST(SchedulerClassCapacity, BoundsRejectOnlyTheBoundedClass)
     // Retire everything so the scheduler can be destroyed cleanly.
     const auto last = scheduler.acquire(0);
     ASSERT_TRUE(last.has_value());
-    scheduler.complete(last->id, BatchResult{});
+    scheduler.complete(last->id);
     for (const auto &ticket : {bg1, i1, b1, bg2})
         scheduler.discard(*ticket);
 }

@@ -314,15 +314,15 @@ TEST(ShardedServe, CrossShardSpillBorrowsIdleNeighbor)
     // Drain the rest: with 2 still in flight on shard 0 (== its
     // thread count) the second request keeps borrowing shard 1; the
     // last one, alone on its shard, spills to the home pool.
-    scheduler.complete(job->id, BatchResult{});
+    scheduler.complete(job->id);
     const auto second = scheduler.acquire(0);
     ASSERT_TRUE(second);
     EXPECT_EQ(second->spill_shard, 1);
-    scheduler.complete(second->id, BatchResult{});
+    scheduler.complete(second->id);
     const auto third = scheduler.acquire(0);
     ASSERT_TRUE(third);
     EXPECT_EQ(third->spill_shard, 0);
-    scheduler.complete(third->id, BatchResult{});
+    scheduler.complete(third->id);
     for (const Ticket t : tickets)
         EXPECT_TRUE(scheduler.wait(t).spilled);
 }
@@ -379,7 +379,7 @@ TEST(PriorityScheduling, BackloggedClassesShareByWeight)
         const Priority p = submitted.at(job->id);
         order.push_back(p);
         per_class_ids[p].push_back(job->id);
-        scheduler.complete(job->id, BatchResult{});
+        scheduler.complete(job->id);
     }
 
     // FIFO within each class.

@@ -17,6 +17,7 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -424,14 +425,14 @@ TEST(WorkspaceAlloc, WarmPartitionIsAllocationFreeForEveryMethod)
 
 TEST(WorkspaceAlloc, WarmServeRoundTripIsAllocationFree)
 {
-    // The acceptance bar of the shard-local memory work: a warm
-    // same-shape submitShared -> waitInto round trip touches the
-    // heap exactly zero times — admission (recycled record node +
+    // A warm same-shape submitShared -> waitInto round trip touches
+    // the heap exactly zero times — admission (recycled record node +
     // id ring), dispatch (InlineTask ring), processing (per-shard
-    // workspace), the result payload (slab-recycled outcome slot),
-    // and consumption (capacity-reusing copy) included. Checked in
-    // both aggregation orders: interactive semseg serving runs
-    // Delayed through exactly this path.
+    // workspace), the result payload (the recycled record's own) and
+    // consumption (a buffer swap) included. A ticket that retires
+    // without a result in between must not cost the loop its warm
+    // buffers. Checked in both aggregation orders: interactive
+    // semseg serving runs Delayed through exactly this path.
     const auto scene = std::make_shared<const data::PointCloud>(
         data::makeS3disScene(2048, 61));
     const nn::Network network(tinySegModel(), 42);
@@ -459,8 +460,21 @@ TEST(WorkspaceAlloc, WarmServeRoundTripIsAllocationFree)
         const std::uint64_t before = fc::heapAllocCount();
         server.waitInto(server.submitShared(scene, request), out);
         EXPECT_EQ(fc::heapAllocCount() - before, 0u);
-
         ASSERT_EQ(out.state, serve::RequestState::Done);
+
+        // Already past its deadline at admission: retires Expired
+        // without running, and leaves out.result as it was.
+        server.waitInto(server.submitShared(scene, request,
+                                            std::chrono::milliseconds(-1)),
+                        out);
+        ASSERT_EQ(out.state, serve::RequestState::Expired);
+        const std::uint64_t after_expired = fc::heapAllocCount();
+        for (int i = 0; i < 2; ++i) {
+            server.waitInto(server.submitShared(scene, request), out);
+            ASSERT_EQ(out.state, serve::RequestState::Done);
+        }
+        EXPECT_EQ(fc::heapAllocCount() - after_expired, 0u);
+
         EXPECT_EQ(server.workspacesCreated(), 1u);
         EXPECT_EQ(server.outcomeSlotsCreated(), 1u);
     }
