@@ -11,12 +11,16 @@
  * are active this binary exits non-zero unless the FPS
  * distance-update and LinearRelu rows reach a 2x speedup over scalar
  * — a floor on the two paper-critical kernels. The ball-scan row has
- * no floor. The LinearRelu row is a 131->136 layer over
- * 512 rows, so the floor also covers both edges of the kernel's
- * 6-row x 16-output tiles: a partial output panel (136 % 16 = 8
- * lanes) and a narrower last row tile (512 % 6 = 2 rows). On
- * scalar-only machines the rows print with speedup 1.0 and nothing is
- * asserted.
+ * no floor. The LinearRelu row is LinearRelu::forward over 500 rows
+ * of a 131->136 layer, and its level cell names the MLP kernel the
+ * Avx2 table ran: "avx2 zmm" (8-row x 32-output tiles, on CPUs with
+ * AVX-512F) or "avx2 ymm" (6-row x 16-output tiles). The floor covers
+ * both kernels' edges: 136 outputs are 9 panels, so four zmm panel
+ * pairs and one single panel, partial (136 % 16 = 8 lanes) at both
+ * kernels; and forward's grain for this layer is 48 rows, so the last
+ * chunk of 20 rows ends in a narrower row tile at both (2 x 8 + 4,
+ * 3 x 6 + 2). On scalar-only machines the rows print with speedup 1.0
+ * and nothing is asserted.
  */
 
 #include <algorithm>
@@ -85,7 +89,7 @@ timeBothLevels(Fn &&fn, int reps)
 constexpr std::size_t kPoints = 1 << 16;
 constexpr std::size_t kLinearIn = 131;
 constexpr std::size_t kLinearOut = 136;
-constexpr std::size_t kLinearRows = 512;
+constexpr std::size_t kLinearRows = 500;
 constexpr int kReps = 5;
 
 void
@@ -109,11 +113,12 @@ simdTable()
     const char *level_name =
         simd::levelName(simd::avx2Available() ? simd::Level::Avx2
                                               : simd::Level::Scalar);
-    const auto add_row = [&](const char *kernel,
-                             const KernelTiming &t) {
+    const auto add_row = [&](const char *kernel, const KernelTiming &t,
+                             const char *level = nullptr) {
         table.addRow({kernel, fc::Table::num(t.scalar_ms),
                       fc::Table::num(t.simd_ms),
-                      fc::Table::num(t.speedup()), level_name});
+                      fc::Table::num(t.speedup()),
+                      level != nullptr ? level : level_name});
     };
 
     // FPS distance update: the fused min-distance + argmax sweep.
@@ -185,7 +190,11 @@ simdTable()
             benchmark::DoNotOptimize(y.data().data());
         },
         kReps);
-    add_row("linear-relu-fp32", linear);
+    const char *mlp_kernel =
+        !simd::avx2Available()                       ? "scalar"
+        : simd::detail::zmmLinearReluRows() != nullptr ? "avx2 zmm"
+                                                       : "avx2 ymm";
+    add_row("linear-relu-fp32", linear, mlp_kernel);
 
     // Interpolation blend (axpy).
     std::vector<float> blend_src(n, 0.5f), blend_dst(n, 0.0f);

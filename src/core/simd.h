@@ -22,6 +22,12 @@
  *   - Avx2: AVX2+FMA+F16C kernels compiled in a separate translation
  *     unit (simd_avx2.cc) with per-file -mavx2 flags, selected at
  *     runtime via cpuid so the binary still runs on older x86-64.
+ *     Its MLP entry (linearReluRows) is one of two kernels, chosen
+ *     once by cpuid when the table is built: on a CPU with AVX-512F
+ *     the zmm kernel of simd_avx512.cc (per-file -mavx512f flags;
+ *     8 rows x 32 outputs per register tile), else the ymm kernel of
+ *     simd_avx2.cc (6 rows x 16 outputs). Both are bit-identical to
+ *     Scalar, so the choice adds no level and no level name.
  *
  * Dispatch is decided once, on first use: cpuid gates Avx2, and the
  * FC_FORCE_SCALAR environment variable (any non-empty value except
@@ -71,19 +77,24 @@
  *     or an fp16-rounded activation. Every output lane runs the scalar
  *     loop's sequence at both levels: acc = bias, then
  *     acc += w[o][i] * x[i] for ascending i, the ReLU
- *     acc < 0 ? 0 : acc, and fp16 rounding. Avx2 vectorizes across 16
- *     outputs and adds with FMA. That keeps the identity: a product of
- *     two fp16 values has at most 22 significant bits and an exponent
- *     within [-48, 32], so it is exact in fp32, and fma(w, x, acc)
- *     rounds exactly like acc + w*x. The ReLU keeps NaN and -0 as the
- *     scalar comparison does, and a NaN output stays NaN (its payload
- *     may differ, as for fp16RoundBuffer). Outside the precondition
- *     only Scalar rounds the products, so before the ReLU and the fp16
- *     rounding the two levels' finite fp32 sums differ by at most
- *     2 * gamma(in + 1) * (|bias| + sum_i |w[o][i] * x[i]|), with
- *     gamma(n) = n * 2^-24 / (1 - n * 2^-24) (recursive summation: at
- *     most in + 1 roundings reach each term at Scalar, in at Avx2).
- *     How a caller splits its rows into blocks never changes a result.
+ *     acc < 0 ? 0 : acc, and fp16 rounding. Both Avx2 kernels, ymm
+ *     and zmm, vectorize across the 16 outputs of a panel (one ymm
+ *     pair or one zmm register) and add with FMA. That keeps the
+ *     identity: a product of two fp16 values has at most 22
+ *     significant bits and an exponent within [-48, 32], so it is
+ *     exact in fp32, and fma(w, x, acc) rounds exactly like
+ *     acc + w*x. The ReLU is max(zero, acc) = (0 > acc) ? 0 : acc,
+ *     which keeps NaN and -0 as the scalar comparison does, and a NaN
+ *     output stays NaN (its payload may differ, as for
+ *     fp16RoundBuffer). Outside the precondition only Scalar rounds
+ *     the products, so before the ReLU and the fp16 rounding the
+ *     Scalar sum and either Avx2 kernel's finite fp32 sum differ by
+ *     at most 2 * gamma(in + 1) * (|bias| + sum_i |w[o][i] * x[i]|),
+ *     with gamma(n) = n * 2^-24 / (1 - n * 2^-24) (recursive
+ *     summation: at most in + 1 roundings reach each term at Scalar,
+ *     in at Avx2); the ymm and zmm kernels agree bit for bit whatever
+ *     the operands, as both run the same FMA sequence per lane. How a
+ *     caller splits its rows into blocks never changes a result.
  *
  * Threading: kernels are pure functions over caller-owned memory and
  * may run concurrently on disjoint ranges — they are called from
@@ -96,6 +107,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <utility>
 #include <vector>
@@ -279,7 +291,7 @@ std::uint32_t splitBelow(const SplitArrays &arrays, int dim,
                          std::uint32_t begin, std::uint32_t end,
                          float value);
 
-/** Outputs per packed weight panel (two 8-lane vectors). */
+/** Outputs per packed weight panel (two ymm vectors or one zmm). */
 inline constexpr std::size_t kLinearPanel = 16;
 
 /**
@@ -308,18 +320,37 @@ void linearReluRows(const float *w, const float *bias, std::size_t in,
                     float *y);
 
 /**
- * Rows per register tile of the Avx2 linearReluRows kernel, which
+ * Rows per register tile of the ymm linearReluRows kernel, which
  * computes one panel of kLinearPanel outputs for this many rows per
  * pass over the panel: 12 ymm accumulators, the most that leave
  * registers for the two weight vectors and a broadcast. Over the 23
  * LinearRelu layers of PointNet++ semseg (delayed order, 8192
  * points, one thread), 6 x 16 and 5 x 16 tied at a best of 32.9 ms
- * and 4 x 16 took 35.0 ms. A block whose row count is not a multiple
- * of it ends in a narrower tile that reuses each weight load less, so
- * callers that chunk rows round their chunk length up to a multiple
- * of it.
+ * and 4 x 16 took 35.0 ms.
  */
 inline constexpr std::size_t kLinearRowTile = 6;
+
+/**
+ * Rows per register tile of the zmm linearReluRows kernel, which
+ * computes two panels (32 outputs) for this many rows per pass: 16
+ * zmm accumulators, two weight vectors and a broadcast out of 32
+ * registers. Over the same 23 layer shapes, rows chunked as
+ * LinearRelu::forward does, one thread, best of 7 in each of two
+ * runs: 8 x 2 panels 26.7 / 30.9 ms, 6 x 2 27.9 / 32.3, 10 x 2
+ * 28.9 / 31.9, 4 x 2 29.6 / 33.4, 12 x 2 30.6 / 33.1, and the ymm
+ * tile 42.0 / 46.2 ms (Xeon with AVX-512, gcc 12). An odd last panel
+ * runs a one-panel tile of the same height.
+ */
+inline constexpr std::size_t kLinearRowTileZmm = 8;
+
+/**
+ * A whole number of row tiles at both kernels (24). A block whose row
+ * count is not a multiple of a kernel's tile ends in a narrower tile
+ * that reuses each weight load less, so callers that chunk rows round
+ * their chunk length up to a multiple of this.
+ */
+inline constexpr std::size_t kLinearRowGrainUnit =
+    std::lcm(kLinearRowTile, kLinearRowTileZmm);
 
 /** y[i] += a * x[i], elementwise (bit-identical across levels). */
 void axpy(float a, const float *x, float *y, std::size_t n);
@@ -329,6 +360,11 @@ void axpy(float a, const float *x, float *y, std::size_t n);
 void fp16RoundBuffer(float *values, std::size_t n);
 
 namespace detail {
+
+/** The signature of linearReluRows, one entry of a kernel table. */
+using LinearReluRowsFn = void (*)(const float *, const float *,
+                                  std::size_t, std::size_t,
+                                  const float *, std::size_t, float *);
 
 /** Per-level kernel table; one instance per Level. */
 struct Kernels
@@ -346,9 +382,7 @@ struct Kernels
                                        std::uint32_t);
     std::uint32_t (*split_below)(const SplitArrays &, int, std::uint32_t,
                                  std::uint32_t, float);
-    void (*linear_relu_rows)(const float *, const float *, std::size_t,
-                             std::size_t, const float *, std::size_t,
-                             float *);
+    LinearReluRowsFn linear_relu_rows;
     void (*axpy)(float, const float *, float *, std::size_t);
     void (*fp16_round)(float *, std::size_t);
 };
@@ -357,8 +391,20 @@ struct Kernels
 const Kernels &active();
 
 /** Avx2 table, or null when the build/CPU cannot run it. Defined in
- *  simd_avx2.cc (the only TU compiled with -mavx2 -mfma -mf16c). */
+ *  simd_avx2.cc (compiled with -mavx2 -mfma -mf16c). Its
+ *  linear_relu_rows entry is zmmLinearReluRows() when that is not
+ *  null, else ymmLinearReluRows(). */
 const Kernels *avx2Kernels();
+
+/** The Avx2 table's ymm linearReluRows kernel (simd_avx2.cc), or
+ *  null when avx2Kernels() is. Tests call it directly, so both MLP
+ *  kernels stay covered on a CPU that installs the zmm one. */
+LinearReluRowsFn ymmLinearReluRows();
+
+/** The zmm linearReluRows kernel (simd_avx512.cc, compiled with
+ *  -mavx512f -mfma -mf16c), or null when the build or the CPU lacks
+ *  AVX-512F. */
+LinearReluRowsFn zmmLinearReluRows();
 
 /** Swap positions @p a and @p b of every array (both splitBelow
  *  levels). */

@@ -2,8 +2,9 @@
  * @file
  * AVX2+FMA+F16C kernel implementations of core/simd.h.
  *
- * This is the only translation unit compiled with -mavx2 -mfma -mf16c
- * (per-file COMPILE_OPTIONS in CMakeLists.txt); everything here is
+ * This translation unit is compiled with -mavx2 -mfma -mf16c
+ * (per-file COMPILE_OPTIONS in CMakeLists.txt; simd_avx512.cc, the
+ * other kernel TU, holds the AVX-512F MLP kernel). Everything here is
  * additionally guarded by a cpuid check at runtime, so the library
  * binary stays runnable on plain x86-64. On builds without those
  * flags (other architectures, or a compiler rejecting them),
@@ -34,11 +35,13 @@
  *   - The argmax keeps per-lane running bests with a strictly-greater
  *     compare, then resolves ties cross-lane by smallest index — the
  *     earliest maximal index, exactly the serial tie-break.
- *   - linearReluRows vectorizes across the 16 outputs of a packed
- *     weight panel, so every lane runs the scalar loop's own sequence
- *     (bias, then one term per ascending input). Its FMA matches the
- *     scalar mul+add because products of fp16-valued operands are
- *     exact in fp32; _mm256_max_ps(zero, acc) = (0 > acc) ? 0 : acc
+ *   - linearReluRows (the ymm kernel; the table runs the zmm one of
+ *     simd_avx512.cc instead on CPUs with AVX-512F) vectorizes across
+ *     the 16 outputs of a packed weight panel, so every lane runs the
+ *     scalar loop's own sequence (bias, then one term per ascending
+ *     input). Its FMA matches the scalar mul+add because products of
+ *     fp16-valued operands are exact in fp32;
+ *     _mm256_max_ps(zero, acc) = (0 > acc) ? 0 : acc
  *     keeps NaN and -0 like the scalar acc < 0 ? 0 : acc; and the
  *     F16C round trip is the fp16RoundBuffer one below.
  *   - fp16RoundBuffer's F16C round trip rounds to nearest-even like
@@ -517,8 +520,8 @@ linearReluTailTile(std::size_t rows, const float *panel,
 }
 
 /**
- * linearReluRows at this level: panel by panel, the rows in tiles of
- * kLinearRowTile, then one narrower tile for the remainder.
+ * linearReluRows on ymm registers: panel by panel, the rows in tiles
+ * of kLinearRowTile, then one narrower tile for the remainder.
  */
 void
 linearReluRowsAvx2(const float *w, const float *bias, std::size_t in,
@@ -552,15 +555,23 @@ namespace detail {
 const Kernels *
 avx2Kernels()
 {
+    static const LinearReluRowsFn zmm = zmmLinearReluRows();
     static const Kernels table = {
         &fpsUpdateAvx2,      &ballScanAvx2,   &distance2RangeAvx2,
-        &extremaAvx2,        &splitBelowAvx2, &linearReluRowsAvx2,
+        &extremaAvx2,        &splitBelowAvx2,
+        zmm != nullptr ? zmm : &linearReluRowsAvx2,
         &axpyAvx2,           &fp16RoundAvx2,
     };
     static const bool supported = __builtin_cpu_supports("avx2") &&
                                   __builtin_cpu_supports("fma") &&
                                   __builtin_cpu_supports("f16c");
     return supported ? &table : nullptr;
+}
+
+LinearReluRowsFn
+ymmLinearReluRows()
+{
+    return avx2Kernels() != nullptr ? &linearReluRowsAvx2 : nullptr;
 }
 
 } // namespace detail
@@ -573,6 +584,12 @@ namespace fc::core::simd::detail {
 
 const Kernels *
 avx2Kernels()
+{
+    return nullptr;
+}
+
+LinearReluRowsFn
+ymmLinearReluRows()
 {
     return nullptr;
 }

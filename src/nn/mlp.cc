@@ -39,11 +39,15 @@ LinearRelu::forward(const Tensor &x, core::ThreadPool *pool,
     y.resize(x.rows(), out_);
     // Each row owns its output slice and linearReluRows is bit-equal
     // per output whatever block it runs in, so chunking never affects
-    // the arithmetic. The grain is a pure function of the layer shape,
-    // rounded up to whole row tiles so no chunk splits a tile.
-    constexpr std::size_t tile = core::simd::kLinearRowTile;
+    // the arithmetic. The grain is a pure function of the layer shape:
+    // about 2^19 MACs (10-20 us of kernel work on one core), so a
+    // pooled layer does not pay a task per few row tiles, rounded up
+    // to whole row tiles of both Avx2 kernels so no chunk splits a
+    // tile.
+    constexpr std::size_t unit = core::simd::kLinearRowGrainUnit;
     const std::size_t grain =
-        (core::costGrain(in_ * out_) + tile - 1) / tile * tile;
+        (core::costGrain(in_ * out_, std::size_t{1} << 19) + unit - 1) /
+        unit * unit;
     core::parallelFor(
         pool, 0, x.rows(), grain, [&](std::size_t rb, std::size_t re) {
             core::simd::linearReluRows(weights_.data(), bias_.data(),

@@ -9,9 +9,10 @@
  *  - per-shard workspace pools: creation counts stay flat per shard
  *    under pinned mixed-class load, and the foreign-return tripwire
  *    stays at zero,
- *  - the slab-recycled outcome pool: waitInto == wait byte for byte,
- *    recycled slots never alias a live result, and slot counts stay
- *    bounded by concurrency, and
+ *  - result payloads kept in recycled scheduler records: waitInto ==
+ *    wait byte for byte, a reused record never aliases a consumed
+ *    result, and the records created stay bounded by the tickets live
+ *    at once (queued, running, or done and not yet consumed), and
  *  - per-class admission bounds reject exactly the bounded class.
  *
  * Suite names (ShardedLocality, AsyncPipelineOutcome,
@@ -294,9 +295,10 @@ TEST(AsyncPipelineOutcome, RecycledSlotsNeverAliasALiveResult)
     const auto sampled_snapshot = first.result.sampled.indices;
     const auto gathered_snapshot = first.result.gathered.values;
 
-    // The next request recycles the same slot and overwrites it with
-    // a different shape; the consumed outcome must not change (it
-    // was copied out, never aliased).
+    // The next request reuses the same scheduler record and writes a
+    // different shape into its payload; the consumed outcome must not
+    // change (waitInto swapped the payload out, so nothing aliases
+    // it).
     BatchRequest other = request;
     other.sample_rate = 0.5;
     other.neighbors = 4;
@@ -306,7 +308,7 @@ TEST(AsyncPipelineOutcome, RecycledSlotsNeverAliasALiveResult)
     EXPECT_EQ(first.result.sampled.indices, sampled_snapshot);
     EXPECT_EQ(first.result.gathered.values, gathered_snapshot);
 
-    // Sequential traffic keeps the slab at one slot.
+    // Sequential traffic reuses one scheduler record.
     EXPECT_EQ(server.outcomeSlotsCreated(), 1u);
 }
 
@@ -324,9 +326,9 @@ TEST(AsyncPipelineOutcome, SlotCountBoundedByUnconsumedTickets)
     options.pipeline.threshold = 64;
     serve::AsyncPipeline server(options);
 
-    // Hold several tickets un-consumed: each terminal-but-uncollected
-    // request keeps its slot leased, so the slab must grow to cover
-    // them — and stop there.
+    // Hold several tickets unconsumed: a ticket keeps its scheduler
+    // record while it is queued, running, or done and not yet
+    // consumed, so records are created to cover them — and no more.
     std::vector<serve::Ticket> held;
     for (int i = 0; i < 6; ++i)
         held.push_back(server.submitShared(cloud, request));
@@ -337,7 +339,7 @@ TEST(AsyncPipelineOutcome, SlotCountBoundedByUnconsumedTickets)
     EXPECT_GE(peak, 1u);
     EXPECT_LE(peak, 6u);
 
-    // Consumed promptly, the slab stops growing for good.
+    // Consumed promptly, tickets reuse the reclaimed records.
     for (int i = 0; i < 20; ++i) {
         serve::RequestOutcome out;
         server.waitInto(server.submitShared(cloud, request), out);
@@ -345,7 +347,7 @@ TEST(AsyncPipelineOutcome, SlotCountBoundedByUnconsumedTickets)
     }
     EXPECT_EQ(server.outcomeSlotsCreated(), peak);
 
-    // Discarded tickets recycle their slots too.
+    // Discarded tickets give their records back too.
     for (int i = 0; i < 4; ++i)
         server.discard(server.submitShared(cloud, request));
     while (server.liveRecordCount() != 0 ||

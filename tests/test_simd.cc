@@ -9,11 +9,13 @@
  *    rounding), on adversarial inputs: all-equal points, NaN, Inf and
  *    denormal coordinates, every binary16 bit pattern, and sizes
  *    straddling the 8-lane vector remainder.
- *  - The LinearRelu row kernel over packed weights bit-equal, at both
- *    levels, to one level-free loop (bias, ascending inputs, ReLU,
- *    fp16Round) over every partial row tile and partial output panel,
- *    NaN and Inf included; and, outside its fp16-valued precondition,
- *    within the recursive-summation bound core/simd.h documents.
+ *  - Every LinearRelu row kernel the host can run (Scalar, and the
+ *    Avx2 table's ymm and zmm kernels, reached through
+ *    core::simd::detail) bit-equal to one level-free loop (bias,
+ *    ascending inputs, ReLU, fp16Round) over every partial row tile
+ *    and partial output panel of both vector tiles, NaN and Inf
+ *    included; and, outside its fp16-valued precondition, within the
+ *    recursive-summation bound core/simd.h documents.
  *  - End-to-end: FPS / ball query / KNN and PointNet++ inference
  *    identical across levels, and thread-count determinism of
  *    inference with SIMD active (SimdDeterminism, in the TSan CI
@@ -28,8 +30,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iostream>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -135,6 +139,21 @@ TEST(SimdDispatch, SetActiveLevelRoundTrip)
     EXPECT_EQ(honored, simd::avx2Available());
     EXPECT_EQ(simd::activeLevel(), honored ? simd::Level::Avx2
                                            : simd::Level::Scalar);
+}
+
+TEST(SimdDispatch, Avx2TableRunsTheWidestMlpKernel)
+{
+    const auto ymm = simd::detail::ymmLinearReluRows();
+    const auto zmm = simd::detail::zmmLinearReluRows();
+    const simd::detail::Kernels *avx2 = simd::detail::avx2Kernels();
+    // Both vector kernels live in the Avx2 table, so neither runs
+    // without it.
+    EXPECT_EQ(ymm != nullptr, avx2 != nullptr);
+    if (avx2 == nullptr) {
+        EXPECT_EQ(zmm, nullptr);
+        GTEST_SKIP() << "AVX2 kernels not available";
+    }
+    EXPECT_EQ(avx2->linear_relu_rows, zmm != nullptr ? zmm : ymm);
 }
 
 // ---------------------------------------------------------------------
@@ -738,22 +757,53 @@ referenceLinearRelu(const std::vector<float> &w,
     return y;
 }
 
-TEST(SimdEquivalence, LinearReluRowsMatchesDotAccLoopBitwise)
+/** A linearReluRows kernel and the name a failure prints. */
+struct NamedLinearKernel
+{
+    const char *name;
+    simd::detail::LinearReluRowsFn run;
+};
+
+/**
+ * Every linearReluRows kernel this host can run: the Scalar table's,
+ * then the Avx2 table's ymm and zmm kernels where the build and the
+ * CPU have them. Prints the names, so a test log shows which ran.
+ */
+std::vector<NamedLinearKernel>
+linearKernels(const char *test)
 {
     LevelGuard guard;
+    simd::setActiveLevel(simd::Level::Scalar);
+    std::vector<NamedLinearKernel> kernels = {
+        {"scalar", simd::detail::active().linear_relu_rows}};
+    if (const auto ymm = simd::detail::ymmLinearReluRows())
+        kernels.push_back({"ymm", ymm});
+    if (const auto zmm = simd::detail::zmmLinearReluRows())
+        kernels.push_back({"zmm", zmm});
+    std::string names;
+    for (const NamedLinearKernel &kernel : kernels)
+        names += std::string(" ") + kernel.name;
+    std::cout << "[ kernels  ] " << test << ":" << names << std::endl;
+    return kernels;
+}
+
+TEST(SimdEquivalence, LinearReluRowsMatchesDotAccLoopBitwise)
+{
+    constexpr std::ptrdiff_t kLinearGuard = simd::kLinearPanel;
     // in: from 1 up past the widest semseg remainders (6, 67, 131,
-    // 259) to 768. rows: every partial row tile, whole tiles, and
-    // whole tiles plus a remainder. out: partial panels alone (1, 2,
-    // 3, 13), one whole panel (16), and whole panels followed by a
-    // partial one (17, 33) or not (64).
+    // 259) to 768. rows: every partial row tile of the 6-row ymm and
+    // 8-row zmm tiles, whole tiles (6, 8, 16, 24, 64), and whole tiles
+    // plus a remainder (7, 9, 12, 15, 17). out: partial panels alone
+    // (1, 2, 3, 13), one whole panel (16), one whole zmm panel pair
+    // (32), a pair and a whole single panel (48) or a partial one (33),
+    // a whole panel and a partial one (17), and two pairs (64).
     const std::size_t ins[] = {1,  3,  6,  8,   9,   16, 17,
                                24, 27, 67, 131, 259, 768};
-    const std::size_t row_counts[] = {1, 2, 3, 4, 5, 6, 7, 12, 64};
-    const std::size_t outs[] = {1, 2, 3, 13, 16, 17, 33, 64};
-    for (const simd::Level level :
-         {simd::Level::Scalar, simd::Level::Avx2}) {
-        if (!simd::setActiveLevel(level))
-            continue; // no Avx2 on this machine: Scalar only
+    const std::size_t row_counts[] = {1, 2,  3,  4,  5,  6,  7, 8,
+                                      9, 12, 15, 16, 17, 24, 64};
+    const std::size_t outs[] = {1, 2, 3, 13, 16, 17, 32, 33, 48, 64};
+    for (const NamedLinearKernel &kernel :
+         linearKernels("LinearReluRowsMatchesDotAccLoopBitwise"))
         for (const std::size_t in : ins)
             for (const std::size_t out : outs) {
                 Pcg32 rng(in * 131 + out);
@@ -769,23 +819,32 @@ TEST(SimdEquivalence, LinearReluRowsMatchesDotAccLoopBitwise)
                     for (float &v : x)
                         v = fp16Round(rng.uniform(-1.0f, 1.0f));
                     // A NaN and an infinity must travel through the
-                    // ReLU and the rounding exactly as in the loop.
-                    if (rows == 7) {
+                    // ReLU and the rounding exactly as in the loop,
+                    // in a narrower tile and in a whole one.
+                    if (rows == 7 || rows == 17) {
                         x[3 * in] =
                             std::numeric_limits<float>::quiet_NaN();
                         x[5 * in + in - 1] =
                             std::numeric_limits<float>::infinity();
                     }
-                    std::vector<float> y(rows * out);
-                    simd::linearReluRows(packed.data(), bias.data(), in,
-                                         out, x.data(), rows, y.data());
+                    // Guard lanes after the last row hold -1, which
+                    // no ReLU output is: a store past the rows shows.
+                    std::vector<float> y(rows * out + kLinearGuard,
+                                         -1.0f);
+                    kernel.run(packed.data(), bias.data(), in, out,
+                               x.data(), rows, y.data());
+                    EXPECT_EQ(std::count(y.end() - kLinearGuard, y.end(),
+                                         -1.0f),
+                              kLinearGuard)
+                        << kernel.name << " wrote past the rows, in="
+                        << in << " rows=" << rows << " out=" << out;
+                    y.resize(rows * out);
                     EXPECT_EQ(bitsOf(y), bitsOf(referenceLinearRelu(
                                              w, bias, in, out, x, rows)))
-                        << simd::levelName(level) << " in=" << in
+                        << kernel.name << " in=" << in
                         << " rows=" << rows << " out=" << out;
                 }
             }
-    }
 }
 
 TEST(SimdEquivalence, LinearReluLayerBitIdenticalAcrossLevels)
@@ -841,15 +900,18 @@ floatAbove(double v)
 
 TEST(SimdAccuracy, LinearReluOutsideFp16PreconditionWithinSummationBound)
 {
-    FC_REQUIRE_AVX2();
-    LevelGuard guard;
     // Weights and inputs NOT rounded to fp16: products round at Scalar
-    // but not under Avx2's FMA, so the levels may differ. Before the
-    // ReLU and fp16 rounding the two fp32 sums must stay within
+    // but not under the vector kernels' FMA, so they may differ. Before
+    // the ReLU and fp16 rounding the fp32 sums must stay within
     // 2 * gamma(in + 1) * (|bias| + sum_i |w_i x_i|) (core/simd.h);
-    // both of those steps are monotone, so the Avx2 output must lie
-    // between the images of the Scalar sum minus and plus that bound.
-    const std::size_t rows = 7;
+    // both of those steps are monotone, so each vector kernel's output
+    // must lie between the images of the Scalar sum minus and plus that
+    // bound. The ymm and zmm kernels run the same FMA sequence per
+    // lane, so they must agree bit for bit. 9 rows: a whole zmm tile
+    // and a narrower one, a whole ymm tile and a narrower one.
+    const std::vector<NamedLinearKernel> kernels = linearKernels(
+        "LinearReluOutsideFp16PreconditionWithinSummationBound");
+    const std::size_t rows = 9;
     for (const std::size_t in : {std::size_t{1}, std::size_t{7},
                                  std::size_t{64}, std::size_t{259},
                                  std::size_t{1000}})
@@ -864,18 +926,21 @@ TEST(SimdAccuracy, LinearReluOutsideFp16PreconditionWithinSummationBound)
                 v = rng.uniform(-1.0f, 1.0f);
             const std::vector<float> packed =
                 simd::packLinearWeights(w.data(), in, out);
-            std::vector<float> y_scalar(rows * out), y_avx2(rows * out);
-            ASSERT_TRUE(simd::setActiveLevel(simd::Level::Scalar));
-            simd::linearReluRows(packed.data(), bias.data(), in, out,
-                                 x.data(), rows, y_scalar.data());
-            ASSERT_TRUE(simd::setActiveLevel(simd::Level::Avx2));
-            simd::linearReluRows(packed.data(), bias.data(), in, out,
-                                 x.data(), rows, y_avx2.data());
+            std::vector<std::vector<float>> ys;
+            for (const NamedLinearKernel &kernel : kernels) {
+                ys.emplace_back(rows * out);
+                kernel.run(packed.data(), bias.data(), in, out, x.data(),
+                           rows, ys.back().data());
+            }
             // Scalar is the reference loop whatever its operands.
-            EXPECT_EQ(bitsOf(y_scalar),
+            EXPECT_EQ(bitsOf(ys[0]),
                       bitsOf(referenceLinearRelu(w, bias, in, out, x,
                                                  rows)))
                 << "in=" << in << " out=" << out;
+            if (ys.size() == 3) {
+                EXPECT_EQ(bitsOf(ys[1]), bitsOf(ys[2]))
+                    << "ymm vs zmm, in=" << in << " out=" << out;
+            }
 
             const auto relu16 = [](float v) {
                 return fp16Round(v < 0.0f ? 0.0f : v);
@@ -890,11 +955,15 @@ TEST(SimdAccuracy, LinearReluOutsideFp16PreconditionWithinSummationBound)
                     const double bound =
                         2.0 * summationGamma(in + 1) * magnitude;
                     const double sum = referenceSum(w, bias, in, x, r, o);
-                    const float y = y_avx2[r * out + o];
-                    EXPECT_GE(y, relu16(floatBelow(sum - bound)))
-                        << "in=" << in << " r=" << r << " o=" << o;
-                    EXPECT_LE(y, relu16(floatAbove(sum + bound)))
-                        << "in=" << in << " r=" << r << " o=" << o;
+                    for (std::size_t k = 1; k < ys.size(); ++k) {
+                        const float y = ys[k][r * out + o];
+                        EXPECT_GE(y, relu16(floatBelow(sum - bound)))
+                            << kernels[k].name << " in=" << in
+                            << " r=" << r << " o=" << o;
+                        EXPECT_LE(y, relu16(floatAbove(sum + bound)))
+                            << kernels[k].name << " in=" << in
+                            << " r=" << r << " o=" << o;
+                    }
                 }
         }
 }
@@ -1011,12 +1080,15 @@ TEST(SimdDeterminism, FpsIdenticalAcrossThreadCounts)
 
 TEST(SimdDeterminism, LinearReluIdenticalAcrossThreadCounts)
 {
-    // Row counts that are not a multiple of the row tile, so pooled
-    // chunks and the sequential pass both end in a partial tile.
+    // Row counts that are not a multiple of 24, the grain unit of
+    // both vector kernels' row tiles, so the last chunk (pooled or
+    // sequential) ends in a narrower tile at each: 1001 rows in chunks
+    // of 48 end in 41 (5 x 8 + 1, 6 x 6 + 5), and 517 rows in chunks
+    // of 24 end in 13 (8 + 5, 2 x 6 + 1).
     const struct
     {
         std::size_t in, out, rows;
-    } shapes[] = {{131, 128, 1000}, {320, 256, 517}};
+    } shapes[] = {{131, 128, 1001}, {320, 256, 517}};
     for (const auto &shape : shapes) {
         const nn::LinearRelu layer(shape.in, shape.out, 11);
         nn::Tensor x(shape.rows, shape.in);
