@@ -165,8 +165,8 @@ labelTransferMiou(const nn::BackendOptions &backend,
         for (std::size_t i = 0; i < sampled.size(); ++i)
             onehot[i * classes +
                    scene.labels()[sampled[i]]] = 1.0f;
-        interp = ops::blockInterpolate(scene, part.tree, bs, onehot,
-                                       classes);
+        interp = ops::blockInterpolate(scene, part.tree, onehot,
+                                       classes, sampled);
     }
 
     std::vector<int> preds(scene.size(), 0);

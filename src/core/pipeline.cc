@@ -73,8 +73,8 @@ FractalCloudPipeline::interpolate(
     const std::vector<float> &known_features, std::size_t channels,
     std::size_t k) const
 {
-    return ops::blockInterpolate(cloud_, partition_.tree, sampled,
-                                 known_features, channels, k,
+    return ops::blockInterpolate(cloud_, partition_.tree, known_features,
+                                 channels, sampled.indices, k,
                                  pool_.get());
 }
 

@@ -148,7 +148,8 @@ class FractalCloudPipeline
     ops::GatherResult gather(const ops::BlockSampleResult &centers,
                              const ops::NeighborResult &neighbors) const;
 
-    /** Block-wise 3-NN feature interpolation from sampled points. */
+    /** Block-wise 3-NN feature interpolation from sampled points;
+     *  @p known_features rows align with sampled.indices. */
     ops::InterpolateResult
     interpolate(const ops::BlockSampleResult &sampled,
                 const std::vector<float> &known_features,

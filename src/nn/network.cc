@@ -52,8 +52,12 @@ makeBlockSample(const part::BlockTree &tree,
     // the sorted list is automatically grouped by leaf.
     std::span<std::uint32_t> positions =
         arena.allocSpan<std::uint32_t>(indices.size());
-    for (std::size_t i = 0; i < indices.size(); ++i)
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+        fc_assert(indices[i] < inverse.size(),
+                  "sample id %u out of range (tree: %zu points)",
+                  indices[i], inverse.size());
         positions[i] = inverse[indices[i]];
+    }
     std::sort(positions.begin(), positions.end());
 
     out.positions.assign(positions.begin(), positions.end());
@@ -488,10 +492,6 @@ Network::run(const data::PointCloud &cloud,
     // ---- Propagation stages ---------------------------------------------
     Tensor &coarse = ws.slot<Tensor>("nn.coarse");
     coarse = levels.back().features;
-    ops::BlockSampleResult &known =
-        ws.slot<ops::BlockSampleResult>("nn.known");
-    std::vector<float> &known_feats =
-        ws.slot<std::vector<float>>("nn.kfeat");
     ops::InterpolateResult &interp =
         ws.slot<ops::InterpolateResult>("nn.interp");
     Tensor &merged = ws.slot<Tensor>("nn.merged");
@@ -501,42 +501,14 @@ Network::run(const data::PointCloud &cloud,
         const Level &coarse_level = levels[level_idx];
         const Level &fine_level = levels[level_idx - 1];
 
-        // Interpolate coarse features onto the fine points.
+        // Interpolate coarse features onto the fine points: both
+        // paths take the coarse rows in place, aligned to the parent
+        // indices.
         if (use_blocks && backend.block_interpolation) {
-            const part::BlockTree &tree =
-                partitions[level_idx - 1].tree;
-            makeBlockSample(tree, coarse_level.parent_indices, ws,
-                            known);
-            // Reorder the coarse feature rows to match the reordered
-            // sample list.
-            known_feats.resize(known.indices.size() * coarse.cols());
-            // Map parent index -> coarse feature row (arena table).
-            std::span<std::int64_t> row_of =
-                ws.arena().allocSpan<std::int64_t>(
-                    fine_level.cloud.size(), std::int64_t{-1});
-            for (std::size_t r = 0;
-                 r < coarse_level.parent_indices.size(); ++r)
-                row_of[coarse_level.parent_indices[r]] =
-                    static_cast<std::int64_t>(r);
-            core::parallelFor(
-                pool, 0, known.indices.size(),
-                core::costGrain(coarse.cols()),
-                [&](std::size_t ib, std::size_t ie) {
-                    for (std::size_t i = ib; i < ie; ++i) {
-                        const std::int64_t r = row_of[known.indices[i]];
-                        fc_assert(r >= 0,
-                                  "sample %u missing coarse feature",
-                                  known.indices[i]);
-                        std::copy(
-                            coarse.row(static_cast<std::size_t>(r))
-                                .begin(),
-                            coarse.row(static_cast<std::size_t>(r))
-                                .end(),
-                            known_feats.begin() + i * coarse.cols());
-                    }
-                });
-            ops::blockInterpolate(fine_level.cloud, tree, known,
-                                  known_feats, coarse.cols(), 3, pool,
+            ops::blockInterpolate(fine_level.cloud,
+                                  partitions[level_idx - 1].tree,
+                                  coarse.data(), coarse.cols(),
+                                  coarse_level.parent_indices, 3, pool,
                                   ws, interp);
         } else {
             ops::globalInterpolate(fine_level.cloud, coarse.data(),

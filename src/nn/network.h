@@ -248,8 +248,11 @@ class Network
 
 /**
  * Group arbitrary sampled indices by leaf of @p tree, producing the
- * BlockSampleResult layout expected by block-wise neighbor search
- * (samples are reordered by DFT position).
+ * BlockSampleResult layout the block-wise ball query and gathers
+ * expect (samples are reordered by DFT position). Network::run uses
+ * it in the SA stage only, when global FPS feeds block grouping;
+ * block interpolation takes the sampled ids as they are. Every index
+ * must be < the tree's point count.
  */
 ops::BlockSampleResult
 makeBlockSample(const part::BlockTree &tree,

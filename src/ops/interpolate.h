@@ -2,12 +2,15 @@
  * @file
  * Feature interpolation for the propagation stage (paper §II-A,
  * Fig. 2(c)): each dense point receives the inverse-distance-weighted
- * average of the features of its K nearest sampled points (K = 3 in
- * PointNet++ and descendants).
+ * average of the features of its K nearest known (sampled) points
+ * (K = 3 in PointNet++ and descendants).
  *
  * The block-wise variant (paper "Block-Wise Interpolation", part of
- * BWI in Fig. 18) restricts the candidate sampled points to the
- * query's block search space.
+ * BWI in Fig. 18) restricts the candidate known points to the
+ * query's block search space. It is one pass per leaf: each query's
+ * top-k and its blend, from the top-k's own distances. Both variants
+ * take the known points the same way, as cloud ids with feature rows
+ * aligned to them, and share one blend.
  */
 
 #ifndef FC_OPS_INTERPOLATE_H
@@ -16,7 +19,6 @@
 #include <vector>
 
 #include "dataset/point_cloud.h"
-#include "ops/fps.h"
 #include "ops/neighbor.h"
 #include "partition/block_tree.h"
 
@@ -45,7 +47,8 @@ struct InterpolateResult
  * @param cloud          target points (row per point)
  * @param known_features row-major [num_known x channels], aligned with
  *                       @p known_indices
- * @param known_indices  cloud indices of the known (sampled) points
+ * @param known_indices  cloud indices of the known (sampled) points,
+ *                       each < cloud.size()
  * @param neighbors      KNN table: rows = cloud points, entries =
  *                       cloud indices that MUST appear in
  *                       @p known_indices
@@ -89,28 +92,33 @@ void globalInterpolate(const data::PointCloud &cloud,
                        InterpolateResult &out);
 
 /**
- * Block-wise interpolation: 3-NN restricted to each leaf's search
- * space via blockKnnToSamples, then the same weighted average. Both
- * stages dispatch over @p pool; each output row is owned by exactly
- * one work item, so results match sequential execution bit-for-bit.
+ * Block-wise interpolation: each point blends its k nearest known
+ * points among those inside its leaf's search space
+ * (part::BlockTree::searchSpaceNode; all known points when the space
+ * holds none). Arguments are globalInterpolate's plus the tree, which
+ * must come from partitioning @p cloud. Known ids must be distinct
+ * and in range. Leaves dispatch over @p pool; each output row is
+ * owned by exactly one work item, so results match sequential
+ * execution bit-for-bit. Rows and stats equal interpolateFeatures
+ * over the matching block KNN table.
  */
 InterpolateResult
 blockInterpolate(const data::PointCloud &cloud,
                  const part::BlockTree &tree,
-                 const BlockSampleResult &sampled,
                  const std::vector<float> &known_features,
-                 std::size_t channels, std::size_t k = 3,
-                 core::ThreadPool *pool = nullptr);
+                 std::size_t channels,
+                 const std::vector<PointIdx> &known_indices,
+                 std::size_t k = 3, core::ThreadPool *pool = nullptr);
 
-/** Workspace overload of blockInterpolate (the KNN table lives in a
- *  workspace slot; @p out reuses capacity). */
+/** Workspace overload of blockInterpolate (the known-point list is
+ *  arena scratch; @p out reuses capacity). */
 void blockInterpolate(const data::PointCloud &cloud,
                       const part::BlockTree &tree,
-                      const BlockSampleResult &sampled,
                       const std::vector<float> &known_features,
-                      std::size_t channels, std::size_t k,
-                      core::ThreadPool *pool, core::Workspace &ws,
-                      InterpolateResult &out);
+                      std::size_t channels,
+                      const std::vector<PointIdx> &known_indices,
+                      std::size_t k, core::ThreadPool *pool,
+                      core::Workspace &ws, InterpolateResult &out);
 
 } // namespace fc::ops
 

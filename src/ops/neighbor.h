@@ -1,21 +1,23 @@
 /**
  * @file
- * Neighbor searching: Ball Query (grouping) and K-Nearest-Neighbors
- * (interpolation), in global and block-wise forms (paper §II-B and
- * §IV-B, "Block-Wise Neighbor Searching").
+ * Neighbor searching: Ball Query (grouping), in global and block-wise
+ * forms, and global K-Nearest-Neighbors (interpolation) (paper §II-B
+ * and §IV-B, "Block-Wise Neighbor Searching"). The block-wise KNN of
+ * interpolation is part of ops::blockInterpolate (ops/interpolate.h),
+ * which blends each query's neighbors in the same pass.
  *
  * Ball Query selects up to K points within radius R of a center (the
  * first K in scan order, PointNet++ semantics; empty slots are padded
  * with the first neighbor). KNN selects the K closest points with no
  * radius bound.
  *
- * Block-wise variants restrict the candidate set of a center in leaf L
- * to the range of searchSpaceNode(L) — the leaf itself at depth <= 1,
- * otherwise its immediate parent (paper Fig. 7(a)).
+ * The block-wise ball query restricts the candidate set of a center
+ * in leaf L to the range of searchSpaceNode(L) — the leaf itself at
+ * depth <= 1, otherwise its immediate parent (paper Fig. 7(a)).
  *
- * The block-wise variants dispatch per-leaf work items over an
- * optional core::ThreadPool. Every center owns a fixed k-wide output
- * row, so parallel execution writes disjoint slots and the result is
+ * It dispatches per-leaf work items over an optional
+ * core::ThreadPool. Every center owns a fixed k-wide output row, so
+ * parallel execution writes disjoint slots and the result is
  * bit-identical to the sequential path at any thread count.
  */
 
@@ -88,7 +90,7 @@ void ballQuery(const data::PointCloud &cloud,
  * Global KNN: the k nearest candidates for each query coordinate.
  *
  * @param cloud      candidate points
- * @param candidates candidate indices into @p cloud
+ * @param candidates candidate indices into @p cloud, each < cloud.size()
  * @param queries    query coordinates
  * @param k          neighbor count
  */
@@ -118,30 +120,6 @@ void blockBallQuery(const data::PointCloud &cloud,
                     const BlockSampleResult &centers, float radius,
                     std::size_t k, core::ThreadPool *pool,
                     core::Workspace &ws, NeighborResult &out);
-
-/**
- * Block-wise KNN used by interpolation: for every point of every leaf
- * (the queries), find the k nearest *sampled* points within the leaf's
- * search space. @p sampled must hold DFT positions sorted per leaf
- * (as produced by blockFarthestPointSample).
- *
- * Falls back to the nearest sampled point overall when a search space
- * contains no samples (cannot happen with >=1 sample per leaf, but
- * kept for safety with foreign trees).
- */
-NeighborResult blockKnnToSamples(const data::PointCloud &cloud,
-                                 const part::BlockTree &tree,
-                                 const BlockSampleResult &sampled,
-                                 std::size_t k,
-                                 core::ThreadPool *pool = nullptr);
-
-/** Workspace overload of blockKnnToSamples: sorted-candidate scratch
- *  comes from @p ws's arena, @p out reuses capacity. */
-void blockKnnToSamples(const data::PointCloud &cloud,
-                       const part::BlockTree &tree,
-                       const BlockSampleResult &sampled, std::size_t k,
-                       core::ThreadPool *pool, core::Workspace &ws,
-                       NeighborResult &out);
 
 } // namespace fc::ops
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared insertion-based top-k selection (ascending distance) used by
- * the KNN row kernels of neighbor search and k-NN graph construction.
+ * the KNN of neighbor search, block interpolation and k-NN graph
+ * construction.
  *
  * k is small in every PNN/DGCNN configuration (3..64), so candidates
  * live in a fixed inline buffer and offering a candidate performs no
@@ -22,10 +23,12 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "common/types.h"
+#include "core/simd.h"
 
 namespace fc::ops {
 
@@ -48,7 +51,7 @@ class TopK
     void
     offer(float dist, PointIdx idx)
     {
-        std::pair<float, PointIdx> *buf = data();
+        std::pair<float, PointIdx> *buf = buffer();
         if (count_ == k_ && dist >= buf[count_ - 1].first)
             return;
         const auto *pos = std::lower_bound(
@@ -67,22 +70,36 @@ class TopK
     }
 
     /**
-     * Offer a tile of candidates: dists[i] pairs with idxs[i].
-     * Equivalent to offering each in order — the cheap worst-entry
-     * screen at the top of offer() makes far candidates cost one
-     * compare, so feeding whole core::simd::distance2Range tiles
-     * through here keeps the scan branch-light.
+     * Offer @p n candidates of @p pts: candidate i sits at position
+     * positions[i] and is kept as idxs[i] (its point id, or whatever
+     * the caller reads back, such as a feature row). Equivalent to
+     * offering each in order. Squared distances come from
+     * core::simd::distance2Range over a stack tile, so the scan never
+     * allocates, and the worst-entry screen at the top of offer()
+     * makes far candidates cost one compare.
      */
     void
-    offerBatch(const float *dists, const PointIdx *idxs, std::size_t n)
+    offerPositions(const core::simd::SoaView &pts, const Vec3 &query,
+                   const std::uint32_t *positions, const PointIdx *idxs,
+                   std::uint32_t n)
     {
-        for (std::size_t i = 0; i < n; ++i)
-            offer(dists[i], idxs[i]);
+        // 512 B of stack, and long enough for distance2Range to run
+        // full-width.
+        constexpr std::uint32_t kScreenTile = 128;
+        float dist_tile[kScreenTile];
+        for (std::uint32_t tb = 0; tb < n; tb += kScreenTile) {
+            const std::uint32_t te = std::min(n, tb + kScreenTile);
+            core::simd::distance2Range(pts, positions, 0, query, tb, te,
+                                       dist_tile);
+            for (std::uint32_t i = tb; i < te; ++i)
+                offer(dist_tile[i - tb], idxs[i]);
+        }
     }
 
     std::size_t count() const { return count_; }
     bool empty() const { return count_ == 0; }
 
+    /** The count() entries (distance, index), nearest first. */
     const std::pair<float, PointIdx> *
     data() const
     {
@@ -105,7 +122,7 @@ class TopK
 
   private:
     std::pair<float, PointIdx> *
-    data()
+    buffer()
     {
         return k_ <= kInline ? inline_.data() : overflow_.data();
     }

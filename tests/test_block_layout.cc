@@ -5,14 +5,19 @@
  *
  * blockFarthestPointSample and blockBallQuery read each leaf's search
  * space from BlockTree::points() with contiguous addressing, and
- * blockKnnToSamples (and so blockInterpolate) screens the samples of
- * each search space there at their DFT positions. The references here
- * read every candidate from the cloud by point id, one at a time,
- * exactly as the ops did before the tree carried coordinates. Rows,
- * counts, indices, positions, interpolated values and every OpStats
- * field must match for every partitioner, on an indoor scene and a
- * LiDAR frame, at both SIMD levels, with no pool and with 2- and
- * 8-thread pools (the pooled cases run in CI's TSan filter).
+ * blockInterpolate screens the known points of each search space
+ * there at their DFT positions and blends from the top-k's own
+ * distances. The references here read every candidate from the cloud
+ * by point id, one at a time, exactly as the ops did before the tree
+ * carried coordinates; the interpolation reference is that block KNN
+ * table fed to the ops::interpolateFeatures blend. Rows, counts,
+ * indices, positions, interpolated values and every OpStats field
+ * must match for every partitioner, on an indoor scene and a LiDAR
+ * frame, at both SIMD levels, with no pool and with 2- and 8-thread
+ * pools (the pooled cases run in CI's TSan filter). Three more
+ * interpolation cases reach the paths FPS samples do not: rows
+ * shorter than k, search spaces without a known point, and top-k ties
+ * between duplicate points.
  */
 
 #include <algorithm>
@@ -158,18 +163,35 @@ referenceBlockBallQuery(const data::PointCloud &cloud,
     return out;
 }
 
+/** What the reference interpolation met, summed over its calls. */
+struct ReferencePaths
+{
+    /** Rows with fewer than k neighbors (padded). */
+    std::size_t short_rows = 0;
+    /** Leaves whose search space held no known point. */
+    std::size_t fallback_leaves = 0;
+    /** Rows whose neighbors include two at equal distance. */
+    std::size_t tied_rows = 0;
+};
+
 /**
- * blockKnnToSamples screening candidates from the cloud by point id:
- * each leaf's candidates are the samples whose DFT position falls in
- * its search space (all samples when none does), offered to the top-k
- * in ascending position order.
+ * Block KNN to the known points, screening candidates from the cloud
+ * by point id: each leaf's candidates are the known points whose DFT
+ * position falls in its search space (all of them when none does),
+ * offered to the top-k in ascending position order.
  */
 ops::NeighborResult
 referenceBlockKnn(const data::PointCloud &cloud,
                   const part::BlockTree &tree,
-                  const ops::BlockSampleResult &sampled, std::size_t k)
+                  const std::vector<PointIdx> &known_ids, std::size_t k,
+                  ReferencePaths &paths)
 {
-    std::vector<std::uint32_t> sorted_pos = sampled.positions;
+    std::vector<std::uint32_t> position_of(tree.numPoints());
+    for (std::uint32_t pos = 0; pos < tree.numPoints(); ++pos)
+        position_of[tree.order()[pos]] = pos;
+    std::vector<std::uint32_t> sorted_pos;
+    for (const PointIdx id : known_ids)
+        sorted_pos.push_back(position_of[id]);
     std::sort(sorted_pos.begin(), sorted_pos.end());
     std::vector<PointIdx> sorted_idx;
     for (const std::uint32_t pos : sorted_pos)
@@ -188,8 +210,10 @@ referenceBlockKnn(const data::PointCloud &cloud,
         for (std::size_t i = 0; i < sorted_pos.size(); ++i)
             if (sorted_pos[i] >= space.begin && sorted_pos[i] < space.end)
                 candidates.push_back(sorted_idx[i]);
-        if (candidates.empty())
+        if (candidates.empty()) {
             candidates = sorted_idx;
+            paths.fallback_leaves += leaf.size() > 0;
+        }
         for (std::uint32_t pos = leaf.begin; pos < leaf.end; ++pos) {
             const PointIdx query_idx = tree.order()[pos];
             ops::TopK top(k);
@@ -201,6 +225,12 @@ referenceBlockKnn(const data::PointCloud &cloud,
             out.stats.points_visited += candidates.size();
             out.stats.distance_computations += candidates.size();
             ++out.stats.iterations;
+            paths.short_rows += top.count() < k;
+            for (std::size_t j = 1; j < top.count(); ++j)
+                if (top.data()[j].first == top.data()[j - 1].first) {
+                    ++paths.tied_rows;
+                    break;
+                }
         }
     }
     return out;
@@ -246,15 +276,13 @@ class LevelGuard
 };
 
 /**
- * The block ops on @p cloud against the references, for every method,
- * SIMD level and pool size. The ball query, the KNN and the
- * interpolation take the reference samples, so a sampling mismatch
- * cannot mask another one. The interpolation reference is the
- * reference KNN fed to the serial ops::interpolateFeatures blend.
+ * Runs @p check(pool, label) at both SIMD levels (Avx2 when the CPU
+ * has it) with no pool and with 2- and 8-thread pools; the label
+ * names the level and the thread count.
  */
+template <typename Check>
 void
-expectMatchesReference(const char *name, const data::PointCloud &cloud,
-                       float radius, std::size_t k)
+forEachLevelAndPool(Check check)
 {
     LevelGuard guard;
     std::vector<simd::Level> levels = {simd::Level::Scalar};
@@ -262,89 +290,143 @@ expectMatchesReference(const char *name, const data::PointCloud &cloud,
         levels.push_back(simd::Level::Avx2);
     core::ThreadPool pool2(2);
     core::ThreadPool pool8(8);
-    const double rate = 0.25;
-    const std::size_t knn_k = 3;
-    const std::size_t channels = 5;
+    for (const simd::Level level : levels) {
+        ASSERT_TRUE(simd::setActiveLevel(level));
+        for (core::ThreadPool *pool :
+             {static_cast<core::ThreadPool *>(nullptr), &pool2, &pool8})
+            check(pool, std::string(" ") + simd::levelName(level) +
+                            " threads " +
+                            std::to_string(pool ? pool->numThreads() : 0));
+    }
+}
 
+/** Random feature rows, one per known point. */
+std::vector<float>
+knownFeatures(std::size_t rows, std::size_t channels)
+{
+    std::vector<float> known(rows * channels);
+    Pcg32 rng(11);
+    for (float &v : known)
+        v = rng.uniform(-2.0f, 2.0f);
+    return known;
+}
+
+/**
+ * blockInterpolate over @p tree against the reference KNN fed to the
+ * serial ops::interpolateFeatures blend, at every level and pool.
+ */
+void
+expectInterpolateMatchesReference(const std::string &where,
+                                  const data::PointCloud &cloud,
+                                  const part::BlockTree &tree,
+                                  const std::vector<PointIdx> &known_ids,
+                                  std::size_t k, ReferencePaths &paths)
+{
+    const std::size_t channels = 5;
+    const std::vector<float> known =
+        knownFeatures(known_ids.size(), channels);
+    const ops::InterpolateResult want = ops::interpolateFeatures(
+        cloud, known, channels, known_ids,
+        referenceBlockKnn(cloud, tree, known_ids, k, paths), nullptr);
+    forEachLevelAndPool([&](core::ThreadPool *pool,
+                            const std::string &label) {
+        core::Workspace ws;
+        ops::InterpolateResult interp;
+        ops::blockInterpolate(cloud, tree, known, channels, known_ids, k,
+                              pool, ws, interp);
+        EXPECT_EQ(interp.num_points, want.num_points) << where << label;
+        EXPECT_EQ(interp.channels, want.channels) << where << label;
+        EXPECT_EQ(interp.values, want.values) << where << label;
+        expectSameStats(interp.stats, want.stats,
+                        where + label + " interpolate");
+    });
+}
+
+/** The partitioners, each at threshold 128. */
+std::vector<std::pair<part::Method, part::PartitionResult>>
+partitionEveryWay(const data::PointCloud &cloud)
+{
+    std::vector<std::pair<part::Method, part::PartitionResult>> out;
     for (const part::Method method :
          {part::Method::Fractal, part::Method::KdTree,
           part::Method::Octree, part::Method::Uniform,
           part::Method::None}) {
         part::PartitionConfig config;
         config.threshold = 128;
-        const part::PartitionResult part =
-            part::makePartitioner(method)->partition(cloud, config);
+        out.emplace_back(method, part::makePartitioner(method)->partition(
+                                     cloud, config));
+    }
+    return out;
+}
+
+/** blockInterpolate against the reference over every partitioner. */
+ReferencePaths
+expectInterpolateMatchesEveryWay(const char *name,
+                                 const data::PointCloud &cloud,
+                                 const std::vector<PointIdx> &known_ids,
+                                 std::size_t k)
+{
+    ReferencePaths paths;
+    for (const auto &[method, part] : partitionEveryWay(cloud))
+        expectInterpolateMatchesReference(
+            std::string(name) + " " + part::methodName(method), cloud,
+            part.tree, known_ids, k, paths);
+    return paths;
+}
+
+/**
+ * The block ops on @p cloud against the references, for every method,
+ * SIMD level and pool size. The ball query and the interpolation take
+ * the reference samples, so a sampling mismatch cannot mask another
+ * one.
+ */
+void
+expectMatchesReference(const char *name, const data::PointCloud &cloud,
+                       float radius, std::size_t k)
+{
+    const double rate = 0.25;
+    for (const auto &partitioned : partitionEveryWay(cloud)) {
+        const part::Method method = partitioned.first;
+        const part::PartitionResult &part = partitioned.second;
+        const std::string where =
+            std::string(name) + " " + part::methodName(method);
         const ops::FpsOptions options = fpsOptionsFor(method);
         const ops::BlockSampleResult want_sample =
             referenceBlockFps(cloud, part.tree, rate, options);
         const ops::NeighborResult want_group = referenceBlockBallQuery(
             cloud, part.tree, want_sample, radius, k);
-        const ops::NeighborResult want_knn =
-            referenceBlockKnn(cloud, part.tree, want_sample, knn_k);
-        std::vector<float> known(want_sample.indices.size() * channels);
-        Pcg32 rng(11);
-        for (float &v : known)
-            v = rng.uniform(-2.0f, 2.0f);
-        const ops::InterpolateResult want_interp =
-            ops::interpolateFeatures(cloud, known, channels,
-                                     want_sample.indices, want_knn,
-                                     nullptr);
 
-        for (const simd::Level level : levels) {
-            ASSERT_TRUE(simd::setActiveLevel(level));
-            for (core::ThreadPool *pool :
-                 {static_cast<core::ThreadPool *>(nullptr), &pool2,
-                  &pool8}) {
-                const std::string where =
-                    std::string(name) + " " + part::methodName(method) +
-                    " " + simd::levelName(level) + " threads " +
-                    std::to_string(pool ? pool->numThreads() : 0);
-                core::Workspace ws;
-                ops::BlockSampleResult sample;
-                ops::blockFarthestPointSample(cloud, part.tree, rate,
-                                              options, pool, ws, sample);
-                EXPECT_EQ(sample.indices, want_sample.indices) << where;
-                EXPECT_EQ(sample.positions, want_sample.positions)
-                    << where;
-                EXPECT_EQ(sample.leaf_offsets, want_sample.leaf_offsets)
-                    << where;
-                expectSameStats(sample.stats, want_sample.stats,
-                                where + " fps");
+        forEachLevelAndPool([&](core::ThreadPool *pool,
+                                const std::string &label) {
+            core::Workspace ws;
+            ops::BlockSampleResult sample;
+            ops::blockFarthestPointSample(cloud, part.tree, rate, options,
+                                          pool, ws, sample);
+            EXPECT_EQ(sample.indices, want_sample.indices)
+                << where << label;
+            EXPECT_EQ(sample.positions, want_sample.positions)
+                << where << label;
+            EXPECT_EQ(sample.leaf_offsets, want_sample.leaf_offsets)
+                << where << label;
+            expectSameStats(sample.stats, want_sample.stats,
+                            where + label + " fps");
 
-                ops::NeighborResult group;
-                ops::blockBallQuery(cloud, part.tree, want_sample, radius,
-                                    k, pool, ws, group);
-                EXPECT_EQ(group.num_centers, want_group.num_centers)
-                    << where;
-                EXPECT_EQ(group.k, want_group.k) << where;
-                EXPECT_EQ(group.indices, want_group.indices) << where;
-                EXPECT_EQ(group.counts, want_group.counts) << where;
-                expectSameStats(group.stats, want_group.stats,
-                                where + " ball query");
+            ops::NeighborResult group;
+            ops::blockBallQuery(cloud, part.tree, want_sample, radius, k,
+                                pool, ws, group);
+            EXPECT_EQ(group.num_centers, want_group.num_centers)
+                << where << label;
+            EXPECT_EQ(group.k, want_group.k) << where << label;
+            EXPECT_EQ(group.indices, want_group.indices)
+                << where << label;
+            EXPECT_EQ(group.counts, want_group.counts) << where << label;
+            expectSameStats(group.stats, want_group.stats,
+                            where + label + " ball query");
+        });
 
-                ops::NeighborResult knn;
-                ops::blockKnnToSamples(cloud, part.tree, want_sample,
-                                       knn_k, pool, ws, knn);
-                EXPECT_EQ(knn.num_centers, want_knn.num_centers) << where;
-                EXPECT_EQ(knn.k, want_knn.k) << where;
-                EXPECT_EQ(knn.indices, want_knn.indices) << where;
-                EXPECT_EQ(knn.counts, want_knn.counts) << where;
-                expectSameStats(knn.stats, want_knn.stats,
-                                where + " knn");
-
-                ops::InterpolateResult interp;
-                ops::blockInterpolate(cloud, part.tree, want_sample,
-                                      known, channels, knn_k, pool, ws,
-                                      interp);
-                EXPECT_EQ(interp.num_points, want_interp.num_points)
-                    << where;
-                EXPECT_EQ(interp.channels, want_interp.channels)
-                    << where;
-                EXPECT_EQ(interp.values, want_interp.values) << where;
-                expectSameStats(interp.stats, want_interp.stats,
-                                where + " interpolate");
-            }
-        }
+        ReferencePaths paths;
+        expectInterpolateMatchesReference(where, cloud, part.tree,
+                                          want_sample.indices, 3, paths);
     }
 }
 
@@ -362,6 +444,55 @@ TEST(BlockLayout, LidarFrameMatchesPerCandidateReference)
     Pcg32 rng(77);
     expectMatchesReference("lidar", data::makeLidarFrame(rng, 4096), 1.6f,
                            32);
+}
+
+TEST(BlockLayout, RowsShorterThanKRepeatTheirNearest)
+{
+    // Two known points for k = 3: every row is short, so the blend
+    // repeats each row's nearest entry, as NeighborResult pads.
+    const ReferencePaths paths = expectInterpolateMatchesEveryWay(
+        "two known", data::makeS3disScene(2048, 5), {1500, 7}, 3);
+    EXPECT_GT(paths.short_rows, 0u);
+}
+
+TEST(BlockLayout, SearchSpacesWithoutKnownPointsUseThemAll)
+{
+    // Known points only in the lowest-x eighth of the scene, listed
+    // in descending id order: most search spaces hold none and fall
+    // back to every known point.
+    const data::PointCloud cloud = data::makeS3disScene(2048, 6);
+    std::vector<float> xs;
+    for (std::size_t i = 0; i < cloud.size(); ++i)
+        xs.push_back(cloud[static_cast<PointIdx>(i)].x);
+    std::nth_element(xs.begin(), xs.begin() + xs.size() / 8, xs.end());
+    const float cut = xs[xs.size() / 8];
+    std::vector<PointIdx> known;
+    for (std::size_t i = cloud.size(); i-- > 0;)
+        if (cloud[static_cast<PointIdx>(i)].x < cut)
+            known.push_back(static_cast<PointIdx>(i));
+    const ReferencePaths paths =
+        expectInterpolateMatchesEveryWay("one region", cloud, known, 3);
+    EXPECT_GT(paths.fallback_leaves, 0u);
+}
+
+TEST(BlockLayout, DuplicatePointsTieInOfferOrder)
+{
+    // An 8x8x8 grid with every point twice, and every fourth point
+    // known (both copies of each known grid point): equal distances
+    // everywhere, so the top-k settles ties by offer order.
+    std::vector<Vec3> coords;
+    for (int copy = 0; copy < 2; ++copy)
+        for (int x = 0; x < 8; ++x)
+            for (int y = 0; y < 8; ++y)
+                for (int z = 0; z < 8; ++z)
+                    coords.emplace_back(0.1f * x, 0.1f * y, 0.1f * z);
+    const data::PointCloud cloud(coords);
+    std::vector<PointIdx> known;
+    for (PointIdx i = 0; i < cloud.size(); i += 4)
+        known.push_back(i);
+    const ReferencePaths paths =
+        expectInterpolateMatchesEveryWay("grid", cloud, known, 3);
+    EXPECT_GT(paths.tied_rows, 0u);
 }
 
 } // namespace

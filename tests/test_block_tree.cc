@@ -7,6 +7,7 @@
 
 #include "dataset/point_cloud.h"
 #include "ops/fps.h"
+#include "ops/interpolate.h"
 #include "ops/neighbor.h"
 #include "partition/block_tree.h"
 #include "partition/fractal.h"
@@ -140,18 +141,17 @@ TEST(BlockTreeDeathTest, BlockOpsNeedTheTreesCloud)
                  "15 points");
 }
 
-TEST(BlockTreeDeathTest, KnnToSamplesNeedsTheTreesCoordinates)
+TEST(BlockTreeDeathTest, InterpolateNeedsTheTreesCoordinates)
 {
-    // The KNN rows screen the tree's DFT-ordered coordinates too.
+    // Block interpolation screens the tree's DFT-ordered coordinates
+    // too.
     const BlockTree tree = makeManualTree();
     const data::PointCloud cloud(std::vector<Vec3>(10));
-    ops::BlockSampleResult sampled;
-    sampled.leaf_offsets.assign(tree.leaves().size() + 1, 0);
-    EXPECT_DEATH(ops::blockKnnToSamples(cloud, tree, sampled, 3),
+    EXPECT_DEATH(ops::blockInterpolate(cloud, tree, {}, 1, {}, 3),
                  "coordinates missing");
 }
 
-TEST(BlockTreeDeathTest, KnnToSamplesNeedsTheTreesCloud)
+TEST(BlockTreeDeathTest, InterpolateNeedsTheTreesCloud)
 {
     // Every tree position is a query whose row the op writes at its
     // point id, so a tree of a larger cloud would write past the
@@ -161,11 +161,12 @@ TEST(BlockTreeDeathTest, KnnToSamplesNeedsTheTreesCloud)
         coords.emplace_back(0.1f * i, 0.0f, 0.0f);
     const data::PointCloud cloud(coords);
     const auto part = FractalPartitioner().partition(cloud, {});
-    const ops::BlockSampleResult sampled =
-        ops::blockFarthestPointSample(cloud, part.tree, 0.5);
+    const std::vector<PointIdx> known = {0, 5, 10};
+    const std::vector<float> features(known.size(), 1.0f);
     coords.pop_back();
     const data::PointCloud other(coords);
-    EXPECT_DEATH(ops::blockKnnToSamples(other, part.tree, sampled, 3),
+    EXPECT_DEATH(ops::blockInterpolate(other, part.tree, features, 1,
+                                       known, 3),
                  "15 points");
 }
 

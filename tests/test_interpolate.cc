@@ -96,7 +96,7 @@ TEST(BlockInterpolate, CloseToGlobal)
     }
 
     const InterpolateResult blocked = blockInterpolate(
-        scene, part.tree, sampled, known_feats, 1);
+        scene, part.tree, known_feats, 1, sampled.indices);
     const InterpolateResult global = globalInterpolate(
         scene, known_feats, 1, sampled.indices);
 
@@ -118,7 +118,7 @@ TEST(BlockInterpolate, MuchCheaperThanGlobal)
     std::vector<float> known_feats(sampled.indices.size(), 1.0f);
 
     const InterpolateResult blocked = blockInterpolate(
-        scene, part.tree, sampled, known_feats, 1);
+        scene, part.tree, known_feats, 1, sampled.indices);
     const InterpolateResult global = globalInterpolate(
         scene, known_feats, 1, sampled.indices);
     EXPECT_LT(blocked.stats.distance_computations * 4,
@@ -138,6 +138,52 @@ TEST(Interpolate, WeightsAreInverseDistance)
         globalInterpolate(cloud, feats, 1, known, 2);
     // w_A = 1/1, w_B = 1/4 -> value = (10 + 5) / 1.25 = 12.
     EXPECT_NEAR(r.values[0], 12.0f, 1e-3f);
+}
+
+/** Ten points on a line, for the id checks below. */
+data::PointCloud
+lineCloud()
+{
+    data::PointCloud cloud;
+    for (int i = 0; i < 10; ++i)
+        cloud.addPoint({0.1f * static_cast<float>(i), 0, 0});
+    return cloud;
+}
+
+TEST(InterpolateDeathTest, FeaturesNeedKnownIdsInRange)
+{
+    const data::PointCloud cloud = lineCloud();
+    NeighborResult neighbors;
+    neighbors.num_centers = cloud.size();
+    neighbors.k = 1;
+    neighbors.indices.assign(cloud.size(), 0);
+    neighbors.counts.assign(cloud.size(), 1);
+    const std::vector<PointIdx> known{0, 12};
+    const std::vector<float> feats{1.0f, 2.0f};
+    EXPECT_DEATH(interpolateFeatures(cloud, feats, 1, known, neighbors),
+                 "known point id 12 out of range");
+}
+
+TEST(InterpolateDeathTest, GlobalNeedsKnownIdsInRange)
+{
+    // The KNN reads the coordinates of every known id before the
+    // blend does.
+    const std::vector<PointIdx> known{0, 12};
+    const std::vector<float> feats{1.0f, 2.0f};
+    EXPECT_DEATH(globalInterpolate(lineCloud(), feats, 1, known),
+                 "candidate id 12 out of range");
+}
+
+TEST(InterpolateDeathTest, BlockRejectsOutOfRangeAndRepeatedIds)
+{
+    const data::PointCloud cloud = lineCloud();
+    const part::PartitionResult part =
+        part::FractalPartitioner().partition(cloud, {});
+    const std::vector<float> feats{1.0f, 2.0f};
+    EXPECT_DEATH(blockInterpolate(cloud, part.tree, feats, 1, {0, 10}),
+                 "known point id 10 out of range");
+    EXPECT_DEATH(blockInterpolate(cloud, part.tree, feats, 1, {3, 3}),
+                 "known point id 3 repeated");
 }
 
 } // namespace

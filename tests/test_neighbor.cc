@@ -1,15 +1,17 @@
 /**
  * @file
  * Unit tests for neighbor searching (ball query / KNN, global and
- * block-wise).
+ * block-wise; the block KNN is read through blockInterpolate).
  */
 
+#include <cmath>
 #include <gtest/gtest.h>
 #include <unordered_set>
 
 #include "common/rng.h"
 #include "dataset/s3dis.h"
 #include "ops/fps.h"
+#include "ops/interpolate.h"
 #include "ops/neighbor.h"
 #include "ops/quality.h"
 #include "partition/fractal.h"
@@ -202,29 +204,42 @@ TEST(BlockBallQuery, SearchSpaceIsParentRange)
     }
 }
 
+/**
+ * The block KNN rows of blockInterpolate, read at k = 1 with each
+ * known point's feature set to its id: row i holds (up to the blend's
+ * rounding) the id of point i's nearest known point in its search
+ * space.
+ */
+std::vector<float>
+nearestKnownIds(const BlockSetup &s)
+{
+    const std::vector<float> ids(s.sampled.indices.begin(),
+                                 s.sampled.indices.end());
+    return blockInterpolate(s.scene, s.part.tree, ids, 1,
+                            s.sampled.indices, 1)
+        .values;
+}
+
 TEST(BlockKnn, RowsAlignedToOriginalOrder)
 {
     const BlockSetup s = makeBlockSetup(1024, 10, 128, 0.25);
-    const NeighborResult r =
-        blockKnnToSamples(s.scene, s.part.tree, s.sampled, 3);
-    ASSERT_EQ(r.num_centers, s.scene.size());
+    const std::vector<float> nearest = nearestKnownIds(s);
+    ASSERT_EQ(nearest.size(), s.scene.size());
     // A sampled point's nearest sample is itself.
-    for (std::size_t i = 0; i < s.sampled.indices.size(); ++i) {
-        const PointIdx idx = s.sampled.indices[i];
-        EXPECT_EQ(r.neighbor(idx, 0), idx);
-    }
+    for (const PointIdx idx : s.sampled.indices)
+        EXPECT_FLOAT_EQ(nearest[idx], static_cast<float>(idx));
 }
 
 TEST(BlockKnn, NeighborsAreSamples)
 {
     const BlockSetup s = makeBlockSetup(1024, 11, 128, 0.25);
-    const NeighborResult r =
-        blockKnnToSamples(s.scene, s.part.tree, s.sampled, 3);
     std::unordered_set<PointIdx> samples(s.sampled.indices.begin(),
                                          s.sampled.indices.end());
-    for (std::size_t i = 0; i < r.num_centers; ++i)
-        for (std::size_t j = 0; j < r.k; ++j)
-            EXPECT_TRUE(samples.count(r.neighbor(i, j)));
+    for (const float id : nearestKnownIds(s)) {
+        const auto nb = static_cast<PointIdx>(std::lround(id));
+        EXPECT_FLOAT_EQ(id, static_cast<float>(nb));
+        EXPECT_TRUE(samples.count(nb)) << nb;
+    }
 }
 
 TEST(BlockOps, WorkFarBelowGlobal)

@@ -187,5 +187,15 @@ TEST(MakeBlockSample, GroupsByLeaf)
     }
 }
 
+TEST(MakeBlockSampleDeathTest, NeedsIdsInRange)
+{
+    const data::PointCloud scene = data::makeS3disScene(256, 7);
+    const part::PartitionResult part =
+        part::makePartitioner(part::Method::Fractal)->partition(scene, {});
+    const std::vector<PointIdx> picks{0, 256};
+    EXPECT_DEATH(makeBlockSample(part.tree, picks),
+                 "sample id 256 out of range");
+}
+
 } // namespace
 } // namespace fc::nn

@@ -297,8 +297,6 @@ TEST(ParallelDeterminism, BlockOpsMatchSequential)
                                           nullptr);
         const ops::NeighborResult seq_grouped = ops::blockBallQuery(
             scene, part.tree, seq_sampled, 0.2f, 16, nullptr);
-        const ops::NeighborResult seq_knn = ops::blockKnnToSamples(
-            scene, part.tree, seq_sampled, 3, nullptr);
         const ops::KnnGraph seq_graph =
             ops::buildBlockKnnGraph(scene, part.tree, 8, nullptr);
 
@@ -320,12 +318,6 @@ TEST(ParallelDeterminism, BlockOpsMatchSequential)
             EXPECT_EQ(grouped.indices, seq_grouped.indices);
             EXPECT_EQ(grouped.counts, seq_grouped.counts);
             expectStatsEqual(grouped.stats, seq_grouped.stats);
-
-            const ops::NeighborResult knn = ops::blockKnnToSamples(
-                scene, part.tree, sampled, 3, &pool);
-            EXPECT_EQ(knn.indices, seq_knn.indices);
-            EXPECT_EQ(knn.counts, seq_knn.counts);
-            expectStatsEqual(knn.stats, seq_knn.stats);
 
             const ops::KnnGraph graph =
                 ops::buildBlockKnnGraph(scene, part.tree, 8, &pool);
@@ -361,8 +353,8 @@ TEST(ParallelDeterminism, GatherAndInterpolateMatchSequential)
     for (std::size_t i = 0; i < known.size(); ++i)
         known[i] = 0.01f * static_cast<float>(i % 97);
     const ops::InterpolateResult seq_interp =
-        ops::blockInterpolate(scene, part.tree, sampled, known,
-                              channels, 3, nullptr);
+        ops::blockInterpolate(scene, part.tree, known, channels,
+                              sampled.indices, 3, nullptr);
 
     for (const unsigned threads : kThreadSweep) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -379,8 +371,8 @@ TEST(ParallelDeterminism, GatherAndInterpolateMatchSequential)
         expectStatsEqual(gathered.stats, seq_gathered.stats);
 
         const ops::InterpolateResult interp =
-            ops::blockInterpolate(scene, part.tree, sampled, known,
-                                  channels, 3, &pool);
+            ops::blockInterpolate(scene, part.tree, known, channels,
+                                  sampled.indices, 3, &pool);
         EXPECT_EQ(interp.values, seq_interp.values);
         expectStatsEqual(interp.stats, seq_interp.stats);
     }

@@ -10,6 +10,7 @@
 #include "dataset/modelnet.h"
 #include "dataset/s3dis.h"
 #include "ops/fps.h"
+#include "ops/interpolate.h"
 #include "ops/neighbor.h"
 #include "ops/quality.h"
 #include "partition/partitioner.h"
@@ -109,12 +110,16 @@ TEST_P(OpsSweep, BlockBallQueryRespectsRadius)
 
 TEST_P(OpsSweep, BlockKnnSelfNearest)
 {
+    // blockInterpolate's KNN, read at k = 1 with each sample's feature
+    // set to its id: every sample's nearest sample is itself.
     const BlockSampleResult sampled =
         blockFarthestPointSample(cloud_, part_.tree, 0.25);
-    const NeighborResult r =
-        blockKnnToSamples(cloud_, part_.tree, sampled, 3);
+    const std::vector<float> ids(sampled.indices.begin(),
+                                 sampled.indices.end());
+    const InterpolateResult r = blockInterpolate(
+        cloud_, part_.tree, ids, 1, sampled.indices, 1);
     for (const PointIdx s : sampled.indices)
-        EXPECT_EQ(r.neighbor(s, 0), s);
+        EXPECT_FLOAT_EQ(r.values[s], static_cast<float>(s));
 }
 
 INSTANTIATE_TEST_SUITE_P(

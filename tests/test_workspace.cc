@@ -312,8 +312,8 @@ TEST(WorkspaceAlloc, WarmOpsDrawOnlyFromTheWorkspace)
         ops::blockBallQuery(scene, part.tree, sampled, 0.3f, 8,
                             nullptr, ws, grouped);
         known_feats.assign(sampled.indices.size() * 4, 0.5f);
-        ops::blockInterpolate(scene, part.tree, sampled, known_feats,
-                              4, 3, nullptr, ws, interp);
+        ops::blockInterpolate(scene, part.tree, known_feats, 4,
+                              sampled.indices, 3, nullptr, ws, interp);
     };
 
     run_all(); // cold
@@ -340,7 +340,8 @@ TEST(WorkspaceAlloc, PooledWarmBlockOpsDrawOnlyFromTheWorkspace)
     ops::BlockSampleResult sampled;
     ops::NeighborResult grouped;
     ops::GatherResult gathered;
-    ops::NeighborResult knn;
+    std::vector<float> known_feats;
+    ops::InterpolateResult interp;
 
     partitioner->partitionInto(scene, config, nullptr, ws, part);
     const std::size_t leaves = part.tree.leaves().size();
@@ -369,8 +370,9 @@ TEST(WorkspaceAlloc, PooledWarmBlockOpsDrawOnlyFromTheWorkspace)
         ops::blockGatherNeighborhoods(scene, part.tree, sampled.indices,
                                       sampled.leaf_offsets, grouped,
                                       &pool, ws, gathered);
-        ops::blockKnnToSamples(scene, part.tree, sampled, 3, &pool, ws,
-                               knn);
+        known_feats.assign(sampled.indices.size() * 4, 0.5f);
+        ops::blockInterpolate(scene, part.tree, known_feats, 4,
+                              sampled.indices, 3, &pool, ws, interp);
     };
 
     run_all(); // cold
