@@ -155,7 +155,6 @@ labelTransferMiou(const nn::BackendOptions &backend,
             partitioner->partition(scene, config);
         ops::FpsOptions fps;
         fps.fixed_count_per_block =
-            backend.fixed_count_sampling ||
             backend.method == part::Method::Uniform;
         const ops::BlockSampleResult bs =
             ops::blockFarthestPointSample(scene, part.tree,

@@ -63,7 +63,7 @@ ThreadPool::submitDetachedTask(InlineTask task)
         fc_assert(!workers_.empty(),
                   "submitDetached needs worker threads (construct the "
                   "pool with standalone=true)");
-        detached_.push(std::move(task));
+        detached_.push_back(std::move(task));
     }
     // notify_all, not notify_one: a TaskGroup waiter shares this CV
     // but never takes detached work, so a single wake could land on
@@ -78,7 +78,7 @@ ThreadPool::enqueueForkJoin(InlineTask task)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        queue_.push(std::move(task));
+        queue_.push_back(std::move(task));
     }
     work_cv_.notify_one();
 }
@@ -96,9 +96,11 @@ ThreadPool::workerLoop()
             // Fork/join chunks first: they unblock waiters and keep
             // spilled requests moving; detached requests follow.
             if (!queue_.empty()) {
-                task = queue_.pop();
+                task = std::move(queue_.front());
+                queue_.pop_front();
             } else if (!detached_.empty()) {
-                task = detached_.pop();
+                task = std::move(detached_.front());
+                detached_.pop_front();
             } else {
                 return; // stop_ set and nothing left to run
             }
@@ -156,7 +158,8 @@ TaskGroup::wait()
                 // task may belong to another group — draining any
                 // work keeps the whole pool making progress and makes
                 // nested fork/join deadlock-free.
-                InlineTask task = pool_->queue_.pop();
+                InlineTask task = std::move(pool_->queue_.front());
+                pool_->queue_.pop_front();
                 lock.unlock();
                 task();
                 lock.lock();

@@ -173,35 +173,48 @@ class InlineTask
 };
 
 /**
- * Growable ring of InlineTask slots — the fork/join lane's queue.
+ * Growable FIFO ring: the thread pool's fork/join and detached lanes
+ * (T = InlineTask) and the scheduler's per-(shard x class) request
+ * queues (T = request id).
  *
- * Capacity doubles on overflow and is never returned, so a pool that
- * has seen its peak chunk backlog enqueues and dequeues without
+ * Capacity starts at 64, doubles on overflow and is never returned,
+ * so a queue that has seen its peak backlog pushes and pops without
  * touching the heap: the allocation-free steady state of the
- * workspace layer (core/workspace.h) extends to pooled dispatch.
+ * workspace layer (core/workspace.h) extends to pooled dispatch and
+ * admission. pop_front() leaves the vacated slot as it is; callers
+ * that move the front out first leave it empty.
  */
-class TaskRing
+template <typename T>
+class Ring
 {
   public:
     bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }
 
+    /** i-th queued element from the front. */
+    const T &
+    at(std::size_t i) const
+    {
+        return slots_[(head_ + i) & mask_];
+    }
+
+    T &front() { return slots_[head_]; }
+
+    template <typename U>
     void
-    push(InlineTask &&task)
+    push_back(U &&value)
     {
         if (size_ == slots_.size())
             grow();
-        slots_[(head_ + size_) & mask_] = std::move(task);
+        slots_[(head_ + size_) & mask_] = std::forward<U>(value);
         ++size_;
     }
 
-    InlineTask
-    pop()
+    void
+    pop_front()
     {
-        InlineTask task = std::move(slots_[head_]);
         head_ = (head_ + 1) & mask_;
         --size_;
-        return task;
     }
 
   private:
@@ -210,7 +223,7 @@ class TaskRing
     {
         const std::size_t capacity =
             std::max<std::size_t>(64, slots_.size() * 2);
-        std::vector<InlineTask> next(capacity);
+        std::vector<T> next(capacity);
         for (std::size_t i = 0; i < size_; ++i)
             next[i] = std::move(slots_[(head_ + i) & mask_]);
         slots_ = std::move(next);
@@ -218,7 +231,7 @@ class TaskRing
         head_ = 0;
     }
 
-    std::vector<InlineTask> slots_; ///< power-of-two capacity
+    std::vector<T> slots_; ///< power-of-two capacity
     std::size_t mask_ = 0;
     std::size_t head_ = 0;
     std::size_t size_ = 0;
@@ -312,8 +325,8 @@ class ThreadPool
     unsigned num_threads_;
     std::vector<int> pin_cpus_; ///< empty = unpinned workers
     std::vector<std::thread> workers_;
-    TaskRing queue_;    ///< fork/join lane
-    TaskRing detached_; ///< detached lane (whole-request tasks)
+    Ring<InlineTask> queue_;    ///< fork/join lane
+    Ring<InlineTask> detached_; ///< detached lane (whole-request tasks)
     std::mutex mutex_;
     std::condition_variable work_cv_;
     bool stop_ = false;

@@ -331,17 +331,16 @@ Network::run(const data::PointCloud &cloud,
         lapInto(kStPartition);
 
         // --- Sampling ---------------------------------------------------
-        bool have_block_sampled = false;
         if (use_blocks && backend.block_sampling) {
+            // Uniform blocks take a fixed sample count each, as PNNPU
+            // does; the other methods sample at the paper's rate.
             ops::FpsOptions fps;
             fps.fixed_count_per_block =
-                backend.fixed_count_sampling ||
                 backend.method == part::Method::Uniform;
             ops::blockFarthestPointSample(cur.cloud,
                                           partitions[si].tree,
                                           stage.sample_rate, fps, pool,
                                           ws, block_sampled);
-            have_block_sampled = true;
             sampled = block_sampled.indices;
             out.op_stats += block_sampled.stats;
         } else {
@@ -352,17 +351,15 @@ Network::run(const data::PointCloud &cloud,
             if (use_blocks && backend.block_grouping) {
                 makeBlockSample(partitions[si].tree, sampled, ws,
                                 block_sampled);
-                have_block_sampled = true;
                 sampled = block_sampled.indices;
             }
         }
         lapInto(kStFps);
 
         // --- Grouping (ball query) ---------------------------------------
+        // Either sampling branch above has filled block_sampled
+        // whenever block grouping runs.
         if (use_blocks && backend.block_grouping) {
-            if (!have_block_sampled || block_sampled.indices.empty())
-                makeBlockSample(partitions[si].tree, sampled, ws,
-                                block_sampled);
             ops::blockBallQuery(cur.cloud, partitions[si].tree,
                                 block_sampled, stage.radius, stage.k,
                                 pool, ws, neighbors);

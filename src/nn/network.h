@@ -98,13 +98,6 @@ struct BackendOptions
     bool block_interpolation = true;
 
     /**
-     * PNNPU-style fixed sample count per block instead of the paper's
-     * fixed rate. Defaults to on for space-uniform partitioning
-     * (matching the design being modelled) unless overridden.
-     */
-    bool fixed_count_sampling = false;
-
-    /**
      * Execution order of the set-abstraction stages (see
      * Aggregation). Eager = gather-then-compute (historical);
      * Delayed = unique-point MLPs before grouping, max-pool after —

@@ -70,7 +70,10 @@ fpsOverView(const core::simd::SoaView &pts,
     };
     take();
 
-    const std::size_t grain = core::costGrain(8);
+    // Every iteration forks and joins once, so a chunk must outweigh
+    // that: 32768 points per chunk keeps clouds up to that size
+    // inline and still splits larger ones.
+    const std::size_t grain = core::costGrain(8, std::size_t{1} << 18);
     for (std::size_t s = 1; s < num_samples; ++s) {
         ++stats.iterations;
         const std::uint32_t cur = begin + current;

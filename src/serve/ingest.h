@@ -20,7 +20,10 @@
  *
  * Metrics (in the pipeline's registry, rendered by serve/stats.h):
  *   serve.ingest.blocks        blocks submitted
- *   serve.ingest.bytes         section bytes submitted
+ *   serve.ingest.bytes         section bytes submitted (12 per
+ *                              point for coordinates, plus 4 per
+ *                              feature channel and 4 for a label;
+ *                              16 per point of an S3DIS block)
  *   serve.ingest.errors        blocks refused by the reader
  *   serve.ingest.prefetch_hits get() served from a completed read
  *   serve.ingest.prefetch_waits get() waited on an in-flight read

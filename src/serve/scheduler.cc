@@ -683,7 +683,7 @@ Scheduler::shutdown()
     std::unique_lock<std::mutex> lock(mutex_);
     shutdown_ = true;
     for (ShardState &st : shards_)
-        for (const IdRing &queue : st.queues)
+        for (const core::Ring<std::uint64_t> &queue : st.queues)
             for (std::size_t i = 0; i < queue.size(); ++i)
                 records_.at(queue.at(i)).cancel_requested = true;
     cv_.notify_all();

@@ -84,6 +84,7 @@
 #include <vector>
 
 #include "core/metrics.h"
+#include "core/parallel.h"
 #include "core/pipeline.h"
 #include "core/sharded_executor.h"
 #include "dataset/point_cloud.h"
@@ -168,63 +169,6 @@ struct RequestOutcome
      *  intra-cloud block items onto a pool (its own shard's or a
      *  drained neighbor's) for at least one stage. */
     bool spilled = false;
-};
-
-/**
- * Growable ring of request ids — the per-(shard x class) FIFO.
- * Capacity doubles on overflow and is never returned (the TaskRing
- * discipline), so steady-state admission pushes and pops without
- * touching the heap.
- */
-class IdRing
-{
-  public:
-    bool empty() const { return size_ == 0; }
-    std::size_t size() const { return size_; }
-
-    /** i-th queued id from the front (shutdown iteration). */
-    std::uint64_t
-    at(std::size_t i) const
-    {
-        return slots_[(head_ + i) & mask_];
-    }
-
-    std::uint64_t front() const { return slots_[head_]; }
-
-    void
-    push_back(std::uint64_t id)
-    {
-        if (size_ == slots_.size())
-            grow();
-        slots_[(head_ + size_) & mask_] = id;
-        ++size_;
-    }
-
-    void
-    pop_front()
-    {
-        head_ = (head_ + 1) & mask_;
-        --size_;
-    }
-
-  private:
-    void
-    grow()
-    {
-        const std::size_t capacity =
-            std::max<std::size_t>(64, slots_.size() * 2);
-        std::vector<std::uint64_t> next(capacity);
-        for (std::size_t i = 0; i < size_; ++i)
-            next[i] = slots_[(head_ + i) & mask_];
-        slots_ = std::move(next);
-        mask_ = capacity - 1;
-        head_ = 0;
-    }
-
-    std::vector<std::uint64_t> slots_; ///< power-of-two capacity
-    std::size_t mask_ = 0;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
 };
 
 /**
@@ -497,7 +441,7 @@ class Scheduler
     /** Queues, aging credits, and in-flight counters of one shard. */
     struct ShardState
     {
-        std::array<IdRing, kNumPriorities> queues;
+        std::array<core::Ring<std::uint64_t>, kNumPriorities> queues;
         std::array<std::uint64_t, kNumPriorities> credit{};
         std::size_t queued = 0;
         std::size_t running = 0;

@@ -7,22 +7,15 @@
  * order in .fcpc" gap): the file layout IS the in-memory layout, so
  * loading a block is pointer binding, not parsing. Coordinates are
  * AoS Vec3, features are row-major [n x feature_dim] and labels are
- * plain int32, exactly as PointCloud owns them.
- *
- * Version 1 also stores the coordinates transposed into x/y/z
- * columns. They let a load bind the structure-of-arrays mirror that
- * PointCloud used to keep for the core::simd kernels. The mirror is
- * gone (the kernels read BlockTree::points() or per-call workspace
- * copies), so readers checksum the columns but no longer bind them,
- * and the writer fills them from the AoS coordinates. Dropping or
- * reusing them changes the layout and needs a kFcpcVersion bump.
+ * plain int32, exactly as PointCloud owns them, and a block holds
+ * only the sections a reader binds.
  *
  * File layout (all integers little-endian, all offsets absolute file
  * offsets, every section 64-byte aligned to match core::Arena's
  * cache-line alignment):
  *
  *   FileHeader                              (64 bytes)
- *   block 0 sections: coords | x | y | z | [features] | [labels]
+ *   block 0 sections: coords | [features] | [labels]
  *   block 1 sections: ...
  *   ...
  *   BlockDesc[block_count]                  (the index)
@@ -33,8 +26,11 @@
  * truncated or bit-flipped file is detected before any pointer into
  * the mapping escapes the reader.
  *
- * Versioning: kMagic + kVersion gate the reader; any layout change
- * bumps kVersion. Readers reject newer versions instead of guessing.
+ * Versioning: kFcpcMagic + kFcpcVersion gate the reader; any layout
+ * change bumps kFcpcVersion (version 1 also held the coordinates
+ * transposed into x/y/z columns, which no reader bound). A reader
+ * opens exactly its own version and rejects every other one instead
+ * of guessing.
  */
 
 #ifndef FC_STORAGE_FCPC_FORMAT_H
@@ -49,14 +45,14 @@ namespace fc::storage {
 inline constexpr std::uint32_t kFcpcMagic = 0x43504346u; // 'F''C''P''C' LE
 
 /** Current container version. */
-inline constexpr std::uint32_t kFcpcVersion = 1;
+inline constexpr std::uint32_t kFcpcVersion = 2;
 
 /** Written as 0x01020304 by a little-endian writer; a reader seeing
  *  any other value is on a foreign-endian host and must refuse the
  *  zero-copy path. */
 inline constexpr std::uint32_t kFcpcEndianTag = 0x01020304u;
 
-/** Section alignment: every column starts on a 64-byte boundary
+/** Section alignment: every section starts on a 64-byte boundary
  *  (cache line; also satisfies any SIMD load the kernels use). */
 inline constexpr std::size_t kFcpcAlign = 64;
 
@@ -86,21 +82,15 @@ struct FcpcBlockDesc
     std::uint32_t feature_dim; ///< 0 = no feature section
     std::uint32_t has_labels;  ///< 0/1 = label section absent/present
     std::uint64_t coords_offset;   ///< AoS Vec3[num_points]
-    std::uint64_t x_offset;        ///< float[num_points], coords[i].x
-    std::uint64_t y_offset;        ///< float[num_points]
-    std::uint64_t z_offset;        ///< float[num_points]
     std::uint64_t features_offset; ///< float[num_points*feature_dim]
     std::uint64_t labels_offset;   ///< int32[num_points]
     std::uint64_t coords_checksum;
-    std::uint64_t x_checksum;
-    std::uint64_t y_checksum;
-    std::uint64_t z_checksum;
     std::uint64_t features_checksum;
     std::uint64_t labels_checksum;
     std::uint64_t reserved; ///< zero; future use
 };
-static_assert(sizeof(FcpcBlockDesc) == 128,
-              "index entries are two cache lines each");
+static_assert(sizeof(FcpcBlockDesc) == 80,
+              "index entries are 80 bytes each");
 
 /** FNV-1a 64 over a byte range — tiny, dependency-free, and fast
  *  enough that the validation pass doubles as the page-touch that

@@ -130,7 +130,7 @@ FcpcReader::open(const std::string &path, const ReadOptions &options)
         return status_ = FcpcStatus::BadMagic;
     if (header.endian_tag != kFcpcEndianTag)
         return status_ = FcpcStatus::BadEndian;
-    if (header.version > kFcpcVersion)
+    if (header.version != kFcpcVersion)
         return status_ = FcpcStatus::BadVersion;
     if (header.header_bytes != sizeof(FcpcFileHeader))
         return status_ = FcpcStatus::BadMagic;
@@ -207,10 +207,7 @@ FcpcReader::validateLayout() const
                    off % kFcpcAlign == 0;
         };
         const std::uint64_t n = d.num_points;
-        if (!fits(d.coords_offset, n * sizeof(Vec3)) ||
-            !fits(d.x_offset, n * sizeof(float)) ||
-            !fits(d.y_offset, n * sizeof(float)) ||
-            !fits(d.z_offset, n * sizeof(float)))
+        if (!fits(d.coords_offset, n * sizeof(Vec3)))
             return FcpcStatus::BadBlock;
         if (d.feature_dim > 0 &&
             !fits(d.features_offset,
@@ -245,8 +242,7 @@ FcpcReader::blockBytes(std::size_t i) const
     fc_assert(i < index_.size(), "block %zu out of range (%zu)", i,
               index_.size());
     const FcpcBlockDesc &d = index_[i];
-    std::size_t bytes =
-        d.num_points * (sizeof(Vec3) + 3 * sizeof(float));
+    std::size_t bytes = d.num_points * sizeof(Vec3);
     bytes += d.num_points * d.feature_dim * sizeof(float);
     if (d.has_labels != 0)
         bytes += d.num_points * sizeof(std::int32_t);
@@ -277,10 +273,7 @@ FcpcReader::validateBlock(std::size_t i)
         return fnv1a64(base + off, bytes) == expected;
     };
     bool ok = check(d.coords_offset, n * sizeof(Vec3),
-                    d.coords_checksum) &&
-              check(d.x_offset, n * sizeof(float), d.x_checksum) &&
-              check(d.y_offset, n * sizeof(float), d.y_checksum) &&
-              check(d.z_offset, n * sizeof(float), d.z_checksum);
+                    d.coords_checksum);
     if (ok && d.feature_dim > 0)
         ok = check(d.features_offset,
                    n * d.feature_dim * sizeof(float),

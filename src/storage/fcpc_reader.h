@@ -40,7 +40,7 @@ enum class FcpcStatus : std::uint8_t {
     Ok,
     IoError,     ///< open/stat/map/read failed
     BadMagic,    ///< not an .fcpc file (or unfinished writer output)
-    BadVersion,  ///< container version newer than this reader
+    BadVersion,  ///< container version other than kFcpcVersion
     BadEndian,   ///< foreign-endian file; zero-copy impossible
     Truncated,   ///< file shorter than the header says
     BadIndex,    ///< index out of bounds or checksum mismatch
@@ -151,7 +151,6 @@ class FcpcReader
     /** Immutable file image + unmap/free on last release. */
     class Mapping;
 
-    const FcpcBlockDesc &desc(std::size_t i) const { return index_[i]; }
     FcpcStatus validateLayout() const;
 
     std::shared_ptr<const Mapping> map_;

@@ -80,25 +80,8 @@ FcpcWriter::append(const data::PointCloud &cloud,
                                   index_.size() + 1);
 
     const std::span<const Vec3> coords = cloud.coords();
-    const std::size_t n = cloud.size();
-    // The v1 x/y/z sections hold the coordinates transposed (see
-    // fcpc_format.h); one scratch column is refilled per axis.
-    const auto writeColumn = [&](float Vec3::*axis,
-                                 std::uint64_t &offset,
-                                 std::uint64_t &checksum) {
-        column_.resize(n);
-        for (std::size_t i = 0; i < n; ++i)
-            column_[i] = coords[i].*axis;
-        return writeSection(column_.data(), n * sizeof(float), offset,
-                            checksum);
-    };
-
-    bool ok =
-        writeSection(coords.data(), n * sizeof(Vec3),
-                     desc.coords_offset, desc.coords_checksum) &&
-        writeColumn(&Vec3::x, desc.x_offset, desc.x_checksum) &&
-        writeColumn(&Vec3::y, desc.y_offset, desc.y_checksum) &&
-        writeColumn(&Vec3::z, desc.z_offset, desc.z_checksum);
+    bool ok = writeSection(coords.data(), coords.size() * sizeof(Vec3),
+                           desc.coords_offset, desc.coords_checksum);
     if (ok && desc.feature_dim > 0) {
         const std::span<const float> feats = cloud.features();
         ok = writeSection(feats.data(), feats.size() * sizeof(float),

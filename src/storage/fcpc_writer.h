@@ -76,7 +76,6 @@ class FcpcWriter
     std::ofstream out_;
     std::uint64_t pos_ = 0;
     std::vector<FcpcBlockDesc> index_;
-    std::vector<float> column_; ///< one x/y/z section being written
     bool open_ = false;
     bool failed_ = false;
 };

@@ -43,7 +43,7 @@ BlockPrefetcher::schedule(std::size_t block)
     options_.pool->submitDetached([this, block] {
         // The validation pass is the useful work: it faults the
         // block's pages in and verifies checksums off the consumer's
-        // critical path. The bind itself is six pointers.
+        // critical path. The bind itself is three pointers.
         data::PointCloud cloud;
         const FcpcStatus status =
             reader_->readBlock(block, cloud, options_.mode);

@@ -227,19 +227,28 @@ TEST(StorageRoundtrip, MultiBlockIndexAndKeys)
     std::remove(path2.c_str());
 }
 
-TEST(StorageRoundtrip, XyzSectionsHoldTheCoordinatesTransposed)
+TEST(StorageRoundtrip, BlocksHoldOnlyTheirBoundSections)
 {
-    // No reader binds the v1 x/y/z sections, so nothing else pins
-    // what they hold: x[i] is the bit pattern of coords[i].x, and
-    // likewise for y and z. Signed zeros and a NaN payload must
-    // survive the transpose.
+    // A block is coords | [features] | [labels], each section padded
+    // to kFcpcAlign and nothing else: the header, the sections and the
+    // index add up to the file, and blockBytes() counts 12 bytes per
+    // point plus 4 per feature channel plus 4 for a label. Signed
+    // zeros, a NaN payload and a negative denormal must survive the
+    // AoS section bit for bit.
     std::vector<PointCloud> clouds;
     for (int c = 0; c < 3; ++c)
         clouds.push_back(data::makeModelNetObject(c, 300 + 70 * c,
                                                   40 + c));
     clouds[1][5] = Vec3{-0.0f, std::numeric_limits<float>::quiet_NaN(),
                         -std::numeric_limits<float>::denorm_min()};
-    const std::string path = tempPath("xyz.fcpc");
+    clouds[2].allocateFeatures(5);
+    for (std::size_t i = 0; i < clouds[2].features().size(); ++i)
+        clouds[2].features()[i] = static_cast<float>(i) * 0.5f;
+    clouds.push_back(data::makeS3disScene(777, 44));
+    PointCloud both = data::makeShapeNetObject(1, 413, 45);
+    both.allocateFeatures(3);
+    clouds.push_back(std::move(both));
+    const std::string path = tempPath("sections.fcpc");
     ASSERT_TRUE(writeFcpc(clouds, path));
 
     std::string file;
@@ -254,10 +263,20 @@ TEST(StorageRoundtrip, XyzSectionsHoldTheCoordinatesTransposed)
     std::memcpy(&header, file.data(), sizeof header);
     ASSERT_EQ(header.version, kFcpcVersion);
     ASSERT_EQ(header.block_count, clouds.size());
+    ASSERT_EQ(header.file_bytes, file.size());
     ASSERT_LE(header.index_offset +
                   clouds.size() * sizeof(FcpcBlockDesc),
               file.size());
 
+    FcpcReader reader;
+    ASSERT_EQ(reader.open(path), FcpcStatus::Ok);
+    std::uint64_t cursor = sizeof(FcpcFileHeader);
+    // Each section must start where the previous one's padding ends.
+    const auto expectNextSection = [&](std::uint64_t offset,
+                                       std::uint64_t bytes) {
+        EXPECT_EQ(offset, cursor);
+        cursor = alignUp(cursor + bytes);
+    };
     for (std::size_t b = 0; b < clouds.size(); ++b) {
         SCOPED_TRACE("block " + std::to_string(b));
         FcpcBlockDesc d;
@@ -265,34 +284,33 @@ TEST(StorageRoundtrip, XyzSectionsHoldTheCoordinatesTransposed)
                     file.data() + header.index_offset +
                         b * sizeof(FcpcBlockDesc),
                     sizeof d);
-        const std::span<const Vec3> coords =
-            std::as_const(clouds[b]).coords();
-        ASSERT_EQ(d.num_points, coords.size());
-        ASSERT_LE(d.coords_offset + coords.size() * sizeof(Vec3),
-                  file.size());
-        for (const std::uint64_t offset :
-             {d.x_offset, d.y_offset, d.z_offset})
-            ASSERT_LE(offset + coords.size() * sizeof(float),
-                      file.size());
+        const PointCloud &cloud = clouds[b];
+        const std::uint64_t n = cloud.size();
+        ASSERT_EQ(d.num_points, n);
+        ASSERT_EQ(d.feature_dim, cloud.featureDim());
+        ASSERT_EQ(d.has_labels, cloud.hasLabels() ? 1u : 0u);
+        EXPECT_EQ(reader.blockBytes(b),
+                  n * (12 + 4 * d.feature_dim + 4 * d.has_labels));
+
+        expectNextSection(d.coords_offset, n * sizeof(Vec3));
+        ASSERT_LE(d.coords_offset + n * sizeof(Vec3), file.size());
         EXPECT_EQ(std::memcmp(file.data() + d.coords_offset,
-                              coords.data(),
-                              coords.size() * sizeof(Vec3)),
+                              cloud.coords().data(), n * sizeof(Vec3)),
                   0);
-        std::size_t mismatches = 0;
-        for (std::size_t i = 0; i < coords.size(); ++i) {
-            const char *at = file.data() + i * sizeof(float);
-            mismatches +=
-                std::memcmp(at + d.x_offset, &coords[i].x,
-                            sizeof(float)) != 0;
-            mismatches +=
-                std::memcmp(at + d.y_offset, &coords[i].y,
-                            sizeof(float)) != 0;
-            mismatches +=
-                std::memcmp(at + d.z_offset, &coords[i].z,
-                            sizeof(float)) != 0;
-        }
-        EXPECT_EQ(mismatches, 0u);
+        if (d.feature_dim > 0)
+            expectNextSection(d.features_offset,
+                              n * d.feature_dim * sizeof(float));
+        else
+            EXPECT_EQ(d.features_offset, 0u);
+        if (d.has_labels != 0)
+            expectNextSection(d.labels_offset,
+                              n * sizeof(std::int32_t));
+        else
+            EXPECT_EQ(d.labels_offset, 0u);
     }
+    EXPECT_EQ(header.index_offset, cursor);
+    EXPECT_EQ(cursor + clouds.size() * sizeof(FcpcBlockDesc),
+              header.file_bytes);
     std::remove(path.c_str());
 }
 
@@ -314,20 +332,27 @@ TEST(StorageErrors, BadMagicRejected)
     std::remove(path.c_str());
 }
 
-TEST(StorageErrors, NewerVersionRejected)
+TEST(StorageErrors, OtherVersionsRejected)
 {
+    // A reader opens exactly its own version: an older layout is
+    // refused as firmly as a newer one.
     const std::string path = tempPath("version.fcpc");
-    ASSERT_TRUE(writeFcpc({data::makeModelNetObject(0, 64, 1)}, path));
-    {
-        std::fstream f(path, std::ios::binary | std::ios::in |
-                                 std::ios::out);
-        const std::uint32_t future = kFcpcVersion + 1;
-        f.seekp(4); // FcpcFileHeader::version
-        f.write(reinterpret_cast<const char *>(&future),
-                sizeof future);
+    for (const std::uint32_t version :
+         {kFcpcVersion - 1, kFcpcVersion + 1}) {
+        SCOPED_TRACE("version " + std::to_string(version));
+        ASSERT_TRUE(
+            writeFcpc({data::makeModelNetObject(0, 64, 1)}, path));
+        {
+            std::fstream f(path, std::ios::binary | std::ios::in |
+                                     std::ios::out);
+            f.seekp(4); // FcpcFileHeader::version
+            f.write(reinterpret_cast<const char *>(&version),
+                    sizeof version);
+        }
+        FcpcReader reader;
+        EXPECT_EQ(reader.open(path), FcpcStatus::BadVersion);
+        EXPECT_FALSE(reader.isOpen());
     }
-    FcpcReader reader;
-    EXPECT_EQ(reader.open(path), FcpcStatus::BadVersion);
     std::remove(path.c_str());
 }
 

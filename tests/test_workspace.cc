@@ -602,21 +602,33 @@ TEST(WorkspaceDeterminism, PipelineInferOverloadsAgree)
 
 TEST(GlobalOpsParallel, FarthestPointSampleMatchesSerial)
 {
-    const data::PointCloud scene = data::makeS3disScene(2048, 23);
-    const ops::SampleResult serial =
-        ops::farthestPointSample(scene, 300);
-    for (const unsigned threads : {2u, 8u}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        core::ThreadPool pool(threads);
-        const ops::SampleResult pooled =
-            ops::farthestPointSample(scene, 300, {}, &pool);
-        EXPECT_EQ(pooled.indices, serial.indices);
-        EXPECT_EQ(pooled.stats.distance_computations,
-                  serial.stats.distance_computations);
-        EXPECT_EQ(pooled.stats.points_visited,
-                  serial.stats.points_visited);
-        EXPECT_EQ(pooled.stats.skipped, serial.stats.skipped);
-        EXPECT_EQ(pooled.stats.iterations, serial.stats.iterations);
+    // A sweep chunk holds 32768 points: the small cloud runs inline
+    // on every pool, the large one forks three chunks per iteration.
+    struct Case
+    {
+        std::size_t points;
+        std::size_t samples;
+    };
+    for (const Case c : {Case{2048, 300}, Case{70000, 24}}) {
+        SCOPED_TRACE("points=" + std::to_string(c.points));
+        const data::PointCloud scene =
+            data::makeS3disScene(c.points, 23);
+        const ops::SampleResult serial =
+            ops::farthestPointSample(scene, c.samples);
+        for (const unsigned threads : {2u, 8u}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            core::ThreadPool pool(threads);
+            const ops::SampleResult pooled =
+                ops::farthestPointSample(scene, c.samples, {}, &pool);
+            EXPECT_EQ(pooled.indices, serial.indices);
+            EXPECT_EQ(pooled.stats.distance_computations,
+                      serial.stats.distance_computations);
+            EXPECT_EQ(pooled.stats.points_visited,
+                      serial.stats.points_visited);
+            EXPECT_EQ(pooled.stats.skipped, serial.stats.skipped);
+            EXPECT_EQ(pooled.stats.iterations,
+                      serial.stats.iterations);
+        }
     }
 }
 
