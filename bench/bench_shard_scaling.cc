@@ -18,16 +18,12 @@
  *     hardware, queue contention drops and p99 tightens; a 1-core
  *     container honestly reports ~flat.
  *
- * A locality-ablation config rides along at the widest shard count:
- * workers unpinned (pin_shards=false), isolating what NUMA pinning
- * buys on the same workload.
- *
- * Results are byte-identical at every shard count and pinned or not —
- * the sharded determinism tests enforce it — so the table measures
- * pure placement/scheduling effect. The CSV is gated by
- * scripts/check_bench_csv.sh in the Release perf-smoke CI step (12
- * rows: (3 shard counts + 1 ablation) x 3 classes); the numbers
- * themselves are hardware-bound and only uploaded as artifacts.
+ * Results are byte-identical at every shard count — the sharded
+ * determinism tests enforce it — so the table measures pure
+ * placement/scheduling effect. The CSV is gated by
+ * scripts/check_bench_csv.sh in the Release perf-smoke CI step (9
+ * rows: 3 shard counts x 3 classes); the numbers themselves are
+ * hardware-bound and only uploaded as artifacts.
  */
 
 #include <algorithm>
@@ -84,14 +80,12 @@ struct ClassMeasurement
  *  kMinSamplesPerClass retired requests. */
 ClassMeasurement
 measureShards(unsigned num_shards,
-              const std::vector<fc::data::PointCloud> &clouds,
-              bool pin_shards = true)
+              const std::vector<fc::data::PointCloud> &clouds)
 {
     fc::serve::ServeOptions options;
     options.pipeline.num_threads = kThreadsPerShard;
     options.num_shards = num_shards;
     options.queue_capacity = 64;
-    options.pin_shards = pin_shards;
     fc::serve::AsyncPipeline server(options);
 
     ClassMeasurement measurement;
@@ -135,13 +129,13 @@ shardTable()
 
     fc::Table table({"shards", "priority", "p50 ms", "p99 ms",
                      "clouds/s", "n"});
-    const auto addRows = [&](const std::string &label,
-                             ClassMeasurement &m) {
+    for (const unsigned shards : kShardCounts) {
+        ClassMeasurement m = measureShards(shards, clouds);
         for (unsigned cls = 0; cls < fc::serve::kNumPriorities;
              ++cls) {
             std::vector<double> &lat = m.latencies_ms[cls];
             table.addRow(
-                {label,
+                {std::to_string(shards),
                  fc::serve::priorityName(
                      static_cast<fc::serve::Priority>(cls)),
                  fc::Table::num(percentileMs(lat, 0.50)),
@@ -150,22 +144,7 @@ shardTable()
                                 m.wall_seconds),
                  std::to_string(lat.size())});
         }
-    };
-    for (const unsigned shards : kShardCounts) {
-        ClassMeasurement m = measureShards(shards, clouds);
-        addRows(std::to_string(shards), m);
     }
-
-    // Locality ablation at the widest shard count: the same workload
-    // with worker pinning off. Results stay byte-identical (the
-    // locality tests enforce it); the delta these rows show is pure
-    // placement effect — on single-node or 1-core hardware an honest
-    // ~flat, on multi-socket hardware the cost of cross-node traffic.
-    const unsigned ablate_shards =
-        kShardCounts[std::size(kShardCounts) - 1];
-    ClassMeasurement nopin =
-        measureShards(ablate_shards, clouds, /*pin_shards=*/false);
-    addRows(std::to_string(ablate_shards) + "/nopin", nopin);
     fcb::emit(table, "bench_shard_scaling",
               "Sharded serving latency per priority class, " +
                   std::to_string(kThreadsPerShard) +

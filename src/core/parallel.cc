@@ -1,7 +1,6 @@
 #include "core/parallel.h"
 
 #include "common/logging.h"
-#include "core/topology.h"
 
 namespace fc::core {
 
@@ -14,10 +13,8 @@ ThreadPool::resolveThreadCount(unsigned requested)
     return hw == 0 ? 1 : hw;
 }
 
-ThreadPool::ThreadPool(unsigned num_threads, bool standalone,
-                       std::vector<int> pin_cpus)
-    : num_threads_(resolveThreadCount(num_threads)),
-      pin_cpus_(std::move(pin_cpus))
+ThreadPool::ThreadPool(unsigned num_threads, bool standalone)
+    : num_threads_(resolveThreadCount(num_threads))
 {
     // Fork/join mode: the joining thread is the last worker
     // (help-join), so a pool of n threads spawns n - 1 and a pool of
@@ -26,15 +23,7 @@ ThreadPool::ThreadPool(unsigned num_threads, bool standalone,
     const unsigned spawn = standalone ? num_threads_ : num_threads_ - 1;
     workers_.reserve(spawn);
     for (unsigned t = 0; t < spawn; ++t)
-        workers_.emplace_back([this, t] {
-            // Best-effort affinity before any work: a refused call
-            // (restricted runner, non-Linux) leaves the worker
-            // unpinned — identical results, only locality lost.
-            if (!pin_cpus_.empty())
-                (void)pinCurrentThreadTo(
-                    pin_cpus_[t % pin_cpus_.size()]);
-            workerLoop();
-        });
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()

@@ -254,13 +254,6 @@ class Ring
  * thread that waits on a TaskGroup acts as the final worker
  * (help-join), so a pool of n threads keeps exactly n threads busy
  * and a pool of 1 spawns none.
- *
- * Workers can optionally be pinned to cpus (the @p pin_cpus
- * constructor argument): worker t binds to pin_cpus[t % size] at
- * startup, best-effort (see core/topology.h — a refused affinity
- * call degrades to an unpinned worker, never an error). The caller
- * thread of a fork/join pool is never pinned: only spawned workers
- * are.
  */
 class ThreadPool
 {
@@ -272,14 +265,9 @@ class ThreadPool
      *     the final worker. true (serving use, see fc::serve): the
      *     pool hosts detached work with no external joining thread,
      *     so it spawns exactly num_threads workers.
-     * @param pin_cpus    optional cpu ids to pin spawned workers to
-     *     (worker t -> pin_cpus[t % size]); empty = no pinning. The
-     *     ShardedExecutor passes each shard a disjoint set so shard
-     *     arenas stay in one socket's pages.
      */
     explicit ThreadPool(unsigned num_threads = 0,
-                        bool standalone = false,
-                        std::vector<int> pin_cpus = {});
+                        bool standalone = false);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -296,8 +284,8 @@ class ThreadPool
      *
      * Small callables ride the detached lane's InlineTask ring
      * without touching the heap — with the workspace pools and the
-     * outcome slabs of fc::serve this keeps the whole warm
-     * submit->poll round trip allocation-free.
+     * recycled scheduler records of fc::serve this keeps the whole
+     * warm submit->poll round trip allocation-free.
      */
     template <typename Fn>
     void
@@ -323,7 +311,6 @@ class ThreadPool
     void workerLoop();
 
     unsigned num_threads_;
-    std::vector<int> pin_cpus_; ///< empty = unpinned workers
     std::vector<std::thread> workers_;
     Ring<InlineTask> queue_;    ///< fork/join lane
     Ring<InlineTask> detached_; ///< detached lane (whole-request tasks)

@@ -510,8 +510,8 @@ Network::run(const data::PointCloud &cloud,
         } else {
             ops::globalInterpolate(fine_level.cloud, coarse.data(),
                                    coarse.cols(),
-                                   coarse_level.parent_indices, 3, ws,
-                                   interp);
+                                   coarse_level.parent_indices, 3, pool,
+                                   ws, interp);
         }
         out.op_stats += interp.stats;
         lapInto(kStInterpolate);

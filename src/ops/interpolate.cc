@@ -154,14 +154,15 @@ globalInterpolate(const data::PointCloud &cloud,
                   const std::vector<float> &known_features,
                   std::size_t channels,
                   const std::vector<PointIdx> &known_indices,
-                  std::size_t k, core::Workspace &ws,
-                  InterpolateResult &out)
+                  std::size_t k, core::ThreadPool *pool,
+                  core::Workspace &ws, InterpolateResult &out)
 {
     NeighborResult &neighbors =
         ws.slot<NeighborResult>("ops.gi.nbr");
-    knnSearch(cloud, known_indices, cloud.coords(), k, ws, neighbors);
+    knnSearch(cloud, known_indices, cloud.coords(), k, pool, ws,
+              neighbors);
     interpolateFeatures(cloud, known_features, channels, known_indices,
-                        neighbors, nullptr, ws, out);
+                        neighbors, pool, ws, out);
 }
 
 InterpolateResult
@@ -169,12 +170,12 @@ globalInterpolate(const data::PointCloud &cloud,
                   const std::vector<float> &known_features,
                   std::size_t channels,
                   const std::vector<PointIdx> &known_indices,
-                  std::size_t k)
+                  std::size_t k, core::ThreadPool *pool)
 {
     core::Workspace ws;
     InterpolateResult out;
     globalInterpolate(cloud, known_features, channels, known_indices, k,
-                      ws, out);
+                      pool, ws, out);
     return out;
 }
 

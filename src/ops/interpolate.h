@@ -73,14 +73,16 @@ void interpolateFeatures(const data::PointCloud &cloud,
                          InterpolateResult &out);
 
 /**
- * Convenience wrapper: global 3-NN then interpolation.
+ * Convenience wrapper: global k-NN (knnSearch) then interpolation.
+ * Both the KNN query rows and the blend rows dispatch over @p pool;
+ * results match sequential execution bit-for-bit.
  */
 InterpolateResult
 globalInterpolate(const data::PointCloud &cloud,
                   const std::vector<float> &known_features,
                   std::size_t channels,
                   const std::vector<PointIdx> &known_indices,
-                  std::size_t k = 3);
+                  std::size_t k = 3, core::ThreadPool *pool = nullptr);
 
 /** Workspace overload of globalInterpolate (the KNN table lives in a
  *  workspace slot; @p out reuses capacity). */
@@ -88,8 +90,8 @@ void globalInterpolate(const data::PointCloud &cloud,
                        const std::vector<float> &known_features,
                        std::size_t channels,
                        const std::vector<PointIdx> &known_indices,
-                       std::size_t k, core::Workspace &ws,
-                       InterpolateResult &out);
+                       std::size_t k, core::ThreadPool *pool,
+                       core::Workspace &ws, InterpolateResult &out);
 
 /**
  * Block-wise interpolation: each point blends its k nearest known

@@ -97,7 +97,8 @@ void
 knnSearch(const data::PointCloud &cloud,
           const std::vector<PointIdx> &candidates,
           std::span<const Vec3> queries, std::size_t k,
-          core::Workspace &ws, NeighborResult &out)
+          core::ThreadPool *pool, core::Workspace &ws,
+          NeighborResult &out)
 {
     fc_assert(k > 0, "knn needs k > 0");
     out.stats = {};
@@ -109,30 +110,43 @@ knnSearch(const data::PointCloud &cloud,
         fc_assert(c < cloud.size(),
                   "candidate id %u out of range (cloud: %zu points)", c,
                   cloud.size());
-    // Candidate ids are positions of the cloud-order copy.
+    // Candidate ids are positions of the cloud-order copy; the row
+    // tasks below share it read-only.
     const core::simd::SoaView pts =
         core::simd::soaInto(cloud.coords(), ws.arena());
     const auto n = static_cast<std::uint32_t>(candidates.size());
-    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-        TopK top(k);
-        top.offerPositions(pts, queries[qi], candidates.data(),
-                           candidates.data(), n);
-        top.emitRow(out.indices.data() + qi * k);
-        out.counts[qi] = static_cast<std::uint32_t>(top.count());
-        out.stats.points_visited += n;
-        out.stats.distance_computations += n;
-        ++out.stats.iterations;
-    }
+    // Query rows are disjoint k-wide slots; per-chunk stats fold in
+    // chunk order.
+    out.stats += core::parallelReduce(
+        pool, 0, queries.size(),
+        core::costGrain(std::max<std::size_t>(1, n) * 6), OpStats{},
+        [&](std::size_t qb, std::size_t qe) {
+            OpStats stats;
+            for (std::size_t qi = qb; qi < qe; ++qi) {
+                TopK top(k);
+                top.offerPositions(pts, queries[qi], candidates.data(),
+                                   candidates.data(), n);
+                top.emitRow(out.indices.data() + qi * k);
+                out.counts[qi] = static_cast<std::uint32_t>(top.count());
+                stats.points_visited += n;
+                stats.distance_computations += n;
+                ++stats.iterations;
+            }
+            return stats;
+        },
+        [](OpStats &acc, OpStats &&chunk) { acc += chunk; },
+        &ws.arena());
 }
 
 NeighborResult
 knnSearch(const data::PointCloud &cloud,
           const std::vector<PointIdx> &candidates,
-          std::span<const Vec3> queries, std::size_t k)
+          std::span<const Vec3> queries, std::size_t k,
+          core::ThreadPool *pool)
 {
     core::Workspace ws;
     NeighborResult out;
-    knnSearch(cloud, candidates, queries, k, ws, out);
+    knnSearch(cloud, candidates, queries, k, pool, ws, out);
     return out;
 }
 

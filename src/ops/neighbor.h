@@ -89,20 +89,27 @@ void ballQuery(const data::PointCloud &cloud,
 /**
  * Global KNN: the k nearest candidates for each query coordinate.
  *
+ * Query rows are independent and dispatch in chunks over @p pool,
+ * exactly as ballQuery's center rows do, so the table is
+ * bit-identical to the sequential path at any thread count.
+ *
  * @param cloud      candidate points
  * @param candidates candidate indices into @p cloud, each < cloud.size()
  * @param queries    query coordinates
  * @param k          neighbor count
+ * @param pool       optional thread pool; null = sequential
  */
 NeighborResult knnSearch(const data::PointCloud &cloud,
                          const std::vector<PointIdx> &candidates,
-                         std::span<const Vec3> queries, std::size_t k);
+                         std::span<const Vec3> queries, std::size_t k,
+                         core::ThreadPool *pool = nullptr);
 
 /** Workspace overload of knnSearch (capacity-reusing @p out). */
 void knnSearch(const data::PointCloud &cloud,
                const std::vector<PointIdx> &candidates,
                std::span<const Vec3> queries, std::size_t k,
-               core::Workspace &ws, NeighborResult &out);
+               core::ThreadPool *pool, core::Workspace &ws,
+               NeighborResult &out);
 
 /**
  * Block-wise ball query. Centers come from block-wise sampling; the

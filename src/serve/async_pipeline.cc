@@ -30,14 +30,12 @@ stageName(Stage stage)
 
 AsyncPipeline::AsyncPipeline(const ServeOptions &options)
     : options_(options),
-      executor_(std::max(1u, options.num_shards),
-                options.pipeline.num_threads, /*standalone=*/true,
-                options.pin_shards),
-      scheduler_(options.queue_capacity, executor_.threadsPerShard(),
-                 options.work_conserving, executor_.numShards(),
+      scheduler_(options.queue_capacity,
+                 core::ThreadPool::resolveThreadCount(
+                     options.pipeline.num_threads),
+                 options.work_conserving, std::max(1u, options.num_shards),
                  &registry_, options.class_capacity)
 {
-    executor_.attachMetrics(registry_);
     static constexpr const char *kStageLabels[5] = {
         "partition", "sample", "group", "gather", "inference"};
     for (std::size_t i = 0; i < stage_us_.size(); ++i)
@@ -48,10 +46,14 @@ AsyncPipeline::AsyncPipeline(const ServeOptions &options)
     ws_checkouts_ = &registry_.counter("serve.workspace_checkouts");
     ws_created_gauge_ = &registry_.gauge("serve.workspaces_created");
 
-    // One workspace pool per shard, instruments registered up front
-    // so the serve path mutates pointers only.
-    pools_.reserve(executor_.numShards());
-    for (unsigned s = 0; s < executor_.numShards(); ++s) {
+    // Per shard: one workspace pool and one standalone thread pool,
+    // instruments registered up front so the serve path mutates
+    // pointers only.
+    const unsigned num_shards = std::max(1u, options.num_shards);
+    pools_.reserve(num_shards);
+    task_counters_.reserve(num_shards);
+    shards_.reserve(num_shards);
+    for (unsigned s = 0; s < num_shards; ++s) {
         auto pool = std::make_unique<ShardPool>();
         const std::string tag = "{shard=" + std::to_string(s) + "}";
         pool->checkout =
@@ -61,6 +63,10 @@ AsyncPipeline::AsyncPipeline(const ServeOptions &options)
         pool->foreign_return =
             &registry_.counter("serve.workspace.foreign_return" + tag);
         pools_.push_back(std::move(pool));
+        task_counters_.push_back(
+            &registry_.counter("core.executor.tasks" + tag));
+        shards_.push_back(std::make_unique<core::ThreadPool>(
+            options.pipeline.num_threads, /*standalone=*/true));
     }
 }
 
@@ -87,8 +93,7 @@ AsyncPipeline::trySubmitShared(
         scheduler_.trySubmit(std::move(cloud), request, deadline,
                              priority, placement_key, &shard);
     if (ticket)
-        executor_.submitDetached(shard,
-                                 [this, shard] { execute(shard); });
+        dispatch(shard);
     else
         rejected_->add();
     return ticket;
@@ -107,7 +112,7 @@ AsyncPipeline::submitShared(std::shared_ptr<const data::PointCloud> cloud,
                                   priority, placement_key, &shard);
     fc_assert(ticket.has_value(),
               "submit on a shutting-down AsyncPipeline");
-    executor_.submitDetached(shard, [this, shard] { execute(shard); });
+    dispatch(shard);
     return *ticket;
 }
 
@@ -130,6 +135,15 @@ AsyncPipeline::submit(data::PointCloud cloud, const BatchRequest &request,
     return submitShared(
         std::make_shared<const data::PointCloud>(std::move(cloud)),
         request, deadline, priority, placement_key);
+}
+
+void
+AsyncPipeline::dispatch(unsigned shard)
+{
+    fc_assert(shard < shards_.size(), "submit on unknown shard %u",
+              shard);
+    task_counters_[shard]->add();
+    shards_[shard]->submitDetached([this, shard] { execute(shard); });
 }
 
 void
@@ -220,7 +234,7 @@ AsyncPipeline::execute(unsigned shard)
         if (spill_shard < 0)
             return nullptr;
         core::ThreadPool &target =
-            executor_.shard(static_cast<unsigned>(spill_shard));
+            *shards_[static_cast<unsigned>(spill_shard)];
         return target.numThreads() > 1 ? &target : nullptr;
     };
     const std::uint64_t id = job->id;

@@ -34,12 +34,12 @@
  *     checked out per ticket on its placement shard: every request's
  *     intermediates (partition trees, op scratch, the inference
  *     stage's per-level buffers) draw from a workspace warmed by
- *     earlier requests OF THE SAME SHARD, so with pinned workers a
- *     workspace's pages stay on the NUMA node that touched them.
+ *     earlier requests OF THE SAME SHARD, so a placement key that
+ *     keeps a session on one shard keeps it on warm workspaces.
  *     Cross-shard spill borrows a neighbor's COMPUTE only — the
  *     workspace always belongs to the home shard's pool. Each pool
  *     never exceeds its shard's thread count, so steady-state memory
- *     is bounded by the largest shapes seen, and
+ *     is bounded per shard by the largest shapes seen, and
  *   - one home per result: the executor writes the BatchResult into
  *     the request's scheduler record, which is recycled with its
  *     buffers. waitInto() swaps buffers with the record (O(1) under
@@ -74,7 +74,6 @@
 #include "core/metrics.h"
 #include "core/parallel.h"
 #include "core/pipeline.h"
-#include "core/sharded_executor.h"
 #include "core/workspace.h"
 #include "serve/scheduler.h"
 
@@ -121,17 +120,6 @@ struct ServeOptions
     bool work_conserving = true;
 
     /**
-     * Pin each shard's workers to a disjoint cpu set carved from the
-     * detected NUMA topology (shard s prefers node s % nodes; see
-     * core/topology.h), keeping a shard's workspace and arena pages
-     * on the socket that touches them. Best-effort: refused affinity
-     * calls (restricted runners, non-Linux) degrade to unpinned
-     * workers, and FC_NO_PIN=1 disables pinning at runtime without a
-     * rebuild. Never affects results, only locality.
-     */
-    bool pin_shards = true;
-
-    /**
      * Per-class admission bounds layered on queue_capacity: at most
      * class_capacity[c] requests of class c may be queued at once
      * across all shards (0 = bounded only by queue_capacity). Keeps
@@ -152,10 +140,10 @@ struct ServeOptions
 };
 
 /**
- * Asynchronous submit/poll/wait serving frontend over a
- * core::ShardedExecutor of standalone ThreadPool shards
- * (ServeOptions::num_shards = 1 collapses to the single-pool
- * frontend of PR 2-4, unchanged).
+ * Asynchronous submit/poll/wait serving frontend over one standalone
+ * core::ThreadPool per shard (ServeOptions::num_shards = 1 is the
+ * single-pool frontend). Shard workers are never pinned: they run
+ * wherever the OS schedules them.
  *
  * Thread-safe: any thread may submit, poll, cancel, or wait. The
  * destructor rejects new work, cancels everything still queued, and
@@ -285,14 +273,17 @@ class AsyncPipeline
     void discard(Ticket ticket) { scheduler_.discard(ticket); }
 
     /** Resolved per-shard pool size. */
-    unsigned numThreads() const { return executor_.threadsPerShard(); }
+    unsigned numThreads() const { return shards_.front()->numThreads(); }
 
     /** Executor shard count. */
-    unsigned numShards() const { return executor_.numShards(); }
+    unsigned
+    numShards() const
+    {
+        return static_cast<unsigned>(shards_.size());
+    }
 
-    /** Whether shard workers are actually pinned (pin_shards was set,
-     *  FC_NO_PIN is unset, and a topology was detected). */
-    bool pinned() const { return executor_.pinned(); }
+    /** Always false: shard workers are never pinned to cpus. */
+    bool pinned() const { return false; }
 
     /** Snapshot of requests admitted but not yet started (all
      *  shards). Allocation-free; racy by nature — use for telemetry,
@@ -342,7 +333,8 @@ class AsyncPipeline
      * The pipeline's metrics registry: per-(shard x class) queue
      * depth / wait / latency instruments (Scheduler), per-stage
      * latency histograms and admission/workspace telemetry (this
-     * class), per-shard executor task counts (ShardedExecutor), and
+     * class), per-shard executor task counts
+     * (core.executor.tasks{shard=i}), and
      * the inference stage's per-stage nn timings. Render it with
      * serve::renderStats / renderStatsJson (serve/stats.h); mutation
      * cost is governed by core::metrics::setSampling.
@@ -379,6 +371,10 @@ class AsyncPipeline
         core::metrics::Counter *foreign_return = nullptr;
     };
 
+    /** Queue one executor task on @p shard's pool, counting it in
+     *  core.executor.tasks{shard=...}. */
+    void dispatch(unsigned shard);
+
     /** Executor task body: process (or retire) the best queued
      *  request of @p shard. */
     void execute(unsigned shard);
@@ -397,7 +393,7 @@ class AsyncPipeline
     ServeOptions options_;
 
     /**
-     * Declared first deliberately: every layer below (executor,
+     * Declared first deliberately: every layer below (shard pools,
      * scheduler, this class's own instruments) holds pointers into
      * the registry until its workers join, so the registry must be
      * destroyed last.
@@ -421,13 +417,21 @@ class AsyncPipeline
      *  different shards race only on this). */
     std::atomic<std::size_t> ws_created_total_{0};
 
-    /** Declared before executor_ deliberately: an executor task
+    /** Declared before shards_ deliberately: an executor task
      *  returns its workspace lease as its very last action, so the
      *  pools must outlive the shard pools' workers. unique_ptr
      *  elements keep each ShardPool's mutex at a stable address. */
     std::vector<std::unique_ptr<ShardPool>> pools_;
 
-    core::ShardedExecutor executor_;
+    /** Per-shard executor task counters (core.executor.tasks). */
+    std::vector<core::metrics::Counter *> task_counters_;
+
+    /** One standalone ThreadPool per shard: separate queues, workers
+     *  and condition variables, no stealing between them (spill is
+     *  the scheduler's decision). Declared after the workspace pools
+     *  and the registry, so its workers join before either dies. */
+    std::vector<std::unique_ptr<core::ThreadPool>> shards_;
+
     Scheduler scheduler_;
 };
 

@@ -5,9 +5,9 @@
  * work-conserving (now cross-shard) spill policy.
  *
  * The Scheduler owns no threads — it is the pure bookkeeping core of
- * fc::serve::AsyncPipeline, which pairs it with a
- * core::ShardedExecutor. Executors interact with it through a narrow
- * protocol:
+ * fc::serve::AsyncPipeline, which pairs it with one standalone
+ * core::ThreadPool per shard. Executors interact with it through a
+ * narrow protocol:
  *
  *   trySubmit/submitBlocking  admit one request: consistent-hash
  *                             placement picks its shard, its priority
@@ -86,7 +86,7 @@
 #include "core/metrics.h"
 #include "core/parallel.h"
 #include "core/pipeline.h"
-#include "core/sharded_executor.h"
+#include "core/shard_map.h"
 #include "dataset/point_cloud.h"
 
 namespace fc::serve {

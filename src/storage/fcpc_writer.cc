@@ -3,7 +3,7 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "core/sharded_executor.h"
+#include "core/shard_map.h"
 
 namespace fc::storage {
 

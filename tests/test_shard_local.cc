@@ -2,13 +2,9 @@
  * @file
  * Shard-local memory, proven:
  *
- *  - topology parsing / per-shard cpu carving (disjoint, node-major,
- *    deterministic wrap) and the FC_NO_PIN escape hatch,
- *  - served results bit-identical pinned vs unpinned across shard
- *    and thread counts,
  *  - per-shard workspace pools: creation counts stay flat per shard
- *    under pinned mixed-class load, and the foreign-return tripwire
- *    stays at zero,
+ *    under mixed-class load, and the foreign-return tripwire stays at
+ *    zero,
  *  - result payloads kept in recycled scheduler records: waitInto ==
  *    wait byte for byte, a reused record never aliases a consumed
  *    result, and the records created stay bounded by the tickets live
@@ -20,9 +16,7 @@
  * existing Sharded* / AsyncPipeline.* / Scheduler.* globs.
  */
 
-#include <cstdlib>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,8 +24,6 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.h"
-#include "core/sharded_executor.h"
-#include "core/topology.h"
 #include "dataset/s3dis.h"
 #include "serve/async_pipeline.h"
 #include "serve/scheduler.h"
@@ -39,151 +31,6 @@
 namespace {
 
 using namespace fc;
-
-// ---------------------------------------------------------------------
-// Topology carving
-// ---------------------------------------------------------------------
-
-core::CpuTopology
-twoNodeTopology()
-{
-    core::CpuTopology t;
-    t.nodes = {{0, 1, 2, 3}, {4, 5, 6, 7}};
-    return t;
-}
-
-TEST(ShardedLocality, DetectedTopologyIsNonEmpty)
-{
-    const core::CpuTopology t = core::detectCpuTopology();
-    ASSERT_GE(t.nodes.size(), 1u);
-    EXPECT_GE(t.cpuCount(), 1u);
-    for (const std::vector<int> &node : t.nodes)
-        for (const int cpu : node)
-            EXPECT_GE(cpu, 0);
-}
-
-TEST(ShardedLocality, AssignmentPrefersHomeNodeAndStaysDisjoint)
-{
-    const auto sets =
-        core::shardCpuAssignment(twoNodeTopology(), 2, 2);
-    ASSERT_EQ(sets.size(), 2u);
-    // Shard s prefers node s % nodes: shard 0 draws from node 0,
-    // shard 1 from node 1.
-    EXPECT_EQ(sets[0], (std::vector<int>{0, 1}));
-    EXPECT_EQ(sets[1], (std::vector<int>{4, 5}));
-}
-
-TEST(ShardedLocality, AssignmentCoversEveryCpuOnceBeforeWrapping)
-{
-    const auto sets =
-        core::shardCpuAssignment(twoNodeTopology(), 4, 2);
-    ASSERT_EQ(sets.size(), 4u);
-    std::set<int> seen;
-    for (const std::vector<int> &cpus : sets) {
-        ASSERT_EQ(cpus.size(), 2u);
-        for (const int cpu : cpus)
-            EXPECT_TRUE(seen.insert(cpu).second)
-                << "cpu " << cpu << " assigned twice before the "
-                << "topology was exhausted";
-    }
-    EXPECT_EQ(seen.size(), 8u);
-}
-
-TEST(ShardedLocality, OversubscribedAssignmentWrapsDeterministically)
-{
-    core::CpuTopology one_node;
-    one_node.nodes = {{0, 1}};
-    const auto first = core::shardCpuAssignment(one_node, 2, 4);
-    const auto second = core::shardCpuAssignment(one_node, 2, 4);
-    EXPECT_EQ(first, second); // pure function of its inputs
-    for (const std::vector<int> &cpus : first) {
-        ASSERT_EQ(cpus.size(), 4u);
-        for (const int cpu : cpus)
-            EXPECT_TRUE(cpu == 0 || cpu == 1);
-    }
-}
-
-TEST(ShardedLocality, FcNoPinDisablesPinningAtRuntime)
-{
-    ASSERT_EQ(::setenv("FC_NO_PIN", "1", 1), 0);
-    EXPECT_TRUE(core::pinningDisabled());
-    {
-        core::ShardedExecutor executor(2, 1, /*standalone=*/true,
-                                       /*pin_workers=*/true);
-        EXPECT_FALSE(executor.pinned());
-    }
-    // "0" means enabled — the knob is a boolean, not mere presence.
-    ASSERT_EQ(::setenv("FC_NO_PIN", "0", 1), 0);
-    EXPECT_FALSE(core::pinningDisabled());
-    ASSERT_EQ(::unsetenv("FC_NO_PIN"), 0);
-    EXPECT_FALSE(core::pinningDisabled());
-    {
-        core::ShardedExecutor executor(2, 1, /*standalone=*/true,
-                                       /*pin_workers=*/true);
-        EXPECT_TRUE(executor.pinned());
-    }
-    core::ShardedExecutor unpinned(2, 1, /*standalone=*/true,
-                                   /*pin_workers=*/false);
-    EXPECT_FALSE(unpinned.pinned());
-}
-
-// ---------------------------------------------------------------------
-// Pinning never changes results
-// ---------------------------------------------------------------------
-
-TEST(ShardedLocality, ServedResultsIdenticalAcrossPinningShardsThreads)
-{
-    const data::PointCloud scene = data::makeS3disScene(2048, 31);
-    BatchRequest request;
-    request.sample_rate = 0.25;
-    request.radius = 0.3f;
-    request.neighbors = 8;
-
-    PipelineOptions reference_options;
-    reference_options.num_threads = 1;
-    reference_options.threshold = 64;
-    const std::vector<BatchResult> baseline =
-        FractalCloudPipeline::runBatch({scene}, reference_options,
-                                       request);
-    ASSERT_EQ(baseline.size(), 1u);
-
-    const auto cloud =
-        std::make_shared<const data::PointCloud>(scene);
-    for (const unsigned shards : {1u, 2u, 4u}) {
-        for (const bool pin : {true, false}) {
-            for (const unsigned threads : {1u, 2u, 8u}) {
-                SCOPED_TRACE("shards=" + std::to_string(shards) +
-                             " pin=" + std::to_string(pin) +
-                             " threads=" + std::to_string(threads));
-                serve::ServeOptions options;
-                options.pipeline.num_threads = threads;
-                options.pipeline.threshold = 64;
-                options.num_shards = shards;
-                options.pin_shards = pin;
-                serve::AsyncPipeline server(options);
-                // Distinct placement keys spread the requests over
-                // shards; results must not care where they land.
-                for (std::uint64_t key : {7ull, 8ull, 9ull}) {
-                    serve::RequestOutcome outcome;
-                    server.waitInto(
-                        server.submitShared(cloud, request,
-                                            std::nullopt,
-                                            serve::Priority::Interactive,
-                                            key),
-                        outcome);
-                    ASSERT_EQ(outcome.state,
-                              serve::RequestState::Done);
-                    EXPECT_EQ(outcome.result.sampled.indices,
-                              baseline[0].sampled.indices);
-                    EXPECT_EQ(outcome.result.grouped.indices,
-                              baseline[0].grouped.indices);
-                    EXPECT_EQ(outcome.result.gathered.values,
-                              baseline[0].gathered.values);
-                }
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Per-shard workspace pools
@@ -202,7 +49,6 @@ TEST(ShardedLocality, WorkspacesStayFlatPerShardUnderMixedClassLoad)
     options.pipeline.num_threads = 1;
     options.pipeline.threshold = 64;
     options.num_shards = 2;
-    options.pin_shards = true;
     serve::AsyncPipeline server(options);
 
     static constexpr serve::Priority kClasses[3] = {

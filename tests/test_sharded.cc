@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the sharded, priority-aware serving runtime:
- * core::ShardMap / core::ShardedExecutor placement, shard-count
+ * core::ShardMap placement (ShardedPlacement), shard-count
  * determinism of served results (byte-identical to the unsharded
  * path at shard counts {1,2,4} x thread counts {1,2,8}), weighted
  * priority aging (no starvation under sustained Interactive load),
@@ -19,11 +19,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/pipeline.h"
-#include "core/sharded_executor.h"
+#include "core/shard_map.h"
 #include "dataset/s3dis.h"
 #include "serve/async_pipeline.h"
 #include "serve/scheduler.h"
@@ -91,16 +90,16 @@ struct StageGate
     }
 };
 
-// ----------------------------------------------------- ShardedExecutor
+// ---------------------------------------------------- ShardedPlacement
 
-TEST(ShardedExecutor, SingleShardMapsEveryKeyToZero)
+TEST(ShardedPlacement, SingleShardMapsEveryKeyToZero)
 {
     const core::ShardMap map(1);
     for (std::uint64_t key = 0; key < 1000; ++key)
         EXPECT_EQ(map.shardFor(key), 0u);
 }
 
-TEST(ShardedExecutor, PlacementIsDeterministicAndBalanced)
+TEST(ShardedPlacement, PlacementIsDeterministicAndBalanced)
 {
     constexpr unsigned kShards = 4;
     constexpr std::uint64_t kKeys = 20000;
@@ -124,7 +123,7 @@ TEST(ShardedExecutor, PlacementIsDeterministicAndBalanced)
     }
 }
 
-TEST(ShardedExecutor, GrowingTheRingMovesFewKeys)
+TEST(ShardedPlacement, GrowingTheRingMovesFewKeys)
 {
     constexpr std::uint64_t kKeys = 20000;
     const core::ShardMap small(4);
@@ -144,37 +143,6 @@ TEST(ShardedExecutor, GrowingTheRingMovesFewKeys)
     // consistent rather than rehash-everything.
     EXPECT_LT(moved, kKeys / 2);
     EXPECT_GT(moved, 0u);
-}
-
-TEST(ShardedExecutor, ShardsRunIndependentPools)
-{
-    core::ShardedExecutor executor(/*num_shards=*/2,
-                                   /*threads_per_shard=*/2,
-                                   /*standalone=*/false);
-    EXPECT_EQ(executor.numShards(), 2u);
-    EXPECT_EQ(executor.threadsPerShard(), 2u);
-    EXPECT_EQ(executor.totalThreads(), 4u);
-
-    // Drive both shard pools concurrently from two caller threads;
-    // each parallelFor must see only its own shard's queue.
-    std::vector<int> a(4096, 0), b(4096, 0);
-    std::thread ta([&] {
-        core::parallelFor(&executor.shard(0), 0, a.size(), 64,
-                          [&](std::size_t cb, std::size_t ce) {
-                              for (std::size_t i = cb; i < ce; ++i)
-                                  a[i] = static_cast<int>(i);
-                          });
-    });
-    core::parallelFor(&executor.shard(1), 0, b.size(), 64,
-                      [&](std::size_t cb, std::size_t ce) {
-                          for (std::size_t i = cb; i < ce; ++i)
-                              b[i] = static_cast<int>(2 * i);
-                      });
-    ta.join();
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i], static_cast<int>(i));
-        ASSERT_EQ(b[i], static_cast<int>(2 * i));
-    }
 }
 
 // ------------------------------------------------------- ShardedServe

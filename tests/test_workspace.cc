@@ -11,9 +11,9 @@
  *    byte for byte — value API vs workspace API, across thread
  *    counts, and through the serve path (which must also reuse its
  *    pooled workspaces rather than growing).
- *  - The pooled global FPS / ball-query fallbacks match their serial
- *    selves at every thread count (GlobalOpsParallel, in the TSan CI
- *    filter).
+ *  - The pooled global FPS / ball-query / KNN / interpolation
+ *    fallbacks match their serial selves at every thread count
+ *    (GlobalOpsParallel, in the TSan CI filter).
  */
 
 #include <atomic>
@@ -111,6 +111,26 @@ expectIdenticalResults(const nn::InferenceResult &a,
               b.partition_stats.elements_traversed);
     EXPECT_EQ(a.partition_stats.num_splits,
               b.partition_stats.num_splits);
+}
+
+void
+expectIdenticalStats(const ops::OpStats &a, const ops::OpStats &b)
+{
+    EXPECT_EQ(a.distance_computations, b.distance_computations);
+    EXPECT_EQ(a.points_visited, b.points_visited);
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.skipped, b.skipped);
+    EXPECT_EQ(a.bytes_gathered, b.bytes_gathered);
+}
+
+/** Every @p stride-th point of @p n as the known (sampled) ids. */
+std::vector<PointIdx>
+strideIds(std::size_t n, std::size_t stride)
+{
+    std::vector<PointIdx> ids;
+    for (std::size_t i = 0; i < n; i += stride)
+        ids.push_back(static_cast<PointIdx>(i));
+    return ids;
 }
 
 // ---------------------------------------------------------------------
@@ -379,6 +399,38 @@ TEST(WorkspaceAlloc, PooledWarmBlockOpsDrawOnlyFromTheWorkspace)
     ws.reset();
     const std::uint64_t before = fc::heapAllocCount();
     run_all(); // warm
+    EXPECT_EQ(fc::heapAllocCount() - before, 0u);
+}
+
+TEST(WorkspaceAlloc, PooledWarmGlobalInterpolateIsAllocationFree)
+{
+    // The global FP path on a 2-thread pool: the KNN table sits in a
+    // workspace slot, and the KNN reduce (196 chunks) stages its
+    // partials in the arena.
+    const data::PointCloud scene = data::makeS3disScene(4096, 71);
+    const std::vector<PointIdx> known = strideIds(scene.size(), 16);
+    const std::vector<float> features(known.size() * 8, 0.5f);
+    core::ThreadPool pool(2);
+    {
+        // Pre-grow the pool's task ring past the reduces' backlog.
+        std::atomic<bool> release{false};
+        core::TaskGroup group(&pool);
+        for (int i = 0; i < 1024; ++i)
+            group.run([&release] {
+                while (!release.load(std::memory_order_acquire))
+                    std::this_thread::yield();
+            });
+        release.store(true, std::memory_order_release);
+        group.wait();
+    }
+    core::Workspace ws;
+    ops::InterpolateResult out;
+    ops::globalInterpolate(scene, features, 8, known, 3, &pool, ws,
+                           out); // cold
+    ws.reset();
+    const std::uint64_t before = fc::heapAllocCount();
+    ops::globalInterpolate(scene, features, 8, known, 3, &pool, ws,
+                           out); // warm
     EXPECT_EQ(fc::heapAllocCount() - before, 0u);
 }
 
@@ -665,6 +717,75 @@ TEST(GlobalOpsParallel, BallQueryMatchesSerial)
         EXPECT_EQ(pooled.stats.distance_computations,
                   serial.stats.distance_computations);
         EXPECT_EQ(pooled.stats.iterations, serial.stats.iterations);
+    }
+}
+
+TEST(GlobalOpsParallel, KnnSearchMatchesSerial)
+{
+    // A query chunk costs about 2^15 candidate operations: 128 known
+    // points split 1024 queries into 25 chunks (partials staged on
+    // the stack), 256 known points split 2048 into 98 (staged in the
+    // arena).
+    struct Case
+    {
+        std::size_t points;
+        std::size_t stride;
+        std::size_t k;
+    };
+    for (const Case c : {Case{1024, 8, 3}, Case{2048, 8, 16}}) {
+        SCOPED_TRACE("points=" + std::to_string(c.points) +
+                     " k=" + std::to_string(c.k));
+        const data::PointCloud scene =
+            data::makeS3disScene(c.points, 61);
+        const std::vector<PointIdx> known =
+            strideIds(c.points, c.stride);
+        const ops::NeighborResult serial =
+            ops::knnSearch(scene, known, scene.coords(), c.k);
+        for (const unsigned threads : {1u, 2u, 8u}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            core::ThreadPool pool(threads);
+            const ops::NeighborResult pooled = ops::knnSearch(
+                scene, known, scene.coords(), c.k, &pool);
+            EXPECT_EQ(pooled.num_centers, serial.num_centers);
+            EXPECT_EQ(pooled.k, serial.k);
+            EXPECT_EQ(pooled.indices, serial.indices);
+            EXPECT_EQ(pooled.counts, serial.counts);
+            expectIdenticalStats(pooled.stats, serial.stats);
+        }
+    }
+}
+
+TEST(GlobalOpsParallel, GlobalInterpolateMatchesSerial)
+{
+    // Blend rows go 1024 per chunk, so the 70000-point cloud stages 69
+    // blend partials (and 898 KNN partials) in the arena.
+    struct Case
+    {
+        std::size_t points;
+        std::size_t stride;
+        std::size_t channels;
+    };
+    for (const Case c : {Case{1024, 4, 8}, Case{70000, 1000, 4}}) {
+        SCOPED_TRACE("points=" + std::to_string(c.points));
+        const data::PointCloud scene =
+            data::makeS3disScene(c.points, 67);
+        const std::vector<PointIdx> known =
+            strideIds(c.points, c.stride);
+        std::vector<float> features(known.size() * c.channels);
+        for (std::size_t i = 0; i < features.size(); ++i)
+            features[i] = static_cast<float>((i * 37) % 101) / 7.0f;
+        const ops::InterpolateResult serial = ops::globalInterpolate(
+            scene, features, c.channels, known);
+        for (const unsigned threads : {1u, 2u, 8u}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            core::ThreadPool pool(threads);
+            const ops::InterpolateResult pooled = ops::globalInterpolate(
+                scene, features, c.channels, known, 3, &pool);
+            EXPECT_EQ(pooled.num_points, serial.num_points);
+            EXPECT_EQ(pooled.channels, serial.channels);
+            EXPECT_EQ(pooled.values, serial.values);
+            expectIdenticalStats(pooled.stats, serial.stats);
+        }
     }
 }
 
