@@ -4,18 +4,10 @@
  *
  * Sweeps offered load (burst size) on a fixed 4-thread serving pool
  * and reports per-request latency percentiles (submit -> terminal)
- * for the two scheduling policies:
- *
- *   - work-conserving: bursts smaller than the pool spill their
- *     intra-cloud block items into the idle slots, and
- *   - one-cloud-per-thread: PR 1's dispatch (work_conserving = false),
- *     which leaves pool slots idle whenever burst < threads.
- *
- * The interesting rows are burst < threads: there the spill policy
- * should win p50 and p99 (on real multicore hardware; a 1-core
- * container honestly reports ~1x). Results are bit-identical across
- * policies — the determinism tests enforce it — so the table measures
- * pure scheduling effect.
+ * and throughput under the work-conserving scheduler, the serving
+ * runtime's only dispatch: bursts smaller than the pool spill their
+ * intra-cloud block items into the idle slots, and bursts at or above
+ * it run one cloud per thread.
  */
 
 #include <algorithm>
@@ -63,12 +55,11 @@ struct BurstMeasurement
  *  requests retire; returns submit->finish latencies and the total
  *  wall time spent (for throughput). */
 BurstMeasurement
-measureBursts(bool work_conserving, std::size_t burst,
+measureBursts(std::size_t burst,
               const std::vector<fc::data::PointCloud> &clouds)
 {
     fc::serve::ServeOptions options;
     options.pipeline.num_threads = kPoolThreads;
-    options.work_conserving = work_conserving;
     options.queue_capacity = burst;
     fc::serve::AsyncPipeline server(options);
 
@@ -103,29 +94,15 @@ latencyTable()
         clouds.push_back(
             fc::data::makeS3disScene(kCloudPoints, 200 + seed));
 
-    fc::Table table({"scheduler", "burst", "p50 ms", "p99 ms",
-                     "clouds/s", "p99 vs pinned"});
+    fc::Table table({"burst", "p50 ms", "p99 ms", "clouds/s"});
     for (const std::size_t burst : kBurstSizes) {
-        BurstMeasurement pinned = measureBursts(false, burst, clouds);
-        BurstMeasurement spill = measureBursts(true, burst, clouds);
-        const double pinned_p99 =
-            percentileMs(pinned.latencies_ms, 0.99);
-        const double spill_p99 = percentileMs(spill.latencies_ms, 0.99);
-
-        const auto row = [&](const char *name, BurstMeasurement &m,
-                             double p99, double vs) {
-            table.addRow(
-                {name, std::to_string(burst),
-                 fc::Table::num(percentileMs(m.latencies_ms, 0.50)),
-                 fc::Table::num(p99),
-                 fc::Table::num(
-                     static_cast<double>(m.latencies_ms.size()) /
-                     m.wall_seconds),
-                 fc::Table::mult(vs)});
-        };
-        row("one-cloud-per-thread", pinned, pinned_p99, 1.0);
-        row("work-conserving", spill, spill_p99,
-            pinned_p99 / spill_p99);
+        BurstMeasurement m = measureBursts(burst, clouds);
+        table.addRow(
+            {std::to_string(burst),
+             fc::Table::num(percentileMs(m.latencies_ms, 0.50)),
+             fc::Table::num(percentileMs(m.latencies_ms, 0.99)),
+             fc::Table::num(static_cast<double>(m.latencies_ms.size()) /
+                            m.wall_seconds)});
     }
     fcb::emit(table, "bench_serve_latency",
               "Async serving latency, " +

@@ -614,11 +614,11 @@ AcceleratorModel::run(const nn::ModelConfig &model,
         buildNetworkShape(model, cloud.size());
     BlockSummary blocks;
     if (policy_.partition_method != part::Method::None) {
-        const auto partitioner =
-            part::makePartitioner(policy_.partition_method);
         part::PartitionConfig pc;
         pc.threshold = policy_.partition_threshold;
-        blocks = summarizeBlocks(partitioner->partition(cloud, pc));
+        blocks = summarizeBlocks(
+            part::partitioner(policy_.partition_method)
+                .partition(cloud, pc));
     }
     return runShape(shape, blocks);
 }

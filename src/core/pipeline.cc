@@ -29,10 +29,10 @@ FractalCloudPipeline::FractalCloudPipeline(data::PointCloud cloud,
       pool_(makePool(options.num_threads))
 {
     fc_assert(!cloud_.empty(), "pipeline requires a non-empty cloud");
-    const auto partitioner = part::makePartitioner(options_.method);
     part::PartitionConfig config;
     config.threshold = options_.threshold;
-    partition_ = partitioner->partition(cloud_, config, pool_.get());
+    partition_ = part::partitioner(options_.method)
+                     .partition(cloud_, config, pool_.get());
 }
 
 data::PointCloud

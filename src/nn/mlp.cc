@@ -73,16 +73,6 @@ Mlp::Mlp(const std::vector<std::size_t> &widths, std::uint64_t seed)
         layers_.emplace_back(widths[i], widths[i + 1], seed + i);
 }
 
-Tensor
-Mlp::forward(const Tensor &x, core::ThreadPool *pool) const
-{
-    fc_assert(!layers_.empty(), "forward through empty MLP");
-    Tensor cur = layers_.front().forward(x, pool);
-    for (std::size_t i = 1; i < layers_.size(); ++i)
-        cur = layers_[i].forward(cur, pool);
-    return cur;
-}
-
 void
 Mlp::forward(const Tensor &x, core::ThreadPool *pool,
              core::Workspace &ws, Tensor &out) const
@@ -101,6 +91,15 @@ Mlp::forward(const Tensor &x, core::ThreadPool *pool,
         cur = &dst;
     }
     layers_.back().forward(*cur, pool, out);
+}
+
+Tensor
+Mlp::forward(const Tensor &x, core::ThreadPool *pool) const
+{
+    core::Workspace ws;
+    Tensor y;
+    forward(x, pool, ws, y);
+    return y;
 }
 
 std::size_t

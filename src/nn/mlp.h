@@ -82,7 +82,8 @@ class Mlp
      */
     Mlp(const std::vector<std::size_t> &widths, std::uint64_t seed);
 
-    /** Row-chunked over @p pool, layer by layer (see LinearRelu). */
+    /** Row-chunked over @p pool, layer by layer (see LinearRelu);
+     *  wraps the workspace overload with a private workspace. */
     Tensor forward(const Tensor &x,
                    core::ThreadPool *pool = nullptr) const;
 

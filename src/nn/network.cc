@@ -27,7 +27,7 @@ namespace {
  */
 struct Level
 {
-    data::PointCloud cloud;                ///< coordinates at this level
+    data::PointCloud cloud;                ///< unused at level 0
     Tensor features;                       ///< [n x c]
     std::vector<PointIdx> parent_indices;  ///< into the previous level
 };
@@ -164,8 +164,8 @@ Network::run(const data::PointCloud &cloud,
     const bool use_blocks = backend.anyBlockOp();
     const bool delayed = backend.aggregation == Aggregation::Delayed;
 
-    part::PartitionerCache &pcache =
-        ws.slot<part::PartitionerCache>("nn.pcache");
+    const part::Partitioner &partitioner =
+        part::partitioner(backend.method);
     part::PartitionConfig pconfig;
     pconfig.threshold = backend.threshold;
 
@@ -236,12 +236,12 @@ Network::run(const data::PointCloud &cloud,
     // ---- Abstraction stages -------------------------------------------
     // Levels and per-level partitions persist in workspace slots and
     // are assigned into: a same-shape run resizes within warm
-    // capacity and never allocates.
+    // capacity and never allocates. Level 0 is the caller's cloud,
+    // read in place; its slot holds only the input features.
     std::vector<Level> &levels = ws.slot<std::vector<Level>>("nn.levels");
     levels.resize(config_.sa.size() + 1);
     {
         Level &base = levels[0];
-        base.cloud = cloud;
         base.features.resize(cloud.size(), 3 + config_.input_channels);
         base.parent_indices.clear();
         core::parallelFor(
@@ -261,10 +261,29 @@ Network::run(const data::PointCloud &cloud,
         base.features.quantizeFp16(pool);
     }
 
-    // Per-level partitions, kept for the propagation pass.
+    // Per-level partitions, kept for the propagation pass. A caller's
+    // partition of the input cloud stands in for level 0's when its
+    // method and config match this backend, read in place like the
+    // cloud: construction is deterministic, so the reuse is invisible
+    // in the result (stats included).
     std::vector<part::PartitionResult> &partitions =
         ws.slot<std::vector<part::PartitionResult>>("nn.parts");
     partitions.resize(config_.sa.size());
+    const part::PartitionResult *root = backend.root_partition;
+    if (root != nullptr &&
+        (root->method != backend.method ||
+         root->config.threshold != pconfig.threshold ||
+         root->config.max_depth != pconfig.max_depth ||
+         root->tree.order().size() != cloud.size()))
+        root = nullptr;
+    const auto levelCloud =
+        [&](std::size_t i) -> const data::PointCloud & {
+        return i == 0 ? cloud : levels[i].cloud;
+    };
+    const auto levelPart =
+        [&](std::size_t i) -> const part::PartitionResult & {
+        return i == 0 && root != nullptr ? *root : partitions[i];
+    };
 
     ops::BlockSampleResult &block_sampled =
         ws.slot<ops::BlockSampleResult>("nn.bs");
@@ -291,7 +310,8 @@ Network::run(const data::PointCloud &cloud,
     for (std::size_t si = 0; si < config_.sa.size(); ++si) {
         const SaStageConfig &stage = config_.sa[si];
         Level &cur = levels[si];
-        const std::size_t n = cur.cloud.size();
+        const data::PointCloud &cur_cloud = levelCloud(si);
+        const std::size_t n = cur_cloud.size();
         const std::size_t num_samples = std::max<std::size_t>(
             1, static_cast<std::size_t>(
                    std::llround(stage.sample_rate *
@@ -299,35 +319,20 @@ Network::run(const data::PointCloud &cloud,
 
         if (use_blocks) {
             // On-chip re-partition of this stage's input, over the
-            // same pool (subtree tasks + chunked root splits). Stage
-            // 0 may reuse a caller-provided partition of the input
-            // cloud — construction is deterministic, so the reuse is
-            // invisible in the result (stats included).
-            const part::PartitionResult *precomputed =
-                backend.root_partition;
-            if (si == 0 && precomputed != nullptr &&
-                precomputed->method == backend.method &&
-                precomputed->config.threshold == pconfig.threshold &&
-                precomputed->config.first_dim == pconfig.first_dim &&
-                precomputed->config.max_depth == pconfig.max_depth &&
-                precomputed->tree.order().size() == n) {
-                partitions[si] = *precomputed;
-            } else {
-                pcache.get(backend.method)
-                    .partitionInto(cur.cloud, pconfig, pool, ws,
-                                   partitions[si]);
-            }
+            // same pool (subtree tasks + chunked root splits), unless
+            // stage 0 reuses the caller's partition.
+            if (si != 0 || root == nullptr)
+                partitioner.partitionInto(cur_cloud, pconfig, pool, ws,
+                                          partitions[si]);
+            const part::PartitionStats &ps = levelPart(si).stats;
             out.partition_stats.elements_traversed +=
-                partitions[si].stats.elements_traversed;
-            out.partition_stats.num_sorts +=
-                partitions[si].stats.num_sorts;
-            out.partition_stats.sort_compares +=
-                partitions[si].stats.sort_compares;
-            out.partition_stats.traversal_passes +=
-                partitions[si].stats.traversal_passes;
-            out.partition_stats.num_splits +=
-                partitions[si].stats.num_splits;
+                ps.elements_traversed;
+            out.partition_stats.num_sorts += ps.num_sorts;
+            out.partition_stats.sort_compares += ps.sort_compares;
+            out.partition_stats.traversal_passes += ps.traversal_passes;
+            out.partition_stats.num_splits += ps.num_splits;
         }
+        const part::BlockTree &tree = levelPart(si).tree;
         lapInto(kStPartition);
 
         // --- Sampling ---------------------------------------------------
@@ -337,20 +342,18 @@ Network::run(const data::PointCloud &cloud,
             ops::FpsOptions fps;
             fps.fixed_count_per_block =
                 backend.method == part::Method::Uniform;
-            ops::blockFarthestPointSample(cur.cloud,
-                                          partitions[si].tree,
+            ops::blockFarthestPointSample(cur_cloud, tree,
                                           stage.sample_rate, fps, pool,
                                           ws, block_sampled);
             sampled = block_sampled.indices;
             out.op_stats += block_sampled.stats;
         } else {
-            ops::farthestPointSample(cur.cloud, num_samples, {}, pool,
+            ops::farthestPointSample(cur_cloud, num_samples, {}, pool,
                                      ws, global_sampled);
             sampled = global_sampled.indices;
             out.op_stats += global_sampled.stats;
             if (use_blocks && backend.block_grouping) {
-                makeBlockSample(partitions[si].tree, sampled, ws,
-                                block_sampled);
+                makeBlockSample(tree, sampled, ws, block_sampled);
                 sampled = block_sampled.indices;
             }
         }
@@ -360,11 +363,11 @@ Network::run(const data::PointCloud &cloud,
         // Either sampling branch above has filled block_sampled
         // whenever block grouping runs.
         if (use_blocks && backend.block_grouping) {
-            ops::blockBallQuery(cur.cloud, partitions[si].tree,
-                                block_sampled, stage.radius, stage.k,
-                                pool, ws, neighbors);
+            ops::blockBallQuery(cur_cloud, tree, block_sampled,
+                                stage.radius, stage.k, pool, ws,
+                                neighbors);
         } else {
-            ops::ballQuery(cur.cloud, sampled, stage.radius, stage.k,
+            ops::ballQuery(cur_cloud, sampled, stage.radius, stage.k,
                            pool, ws, neighbors);
         }
         out.op_stats += neighbors.stats;
@@ -415,17 +418,17 @@ Network::run(const data::PointCloud &cloud,
             next.features.resize(neighbors.num_centers, transformed.cols());
             if (use_blocks && backend.block_grouping) {
                 out.op_stats += ops::blockGatherMaxPool(
-                    transformed.data(), transformed.cols(),
-                    partitions[si].tree, block_sampled.leaf_offsets,
-                    neighbors, pool, next.features.data());
+                    transformed.data(), transformed.cols(), tree,
+                    block_sampled.leaf_offsets, neighbors, pool,
+                    next.features.data());
             } else {
                 out.op_stats += ops::gatherMaxPool(
                     transformed.data(), transformed.cols(), neighbors,
                     pool, next.features.data());
             }
-            ops::maxPoolRelativeCoords(cur.cloud, sampled, neighbors,
+            ops::maxPoolRelativeCoords(cur_cloud, sampled, neighbors,
                                        pool, relpool);
-            cur.cloud.subsetInto(sampled, next.cloud);
+            cur_cloud.subsetInto(sampled, next.cloud);
             next.parent_indices = sampled;
             lapInto(kStAggregate);
             continue;
@@ -433,7 +436,7 @@ Network::run(const data::PointCloud &cloud,
 
         // --- Gathering ----------------------------------------------------
         // Attach current features to the cloud for gathering.
-        feat_cloud = cur.cloud;
+        feat_cloud = cur_cloud;
         feat_cloud.allocateFeatures(cur.features.cols());
         std::copy(cur.features.data().begin(),
                   cur.features.data().end(),
@@ -441,9 +444,8 @@ Network::run(const data::PointCloud &cloud,
 
         if (use_blocks && backend.block_grouping) {
             ops::blockGatherNeighborhoods(
-                feat_cloud, partitions[si].tree, sampled,
-                block_sampled.leaf_offsets, neighbors, pool, ws,
-                gathered);
+                feat_cloud, tree, sampled, block_sampled.leaf_offsets,
+                neighbors, pool, ws, gathered);
         } else {
             ops::gatherNeighborhoods(feat_cloud, sampled, neighbors,
                                      ws, gathered);
@@ -465,7 +467,7 @@ Network::run(const data::PointCloud &cloud,
 
         Level &next = levels[si + 1];
         maxPoolGroups(transformed, stage.k, pool, next.features);
-        cur.cloud.subsetInto(sampled, next.cloud);
+        cur_cloud.subsetInto(sampled, next.cloud);
         next.parent_indices = sampled;
         lapInto(kStMlp);
     }
@@ -497,18 +499,19 @@ Network::run(const data::PointCloud &cloud,
         const std::size_t level_idx = config_.sa.size() - fi; // coarse
         const Level &coarse_level = levels[level_idx];
         const Level &fine_level = levels[level_idx - 1];
+        const data::PointCloud &fine_cloud = levelCloud(level_idx - 1);
 
         // Interpolate coarse features onto the fine points: both
         // paths take the coarse rows in place, aligned to the parent
         // indices.
         if (use_blocks && backend.block_interpolation) {
-            ops::blockInterpolate(fine_level.cloud,
-                                  partitions[level_idx - 1].tree,
+            ops::blockInterpolate(fine_cloud,
+                                  levelPart(level_idx - 1).tree,
                                   coarse.data(), coarse.cols(),
                                   coarse_level.parent_indices, 3, pool,
                                   ws, interp);
         } else {
-            ops::globalInterpolate(fine_level.cloud, coarse.data(),
+            ops::globalInterpolate(fine_cloud, coarse.data(),
                                    coarse.cols(),
                                    coarse_level.parent_indices, 3, pool,
                                    ws, interp);
@@ -518,10 +521,9 @@ Network::run(const data::PointCloud &cloud,
 
         // Concat with the fine level's skip features and apply MLP.
         const std::size_t fine_c = fine_level.features.cols();
-        merged.resize(fine_level.cloud.size(),
-                      coarse.cols() + fine_c);
+        merged.resize(fine_cloud.size(), coarse.cols() + fine_c);
         core::parallelFor(
-            pool, 0, fine_level.cloud.size(),
+            pool, 0, fine_cloud.size(),
             core::costGrain(coarse.cols() + fine_c),
             [&](std::size_t rb, std::size_t re) {
                 for (std::size_t i = rb; i < re; ++i) {

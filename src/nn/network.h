@@ -120,13 +120,14 @@ struct BackendOptions
     core::ThreadPool *pool = nullptr;
 
     /**
-     * Optional precomputed partition of the *input* cloud, reused as
-     * SA stage 0's on-chip partition when its method and threshold
-     * match this backend (deeper stages always re-partition their own
-     * input). Partition construction is deterministic, so reuse is a
-     * pure wall-clock saving: the InferenceResult — including
-     * partition_stats, which still charge stage 0's construction work
-     * — is bit-identical to recomputing. Borrowed, never owned.
+     * Optional precomputed partition of the *input* cloud, read in
+     * place as SA stage 0's and FP level 0's on-chip partition when
+     * its method and threshold match this backend (deeper stages
+     * always re-partition their own input). Partition construction is
+     * deterministic, so reuse is a pure wall-clock saving: the
+     * InferenceResult — including partition_stats, which still charge
+     * stage 0's construction work — is bit-identical to recomputing.
+     * Borrowed, never owned; it must outlive the run() call.
      * FractalCloudPipeline::infer and the serve inference stage pass
      * the partition they already built. It must partition the same
      * cloud run() gets: the block ops read coordinates from the

@@ -25,14 +25,14 @@ struct FpsBest
 };
 
 /**
- * FPS over the contiguous positions [begin, end) of @p pts.
- * @p order maps positions to original point indices (empty =
- * identity): a whole cloud's core::simd::soaInto() copy with no
- * order, or a BlockTree's points() with its order(). Writes exactly
- * min(num_samples, n) original indices to @p out, and their positions
- * to @p positions unless it is null — callers size their output
- * ranges from the same formula, so disjoint leaves can write one
- * shared buffer. Scratch (distance table + sampled flags) comes from
+ * FPS over the contiguous positions [begin, end) of @p pts, starting
+ * at position @p begin. @p order maps positions to original point
+ * indices (empty = identity): a whole cloud's core::simd::soaInto()
+ * copy with no order, or a BlockTree's points() with its order().
+ * Writes exactly min(num_samples, n) original indices to @p out, and
+ * their positions to @p positions unless it is null — callers size
+ * their output ranges from the same formula, so disjoint leaves can
+ * write one shared buffer. Scratch (distance table + sampled flags) comes from
  * @p arena; the per-iteration sweep dispatches over @p pool
  * (block-wise callers pass null — their parallelism is per leaf).
  *
@@ -46,9 +46,8 @@ void
 fpsOverView(const core::simd::SoaView &pts,
             std::span<const PointIdx> order, std::uint32_t begin,
             std::uint32_t end, std::size_t num_samples,
-            std::uint32_t start_offset, bool window_check,
-            PointIdx *out, std::uint32_t *positions, OpStats &stats,
-            core::ThreadPool *pool, core::Arena &arena)
+            bool window_check, PointIdx *out, std::uint32_t *positions,
+            OpStats &stats, core::ThreadPool *pool, core::Arena &arena)
 {
     const std::uint32_t n = end - begin;
     if (n == 0 || num_samples == 0)
@@ -60,7 +59,7 @@ fpsOverView(const core::simd::SoaView &pts,
     std::span<std::uint8_t> sampled =
         arena.allocSpan<std::uint8_t>(n, std::uint8_t{0});
 
-    std::uint32_t current = std::min(start_offset, n - 1);
+    std::uint32_t current = 0;
     const auto take = [&] {
         sampled[current] = 1;
         const std::uint32_t pos = begin + current;
@@ -144,8 +143,8 @@ farthestPointSample(const data::PointCloud &cloud,
     core::Arena &arena = ws.arena();
     fpsOverView(core::simd::soaInto(cloud.coords(), arena), {}, 0,
                 static_cast<std::uint32_t>(cloud.size()), num_samples,
-                options.start_index, options.window_check,
-                out.indices.data(), nullptr, out.stats, pool, arena);
+                options.window_check, out.indices.data(), nullptr,
+                out.stats, pool, arena);
 }
 
 SampleResult
@@ -231,8 +230,7 @@ blockFarthestPointSample(const data::PointCloud &cloud,
                     continue;
                 const part::BlockNode &node = tree.node(leaves[li]);
                 fpsOverView(tree.points(), tree.order(), node.begin,
-                            node.end, quotas[li], options.start_index,
-                            options.window_check,
+                            node.end, quotas[li], options.window_check,
                             out.indices.data() + out.leaf_offsets[li],
                             out.positions.data() + out.leaf_offsets[li],
                             leaf_stats[li], nullptr, arena);

@@ -58,13 +58,14 @@ struct BlockSampleResult
     OpStats stats;
 };
 
-/** Options common to both FPS variants. */
+/**
+ * Options common to both FPS variants. Sampling always starts at the
+ * first candidate (position 0 of the cloud, or of each leaf): the
+ * paper starts at a random point, and a fixed start keeps every run
+ * reproducible.
+ */
 struct FpsOptions
 {
-    /** Deterministic choice of the initial point (paper uses random;
-     *  we default to index 0 for reproducibility). */
-    PointIdx start_index = 0;
-
     /**
      * Model the RSPU window-check: already-sampled points are skipped
      * instead of re-visited. Does not change the result, only the

@@ -94,7 +94,8 @@ FractalPartitioner::partitionInto(const data::PointCloud &cloud,
     // order.
     Builder builder{config, out.tree, pool, ws.arena()};
     detail::finishBuild(
-        builder.build(0, out.tree.numPoints(), 0, config.first_dim), out);
+        builder.build(0, out.tree.numPoints(), 0, /*dim_counter=*/0),
+        out);
     // One level-parallel traversal pass per split level: the hardware
     // processes every node of a level concurrently (Fig. 5 right).
     out.stats.traversal_passes = detail::internalLevels(out.tree);

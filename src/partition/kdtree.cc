@@ -92,7 +92,8 @@ KdTreePartitioner::partitionInto(const data::PointCloud &cloud,
     detail::beginBuild(cloud, Method::KdTree, config, out);
     Builder builder{config, out.tree, pool, ws.arena()};
     detail::finishBuild(
-        builder.build(0, out.tree.numPoints(), 0, config.first_dim), out);
+        builder.build(0, out.tree.numPoints(), 0, /*dim_counter=*/0),
+        out);
     // KD-tree sorts are exclusive and serial: every internal node is
     // its own pass (Fig. 5 left). traversal_passes therefore equals
     // the number of sorts.

@@ -92,7 +92,7 @@ OctreePartitioner::partitionInto(const data::PointCloud &cloud,
     SplitRec *root_rec = nullptr;
     if (cloud.size() > 0)
         root_rec = builder.build(0, out.tree.numPoints(), 0,
-                                 config.first_dim, cloud.bounds());
+                                 /*dim_counter=*/0, cloud.bounds());
     detail::finishBuild(root_rec, out);
     // Octree needs level-order passes plus per-level occupancy
     // bookkeeping; the dynamic subdivision control adds a constant

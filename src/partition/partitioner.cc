@@ -59,6 +59,29 @@ methodName(Method method)
     fc_panic("unknown partition method %d", static_cast<int>(method));
 }
 
+const Partitioner &
+partitioner(Method method)
+{
+    static const NonePartitioner none{};
+    static const UniformPartitioner uniform{};
+    static const OctreePartitioner octree{};
+    static const KdTreePartitioner kdtree{};
+    static const FractalPartitioner fractal{};
+    switch (method) {
+      case Method::None:
+        return none;
+      case Method::Uniform:
+        return uniform;
+      case Method::Octree:
+        return octree;
+      case Method::KdTree:
+        return kdtree;
+      case Method::Fractal:
+        return fractal;
+    }
+    fc_panic("unknown partition method %d", static_cast<int>(method));
+}
+
 std::unique_ptr<Partitioner>
 makePartitioner(Method method)
 {

@@ -38,14 +38,12 @@ enum class Method
 
 std::string methodName(Method method);
 
-/** Partitioning controls. */
+/** Partitioning controls. Every method cycles its split axes
+ *  x, y, z starting from x (paper Alg. 1, d = 0). */
 struct PartitionConfig
 {
     /** Threshold th: maximum points per block (paper Alg. 1). */
     std::uint32_t threshold = 256;
-
-    /** First split dimension (paper cycles x, y, z from d=0). */
-    int first_dim = 0;
 
     /** Safety bound on recursion depth. */
     std::uint16_t max_depth = 48;
@@ -143,33 +141,16 @@ class Partitioner
     std::string name() const { return methodName(method()); }
 };
 
-/** Factory covering every strategy. */
+/** Factory covering every strategy: a new, caller-owned instance. */
 std::unique_ptr<Partitioner> makePartitioner(Method method);
 
 /**
- * Lazily-built, method-keyed partitioner reuse: get() constructs on
- * first use (or method change) and returns the cached strategy
- * otherwise, so steady-state re-partitioning (every network stage,
- * every serve request) skips the factory's heap allocation. Lives in
- * a workspace slot; single-owner like the rest of the workspace.
+ * The one shared instance of @p method's strategy. Partitioners hold
+ * no state and partitionInto is const, so every caller on any thread
+ * may use it; steady-state re-partitioning (every network stage,
+ * every serve request) then never allocates a strategy.
  */
-class PartitionerCache
-{
-  public:
-    const Partitioner &
-    get(Method method)
-    {
-        if (partitioner_ == nullptr || method_ != method) {
-            partitioner_ = makePartitioner(method);
-            method_ = method;
-        }
-        return *partitioner_;
-    }
-
-  private:
-    Method method_ = Method::None;
-    std::unique_ptr<Partitioner> partitioner_;
-};
+const Partitioner &partitioner(Method method);
 
 } // namespace fc::part
 

@@ -95,7 +95,7 @@ UniformPartitioner::partitionInto(const data::PointCloud &cloud,
     SplitRec *root_rec = nullptr;
     if (cloud.size() > 0)
         root_rec = builder.build(0, out.tree.numPoints(), 0,
-                                 config.first_dim, cloud.bounds());
+                                 /*dim_counter=*/0, cloud.bounds());
     detail::finishBuild(root_rec, out);
     // Space-uniform partitioning needs one streaming pass per level
     // (split planes are known a priori; no extrema traversals).

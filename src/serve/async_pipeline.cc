@@ -33,8 +33,8 @@ AsyncPipeline::AsyncPipeline(const ServeOptions &options)
       scheduler_(options.queue_capacity,
                  core::ThreadPool::resolveThreadCount(
                      options.pipeline.num_threads),
-                 options.work_conserving, std::max(1u, options.num_shards),
-                 &registry_, options.class_capacity)
+                 std::max(1u, options.num_shards), &registry_,
+                 options.class_capacity)
 {
     static constexpr const char *kStageLabels[5] = {
         "partition", "sample", "group", "gather", "inference"};
@@ -290,11 +290,9 @@ AsyncPipeline::execute(unsigned shard)
 
         part::PartitionConfig config;
         config.threshold = options_.pipeline.threshold;
-        part::PartitionerCache &pcache =
-            ws.slot<part::PartitionerCache>("srv.pcache");
         part::PartitionResult &part =
             ws.slot<part::PartitionResult>("srv.part");
-        pcache.get(options_.pipeline.method)
+        part::partitioner(options_.pipeline.method)
             .partitionInto(cloud, config, pool(), ws, part);
         lap(0); // partition
         notifyObserver(id, Stage::Partitioned);

@@ -22,14 +22,14 @@
  *     it,
  *   - cancel() retires queued work without running it and interrupts
  *     running work at its next stage boundary, and
- *   - the work-conserving Scheduler spills a request's intra-cloud
- *     block items (partition subtrees, block-wise FPS / neighbor /
- *     gather) into idle pool slots — its own shard's when in-flight
- *     requests there number fewer than the shard's threads, else a
- *     drained neighbor shard's; otherwise requests run
- *     one-per-thread. The decision is re-evaluated at every stage
- *     boundary, so the last big request of a batch starts spilling
- *     once its peers finish, and
+ *   - the work-conserving Scheduler, the only dispatch, spills a
+ *     request's intra-cloud block items (partition subtrees,
+ *     block-wise FPS / neighbor / gather) into idle pool slots — its
+ *     own shard's when in-flight requests there number fewer than the
+ *     shard's threads, else a drained neighbor shard's; otherwise
+ *     requests run one-per-thread. The decision is re-evaluated at
+ *     every stage boundary, so the last big request of a batch starts
+ *     spilling once its peers finish, and
  *   - per-SHARD free-list pools of core::Workspace instances, one
  *     checked out per ticket on its placement shard: every request's
  *     intermediates (partition trees, op scratch, the inference
@@ -114,10 +114,6 @@ struct ServeOptions
     /** Admission-queue bound: max requests waiting to start, summed
      *  over all shards and priority classes. */
     std::size_t queue_capacity = 64;
-
-    /** Enable the work-conserving spill policy. false = always
-     *  one-cloud-per-thread (the PR 1 runBatch dispatch). */
-    bool work_conserving = true;
 
     /**
      * Per-class admission bounds layered on queue_capacity: at most

@@ -4,24 +4,22 @@
 
 namespace fc::serve {
 
+namespace {
+
+/** Blocks the prefetcher keeps in flight ahead of submission. */
+constexpr std::size_t kReadAhead = 4;
+
+} // namespace
+
 StorageIngestor::StorageIngestor(
     AsyncPipeline &pipeline,
-    std::shared_ptr<storage::FcpcReader> reader,
-    const IngestOptions &options)
+    std::shared_ptr<storage::FcpcReader> reader)
     : pipeline_(pipeline), reader_(std::move(reader)),
-      options_(options)
+      io_pool_(1, /*standalone=*/true),
+      prefetcher_(reader_, {kReadAhead, &io_pool_})
 {
     fc_assert(reader_ != nullptr && reader_->isOpen(),
               "ingestor needs an open reader");
-    if (options_.prefetch_depth > 0)
-        io_pool_ = std::make_unique<core::ThreadPool>(
-            std::max(1u, options_.io_threads), /*standalone=*/true);
-    storage::PrefetchOptions popts;
-    popts.depth = options_.prefetch_depth;
-    popts.pool = io_pool_.get();
-    popts.mode = options_.mode;
-    prefetcher_ = std::make_unique<storage::BlockPrefetcher>(reader_,
-                                                             popts);
 
     core::metrics::Registry &reg = pipeline_.metrics();
     blocks_ = &reg.counter("serve.ingest.blocks");
@@ -31,12 +29,10 @@ StorageIngestor::StorageIngestor(
     prefetch_waits_ = &reg.counter("serve.ingest.prefetch_waits");
 }
 
-StorageIngestor::~StorageIngestor() = default;
-
 storage::PrefetchStats
 StorageIngestor::prefetchStats() const
 {
-    return prefetcher_->stats();
+    return prefetcher_.stats();
 }
 
 std::vector<IngestResult>
@@ -46,7 +42,7 @@ StorageIngestor::runAll(const BatchRequest &request)
     std::vector<IngestResult> results(blocks);
     std::vector<std::optional<Ticket>> tickets(blocks);
 
-    const storage::PrefetchStats before = prefetcher_->stats();
+    const storage::PrefetchStats before = prefetcher_.stats();
 
     // Submission loop: pull each block out of the ring (scheduling
     // the next `depth` reads), then hand it to the pipeline under
@@ -57,7 +53,7 @@ StorageIngestor::runAll(const BatchRequest &request)
     for (std::size_t i = 0; i < blocks; ++i) {
         data::PointCloud cloud;
         const storage::FcpcStatus status =
-            prefetcher_->get(i, cloud);
+            prefetcher_.get(i, cloud);
         results[i].storage_status = status;
         if (status != storage::FcpcStatus::Ok) {
             errors_->add();
@@ -69,15 +65,15 @@ StorageIngestor::runAll(const BatchRequest &request)
         // keepalive rides inside it, so the file may be closed while
         // tickets are still in flight.
         tickets[i] = pipeline_.submit(
-            std::move(cloud), request, options_.deadline,
-            options_.priority, reader_->placementKey(i));
+            std::move(cloud), request, std::nullopt, Priority::Batch,
+            reader_->placementKey(i));
     }
 
     for (std::size_t i = 0; i < blocks; ++i)
         if (tickets[i].has_value())
             results[i].outcome = pipeline_.wait(*tickets[i]);
 
-    const storage::PrefetchStats after = prefetcher_->stats();
+    const storage::PrefetchStats after = prefetcher_.stats();
     prefetch_hits_->add(after.hits - before.hits);
     prefetch_waits_->add(after.waits - before.waits);
     return results;

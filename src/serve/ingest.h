@@ -11,12 +11,18 @@
  * that key through its consistent-hash ShardMap, so every block lands
  * on the shard that owns its key, pass after pass.
  *
+ * The ingestion policy is fixed: the prefetcher reads 4 blocks ahead
+ * on a private one-thread I/O pool (distinct from the pipeline's
+ * compute shards, so a slow disk never steals compute slots), every
+ * block is a zero-copy bind, and every block is submitted at
+ * Priority::Batch — throughput traffic that must not crowd
+ * interactive requests — with no deadline.
+ *
  * Results are byte-identical to submitting preloaded in-memory
  * clouds: the zero-copy cloud aliases the same bytes the writer
  * serialized, every pipeline stage is deterministic, and placement
  * never changes WHAT a request computes. The equality tests in
- * tests/test_storage.cc hold this across shard counts {1, 2, 4} and
- * prefetch on/off.
+ * tests/test_storage.cc hold this across shard counts {1, 2, 4}.
  *
  * Metrics (in the pipeline's registry, rendered by serve/stats.h):
  *   serve.ingest.blocks        blocks submitted
@@ -33,37 +39,12 @@
 #define FC_SERVE_INGEST_H
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "serve/async_pipeline.h"
 #include "storage/prefetch.h"
 
 namespace fc::serve {
-
-/** Configuration of one ingestion run. */
-struct IngestOptions
-{
-    /** Read-ahead depth; 0 = synchronous loads (prefetch off). */
-    std::size_t prefetch_depth = 4;
-
-    /** Threads of the ingestor's private I/O pool (distinct from the
-     *  pipeline's compute shards so a slow disk never steals compute
-     *  slots). Ignored when prefetch_depth == 0. */
-    unsigned io_threads = 1;
-
-    /** Zero-copy by default; Copy forces owning clouds (e.g. when
-     *  the file must be replaced while requests are in flight). */
-    storage::ReadMode mode = storage::ReadMode::ZeroCopy;
-
-    /** Admission class for ingested blocks. Batch by default:
-     *  ingestion is throughput traffic and must not crowd
-     *  interactive requests. */
-    Priority priority = Priority::Batch;
-
-    /** Optional per-block deadline (relative, as in submit()). */
-    std::optional<Clock::duration> deadline;
-};
 
 /** Outcome of one ingested block. */
 struct IngestResult
@@ -85,9 +66,7 @@ class StorageIngestor
 {
   public:
     StorageIngestor(AsyncPipeline &pipeline,
-                    std::shared_ptr<storage::FcpcReader> reader,
-                    const IngestOptions &options = {});
-    ~StorageIngestor();
+                    std::shared_ptr<storage::FcpcReader> reader);
 
     StorageIngestor(const StorageIngestor &) = delete;
     StorageIngestor &operator=(const StorageIngestor &) = delete;
@@ -107,13 +86,12 @@ class StorageIngestor
   private:
     AsyncPipeline &pipeline_;
     std::shared_ptr<storage::FcpcReader> reader_;
-    IngestOptions options_;
 
-    /** Private I/O pool (standalone: it hosts detached read tasks);
-     *  null when prefetch is off. Declared before the prefetcher —
-     *  the prefetcher's destructor drains tasks running here. */
-    std::unique_ptr<core::ThreadPool> io_pool_;
-    std::unique_ptr<storage::BlockPrefetcher> prefetcher_;
+    /** Private one-thread I/O pool (standalone: it hosts detached
+     *  read tasks). Declared before the prefetcher — the
+     *  prefetcher's destructor drains tasks running here. */
+    core::ThreadPool io_pool_;
+    storage::BlockPrefetcher prefetcher_;
 
     core::metrics::Counter *blocks_ = nullptr;
     core::metrics::Counter *bytes_ = nullptr;

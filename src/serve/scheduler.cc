@@ -90,11 +90,9 @@ shardName(const char *base, unsigned shard)
 
 Scheduler::Scheduler(
     std::size_t queue_capacity, unsigned num_threads,
-    bool work_conserving, unsigned num_shards,
-    core::metrics::Registry *registry,
+    unsigned num_shards, core::metrics::Registry *registry,
     const std::array<std::size_t, kNumPriorities> &class_capacity)
     : capacity_(queue_capacity), num_threads_(num_threads),
-      work_conserving_(work_conserving),
       class_capacity_(class_capacity), shard_map_(num_shards),
       shards_(num_shards), borrows_(num_shards, 0)
 {
@@ -298,8 +296,6 @@ Scheduler::retireLocked(std::uint64_t id, Record &record,
 int
 Scheduler::spillShardLocked(unsigned shard) const
 {
-    if (!work_conserving_)
-        return -1;
     const auto inflight = [this](unsigned s) {
         return shards_[s].queued + shards_[s].running;
     };

@@ -2,7 +2,7 @@
  * @file
  * The serving scheduler: sharded, priority-aware admission with
  * per-request deadlines, cooperative cancellation, and the
- * work-conserving (now cross-shard) spill policy.
+ * work-conserving spill policy, which is the only dispatch.
  *
  * The Scheduler owns no threads — it is the pure bookkeeping core of
  * fc::serve::AsyncPipeline, which pairs it with one standalone
@@ -49,10 +49,12 @@
  * a class, strict FIFO. A single-class workload (e.g. everything
  * Interactive, the default) degenerates to exactly the PR 2 FIFO.
  *
- * Work-conserving spill, now cross-shard: acquire() marks a request
+ * Work-conserving spill, across shards: acquire() marks a request
  * with a spill shard when idle capacity exists — its own shard when
  * in-flight requests there number fewer than the shard's threads,
- * else the lowest-indexed FULLY idle other shard. The executor
+ * else the FULLY idle other shard with the fewest active borrowers
+ * (lowest index on ties); with neither, the request runs inline, one
+ * cloud per thread. The executor
  * dispatches the request's intra-cloud block items onto that shard's
  * pool instead of running them inline; one busy shard can therefore
  * borrow a drained neighbor's cores. Only idle neighbors are
@@ -215,8 +217,6 @@ class Scheduler
      *                        summed over all shards and classes
      * @param num_threads     per-shard pool size the spill policy
      *                        compares with
-     * @param work_conserving false pins every request to
-     *                        one-cloud-per-thread (spill always off)
      * @param num_shards      executor shards (placement targets)
      * @param registry        when non-null, the scheduler registers
      *                        and maintains its serving telemetry
@@ -232,7 +232,7 @@ class Scheduler
      *                        Interactive out of the queue.
      */
     Scheduler(std::size_t queue_capacity, unsigned num_threads,
-              bool work_conserving = true, unsigned num_shards = 1,
+              unsigned num_shards = 1,
               core::metrics::Registry *registry = nullptr,
               const std::array<std::size_t, kNumPriorities>
                   &class_capacity = {});
@@ -518,7 +518,6 @@ class Scheduler
 
     const std::size_t capacity_;
     const unsigned num_threads_;
-    const bool work_conserving_;
 
     /** Per-class admission bounds (0 = global bound only). */
     const std::array<std::size_t, kNumPriorities> class_capacity_;

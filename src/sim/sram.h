@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/stats.h"
 #include "sim/cycles.h"
 
 namespace fc::sim {

@@ -113,7 +113,7 @@ class FcpcReader::Mapping
 };
 
 FcpcStatus
-FcpcReader::open(const std::string &path, const ReadOptions &options)
+FcpcReader::open(const std::string &path)
 {
     map_.reset();
     index_.clear();
@@ -166,30 +166,6 @@ FcpcReader::open(const std::string &path, const ReadOptions &options)
         for (std::size_t i = 0; i < index_.size(); ++i)
             validated_[i].store(0, std::memory_order_relaxed);
     }
-
-    // Residency policy, applied only after the file validated — a
-    // corrupt file is rejected without paying for its pages.
-#if FC_HAVE_MMAP
-    if (map_->memoryMapped()) {
-        if (options.willneed)
-            (void)::madvise(
-                const_cast<std::byte *>(map_->data()), map_->size(),
-                MADV_WILLNEED); // advisory; failure changes nothing
-        if (options.populate) {
-            // One volatile byte per page forces the fault now; the
-            // kernel's readahead (boosted by willneed above when both
-            // are set) turns the walk into sequential I/O.
-            const std::size_t page = static_cast<std::size_t>(
-                ::sysconf(_SC_PAGESIZE) > 0 ? ::sysconf(_SC_PAGESIZE)
-                                            : 4096);
-            const volatile std::byte *base = map_->data();
-            for (std::size_t off = 0; off < map_->size(); off += page)
-                (void)base[off];
-        }
-    }
-#else
-    (void)options; // heap fallback is resident by construction
-#endif
     return status_ = FcpcStatus::Ok;
 }
 
@@ -291,8 +267,7 @@ FcpcReader::validateBlock(std::size_t i)
 }
 
 FcpcStatus
-FcpcReader::readBlock(std::size_t i, data::PointCloud &out,
-                      ReadMode mode)
+FcpcReader::readBlock(std::size_t i, data::PointCloud &out)
 {
     if (!isOpen())
         return status_;
@@ -316,8 +291,6 @@ FcpcReader::readBlock(std::size_t i, data::PointCloud &out,
             base + d.labels_offset);
 
     out.bindExternal(view, map_);
-    if (mode == ReadMode::Copy)
-        out.detach();
     return FcpcStatus::Ok;
 }
 

@@ -3,17 +3,14 @@
  * Memory-mapped .fcpc reader: zero-copy block materialization.
  *
  * open() maps the whole file (mmap where available, a single read
- * into one heap buffer otherwise) and validates header + index.
- * readBlock() materializes a PointCloud:
- *
- *   - ReadMode::ZeroCopy binds the cloud's arrays straight into the
- *     mapping (PointCloud::bindExternal) — no per-point copies and no
- *     per-point heap allocations; the cloud holds a keepalive on the
- *     mapping, so it stays valid even if the reader is destroyed
- *     first (liveAliases() diagnoses that situation).
- *   - ReadMode::Copy deep-copies into an owning cloud — the safe
- *     fallback for callers that will mutate heavily or want the
- *     mapping released promptly.
+ * into one heap buffer otherwise) and validates header + index; the
+ * mapping is demand-paged. readBlock() binds a PointCloud's arrays
+ * straight into the mapping (PointCloud::bindExternal) — no
+ * per-point copies and no per-point heap allocations. The cloud
+ * holds a keepalive on the mapping, so it stays valid even if the
+ * reader is destroyed first (liveAliases() diagnoses that
+ * situation). A caller that wants an owning cloud, e.g. to release
+ * the mapping promptly, calls PointCloud::detach() on it.
  *
  * Section checksums are verified on first access to each block (and
  * remembered), so corruption is caught before any aliased pointer is
@@ -50,36 +47,6 @@ enum class FcpcStatus : std::uint8_t {
 
 const char *fcpcStatusName(FcpcStatus status);
 
-/** How readBlock materializes the cloud. */
-enum class ReadMode : std::uint8_t {
-    ZeroCopy, ///< alias the mapping (copy-on-write on first mutation)
-    Copy,     ///< deep-copy into owning vectors
-};
-
-/**
- * open()-time page residency policy. By default the mapping is
- * demand-paged: the first pass over each block (usually the
- * prefetcher's checksum walk) eats one major fault per page. Cold
- * scans that will touch the whole file anyway can hint or force
- * residency up front instead.
- */
-struct ReadOptions
-{
-    /** madvise(MADV_WILLNEED) the whole mapping after validation:
-     *  asks the kernel to start readahead immediately, overlapping
-     *  disk latency with whatever runs between open() and the first
-     *  readBlock(). Advisory and free; no-op without mmap. */
-    bool willneed = false;
-
-    /** Touch one byte per page after validation, forcing every page
-     *  resident before open() returns (a portable MAP_POPULATE).
-     *  Trades a longer open() for fault-free readBlock()s — the
-     *  right call before latency-measured serving. Implies nothing
-     *  about willneed; combining both is harmless. No-op without
-     *  mmap (the heap fallback is resident by construction). */
-    bool populate = false;
-};
-
 /**
  * One open .fcpc file. Thread-safe for concurrent readBlock calls
  * once open() returned Ok (validation state is atomic; the mapping is
@@ -94,11 +61,9 @@ class FcpcReader
     FcpcReader(const FcpcReader &) = delete;
     FcpcReader &operator=(const FcpcReader &) = delete;
 
-    /** Map and validate @p path, then apply @p options' residency
-     *  policy (see ReadOptions). On failure the reader stays closed
-     *  and status() says why. */
-    FcpcStatus open(const std::string &path,
-                    const ReadOptions &options = {});
+    /** Map and validate @p path. On failure the reader stays
+     *  closed and status() says why. */
+    FcpcStatus open(const std::string &path);
 
     bool isOpen() const { return map_ != nullptr; }
     FcpcStatus status() const { return status_; }
@@ -117,13 +82,12 @@ class FcpcReader
     std::size_t blockBytes(std::size_t i) const;
 
     /**
-     * Materialize block @p i into @p out. ZeroCopy performs zero
-     * per-point work: three pointer binds plus a checksum pass on
-     * first access. Returns BadChecksum/BadBlock without touching @p out on
-     * a corrupt block.
+     * Bind block @p i into @p out, zero-copy: no per-point work, only
+     * the section pointer binds plus a checksum pass on first access.
+     * Returns BadChecksum/BadBlock without touching @p out on a
+     * corrupt block.
      */
-    FcpcStatus readBlock(std::size_t i, data::PointCloud &out,
-                         ReadMode mode = ReadMode::ZeroCopy);
+    FcpcStatus readBlock(std::size_t i, data::PointCloud &out);
 
     /**
      * Verify block @p i's section checksums now (idempotent; cached).

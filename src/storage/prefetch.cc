@@ -46,7 +46,7 @@ BlockPrefetcher::schedule(std::size_t block)
         // critical path. The bind itself is three pointers.
         data::PointCloud cloud;
         const FcpcStatus status =
-            reader_->readBlock(block, cloud, options_.mode);
+            reader_->readBlock(block, cloud);
         std::lock_guard<std::mutex> lock(mutex_);
         Slot &slot = slots_[block];
         slot.status = status;
@@ -77,7 +77,7 @@ BlockPrefetcher::get(std::size_t block, data::PointCloud &out)
         // consumer outran the ring.
         ++stats_.misses;
         lock.unlock();
-        return reader_->readBlock(block, out, options_.mode);
+        return reader_->readBlock(block, out);
     }
     if (it->second.ready)
         ++stats_.hits;

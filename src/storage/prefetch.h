@@ -8,10 +8,12 @@
  * running its checksum validation on a pool thread — that pass
  * faults every page of the block's sections into the page cache, so
  * by the time the consumer calls get() the zero-copy bind touches
- * only warm memory. The ring is keyed by block ordinal.
+ * only warm memory. The ring is keyed by block ordinal, and every
+ * cloud it hands out is a zero-copy bind (FcpcReader::readBlock).
  *
  * depth = 0 (or a null pool) degrades to a synchronous reader —
- * the prefetch-off reference the equality tests compare against.
+ * the prefetch-off reference this ring's own tests compare against.
+ * serve::StorageIngestor always reads 4 blocks ahead.
  *
  * Thread-safety: one consumer thread calls get(). Internal state is
  * mutex-protected; the destructor drains in-flight reads before
@@ -43,9 +45,6 @@ struct PrefetchOptions
      *  pool with idle capacity); null = synchronous. Must outlive
      *  the prefetcher. */
     core::ThreadPool *pool = nullptr;
-
-    /** How get() materializes clouds. */
-    ReadMode mode = ReadMode::ZeroCopy;
 };
 
 /** Prefetch telemetry counters (racy snapshots, telemetry only). */

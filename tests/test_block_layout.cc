@@ -54,7 +54,7 @@ referenceLeafFps(const data::PointCloud &cloud,
     const std::uint32_t n = leaf.size();
     std::vector<float> min_dist(n, std::numeric_limits<float>::max());
     std::vector<std::uint8_t> sampled(n, 0);
-    std::uint32_t current = std::min(options.start_index, n - 1);
+    std::uint32_t current = 0;
     const auto take = [&] {
         sampled[current] = 1;
         out.positions.push_back(leaf.begin + current);

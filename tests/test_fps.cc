@@ -37,15 +37,6 @@ TEST(Fps, SamplesAreDistinct)
     EXPECT_EQ(set.size(), 100u);
 }
 
-TEST(Fps, StartsAtRequestedIndex)
-{
-    const data::PointCloud cloud = randomCloud(100, 2);
-    FpsOptions opt;
-    opt.start_index = 17;
-    const SampleResult r = farthestPointSample(cloud, 10, opt);
-    EXPECT_EQ(r.indices[0], 17u);
-}
-
 TEST(Fps, SecondSampleIsFarthestFromFirst)
 {
     const data::PointCloud cloud = randomCloud(200, 3);

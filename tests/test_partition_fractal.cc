@@ -77,7 +77,7 @@ TEST(Fractal, DimensionsCycle)
     config.threshold = 128;
     const PartitionResult result = p.partition(cloud, config);
     const BlockTree &tree = result.tree;
-    // Root splits on x (first_dim 0); its children on y (unless
+    // Root splits on x (paper Alg. 1: d = 0); its children on y (unless
     // degenerate, which uniform random data is not).
     const BlockNode &root = tree.node(0);
     EXPECT_EQ(root.splitDim, 0);
@@ -107,18 +107,19 @@ TEST(Fractal, HandlesCoincidentPoints)
 
 TEST(Fractal, HandlesCoplanarPoints)
 {
-    // All points in the z = 0 plane: the z axis is never splittable,
-    // but cycling falls through to x/y (paper §VI-D).
+    // All points in the x = 0 plane: the x axis every split cycles
+    // through first is never splittable, but cycling falls through to
+    // y/z (paper §VI-D).
     Pcg32 rng(4);
     data::PointCloud cloud;
     for (int i = 0; i < 1000; ++i)
-        cloud.addPoint({rng.uniform(-1, 1), rng.uniform(-1, 1), 0.0f});
+        cloud.addPoint({0.0f, rng.uniform(-1, 1), rng.uniform(-1, 1)});
     FractalPartitioner p;
     PartitionConfig config;
     config.threshold = 64;
-    config.first_dim = 2; // start on the degenerate axis
     const PartitionResult result = p.partition(cloud, config);
     result.tree.validate();
+    EXPECT_GT(result.stats.degenerate_retries, 0u);
     for (const NodeIdx leaf : result.tree.leaves())
         EXPECT_LE(result.tree.node(leaf).size(), 64u);
 }

@@ -219,18 +219,6 @@ TEST(Scheduler, CheckpointRefreshesSpillAfterPoolDrains)
     EXPECT_TRUE(scheduler.wait(tickets[3]).spilled);
 }
 
-TEST(Scheduler, WorkConservingOffNeverSpills)
-{
-    Scheduler scheduler(4, 8, /*work_conserving=*/false);
-    const auto cloud = sharedScene(64, 6);
-    const auto t = scheduler.trySubmit(cloud, {}, std::nullopt);
-    const auto job = scheduler.acquire();
-    ASSERT_TRUE(t && job);
-    EXPECT_LT(job->spill_shard, 0); // 1 in flight < 8 threads, but pinned
-    scheduler.complete(job->id);
-    EXPECT_FALSE(scheduler.wait(*t).spilled);
-}
-
 // ------------------------------------------------------ AsyncPipeline
 
 /** Blocking-path baseline for one cloud (sequential pipeline). */
@@ -465,24 +453,13 @@ TEST(AsyncPipeline, SingleRequestSpillsOnAMultiThreadPool)
 
     ServeOptions options;
     options.pipeline.num_threads = 4;
-    {
-        AsyncPipeline server(options);
-        const RequestOutcome outcome =
-            server.wait(server.submit(cloud, request));
-        ASSERT_EQ(outcome.state, RequestState::Done);
-        EXPECT_TRUE(outcome.spilled)
-            << "1 request in flight < 4 threads must spill";
-        expectResultsIdentical(outcome.result, baseline);
-    }
-    options.work_conserving = false;
-    {
-        AsyncPipeline server(options);
-        const RequestOutcome outcome =
-            server.wait(server.submit(cloud, request));
-        ASSERT_EQ(outcome.state, RequestState::Done);
-        EXPECT_FALSE(outcome.spilled);
-        expectResultsIdentical(outcome.result, baseline);
-    }
+    AsyncPipeline server(options);
+    const RequestOutcome outcome =
+        server.wait(server.submit(cloud, request));
+    ASSERT_EQ(outcome.state, RequestState::Done);
+    EXPECT_TRUE(outcome.spilled)
+        << "1 request in flight < 4 threads must spill";
+    expectResultsIdentical(outcome.result, baseline);
 }
 
 TEST(AsyncPipeline, DiscardReclaimsAbandonedTickets)

@@ -217,8 +217,8 @@ TEST(SchedulerClassCapacity, BoundsRejectOnlyTheBoundedClass)
     std::array<std::size_t, serve::kNumPriorities> bounds{};
     bounds[static_cast<unsigned>(serve::Priority::Background)] = 1;
     serve::Scheduler scheduler(
-        /*queue_capacity=*/8, /*num_threads=*/1,
-        /*work_conserving=*/true, /*num_shards=*/1, &registry, bounds);
+        /*queue_capacity=*/8, /*num_threads=*/1, /*num_shards=*/1,
+        &registry, bounds);
 
     const auto admit = [&](serve::Priority priority) {
         return scheduler.trySubmit(cloud, request, std::nullopt,

@@ -261,7 +261,7 @@ TEST(ShardedServe, CrossShardSpillBorrowsIdleNeighbor)
     // fully idle: the acquired request must borrow shard 1's pool
     // for its block items.
     Scheduler scheduler(/*queue_capacity=*/16, /*num_threads=*/2,
-                        /*work_conserving=*/true, /*num_shards=*/2);
+                        /*num_shards=*/2);
     const core::ShardMap map(2);
     const std::uint64_t key0 = keyOnShard(map, 0);
     const auto cloud = sharedScene(64, 311);
@@ -323,8 +323,7 @@ TEST(PriorityScheduling, BackloggedClassesShareByWeight)
     // Single shard, all three classes backlogged. The aging credits
     // must interleave classes roughly 8:4:1 — and strictly FIFO
     // within each class.
-    Scheduler scheduler(/*queue_capacity=*/64, /*num_threads=*/1,
-                        /*work_conserving=*/false);
+    Scheduler scheduler(/*queue_capacity=*/64, /*num_threads=*/1);
     const auto cloud = sharedScene(64, 330);
 
     std::map<std::uint64_t, Priority> submitted;

@@ -2,9 +2,9 @@
  * @file
  * Tests for the .fcpc binary columnar container: write → mmap → read
  * roundtrips for all three dataset families, corruption error paths,
- * zero-copy alias lifetime, allocation-free loads, and
- * prefetch-on == prefetch-off equality on the serve path across
- * shard counts.
+ * zero-copy alias lifetime, allocation-free loads, prefetch-on ==
+ * prefetch-off equality of the read-ahead ring, and ingestion equality
+ * with preloaded clouds on the serve path across shard counts.
  */
 
 #include <cstdio>
@@ -20,6 +20,7 @@
 // test_workspace.cc's alloc_hook TU.
 #include "common/alloc_count.h"
 #include "core/parallel.h"
+#include "core/shard_map.h"
 #include "dataset/io.h"
 #include "dataset/modelnet.h"
 #include "dataset/s3dis.h"
@@ -113,53 +114,15 @@ TEST(StorageRoundtrip, S3disSceneLabeled)
     ASSERT_EQ(reader.open(path), FcpcStatus::Ok);
     ASSERT_EQ(reader.blockCount(), 1u);
     PointCloud zero_copy;
-    ASSERT_EQ(reader.readBlock(0, zero_copy, ReadMode::ZeroCopy),
-              FcpcStatus::Ok);
+    ASSERT_EQ(reader.readBlock(0, zero_copy), FcpcStatus::Ok);
     EXPECT_TRUE(zero_copy.isExternal());
     expectCloudsBitIdentical(original, zero_copy);
 
     PointCloud copied;
-    ASSERT_EQ(reader.readBlock(0, copied, ReadMode::Copy),
-              FcpcStatus::Ok);
+    ASSERT_EQ(reader.readBlock(0, copied), FcpcStatus::Ok);
+    copied.detach();
     EXPECT_FALSE(copied.isExternal());
     expectCloudsBitIdentical(original, copied);
-    std::remove(path.c_str());
-}
-
-TEST(StorageRoundtrip, ReadOptionsResidencyPoliciesPreserveContent)
-{
-    // willneed/populate are pure page-residency hints: every
-    // combination must open Ok and read back identical bytes (the
-    // behavioral difference — fault timing — is a perf property
-    // benchmarked, not unit-tested).
-    const PointCloud original = data::makeS3disScene(2000, 43);
-    const std::string path = tempPath("residency.fcpc");
-    ASSERT_TRUE(writeFcpc({original}, path));
-
-    for (const bool willneed : {false, true}) {
-        for (const bool populate : {false, true}) {
-            SCOPED_TRACE("willneed=" + std::to_string(willneed) +
-                         " populate=" + std::to_string(populate));
-            ReadOptions options;
-            options.willneed = willneed;
-            options.populate = populate;
-            FcpcReader reader;
-            ASSERT_EQ(reader.open(path, options), FcpcStatus::Ok);
-            ASSERT_EQ(reader.blockCount(), 1u);
-            PointCloud cloud;
-            ASSERT_EQ(reader.readBlock(0, cloud), FcpcStatus::Ok);
-            expectCloudsBitIdentical(original, cloud);
-        }
-    }
-
-    // A corrupt file is rejected before any residency work happens.
-    corruptByte(path, 0);
-    FcpcReader reader;
-    ReadOptions eager;
-    eager.willneed = true;
-    eager.populate = true;
-    EXPECT_NE(reader.open(path, eager), FcpcStatus::Ok);
-    EXPECT_FALSE(reader.isOpen());
     std::remove(path.c_str());
 }
 
@@ -626,7 +589,8 @@ TEST(StorageIngest, PrefetchedServingMatchesPreloadedAcrossShards)
 {
     // The acceptance criterion: serving from prefetched storage is
     // byte-identical to serving preloaded in-memory clouds, at shard
-    // counts 1, 2, and 4, with prefetch on and off.
+    // counts 1, 2, and 4. Every block runs at Priority::Batch on the
+    // shard its stored placement key hashes to.
     std::vector<PointCloud> clouds;
     for (std::uint64_t seed = 60; seed < 66; ++seed)
         clouds.push_back(data::makeS3disScene(1500, seed));
@@ -649,21 +613,20 @@ TEST(StorageIngest, PrefetchedServingMatchesPreloadedAcrossShards)
             reference.push_back(pipeline.wait(ticket));
         }
 
-        for (const std::size_t depth : {std::size_t{0},
-                                        std::size_t{3}}) {
-            auto reader = std::make_shared<FcpcReader>();
-            ASSERT_EQ(reader->open(path), FcpcStatus::Ok);
-            serve::IngestOptions iopt;
-            iopt.prefetch_depth = depth;
-            serve::StorageIngestor ingestor(pipeline, reader, iopt);
-            const std::vector<serve::IngestResult> results =
-                ingestor.runAll(request);
-            ASSERT_EQ(results.size(), clouds.size());
-            for (std::size_t i = 0; i < results.size(); ++i) {
-                ASSERT_EQ(results[i].storage_status, FcpcStatus::Ok);
-                expectResultsIdentical(reference[i],
-                                       results[i].outcome);
-            }
+        auto reader = std::make_shared<FcpcReader>();
+        ASSERT_EQ(reader->open(path), FcpcStatus::Ok);
+        serve::StorageIngestor ingestor(pipeline, reader);
+        const std::vector<serve::IngestResult> results =
+            ingestor.runAll(request);
+        ASSERT_EQ(results.size(), clouds.size());
+        const core::ShardMap map(shards);
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            ASSERT_EQ(results[i].storage_status, FcpcStatus::Ok);
+            expectResultsIdentical(reference[i], results[i].outcome);
+            EXPECT_EQ(results[i].outcome.priority,
+                      serve::Priority::Batch);
+            EXPECT_EQ(results[i].outcome.shard,
+                      map.shardFor(reader->placementKey(i)));
         }
     }
     std::remove(path.c_str());
@@ -681,7 +644,7 @@ TEST(StorageIngest, DamagedBlockReportedOthersServed)
     serve::AsyncPipeline pipeline;
     auto reader = std::make_shared<FcpcReader>();
     ASSERT_EQ(reader->open(path), FcpcStatus::Ok);
-    serve::StorageIngestor ingestor(pipeline, reader, {});
+    serve::StorageIngestor ingestor(pipeline, reader);
     const std::vector<serve::IngestResult> results =
         ingestor.runAll({});
     ASSERT_EQ(results.size(), 3u);
