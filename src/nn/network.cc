@@ -162,6 +162,7 @@ Network::run(const data::PointCloud &cloud,
 
     core::ThreadPool *pool = backend.pool;
     const bool use_blocks = backend.anyBlockOp();
+    const bool block_grouping = use_blocks && backend.block_grouping;
     const bool delayed = backend.aggregation == Aggregation::Delayed;
 
     const part::Partitioner &partitioner =
@@ -352,7 +353,7 @@ Network::run(const data::PointCloud &cloud,
                                      ws, global_sampled);
             sampled = global_sampled.indices;
             out.op_stats += global_sampled.stats;
-            if (use_blocks && backend.block_grouping) {
+            if (block_grouping) {
                 makeBlockSample(tree, sampled, ws, block_sampled);
                 sampled = block_sampled.indices;
             }
@@ -361,8 +362,17 @@ Network::run(const data::PointCloud &cloud,
 
         // --- Grouping (ball query) ---------------------------------------
         // Either sampling branch above has filled block_sampled
-        // whenever block grouping runs.
-        if (use_blocks && backend.block_grouping) {
+        // whenever block grouping runs. The eager order gathers in the
+        // same pass, reading this level's feature rows in place, so
+        // its gather time counts as neighbor time.
+        if (block_grouping && !delayed) {
+            ops::blockGroupGather(cur_cloud, tree, block_sampled,
+                                  stage.radius, stage.k,
+                                  cur.features.data(),
+                                  cur.features.cols(), pool, ws,
+                                  neighbors, gathered);
+            out.op_stats += gathered.stats;
+        } else if (block_grouping) {
             ops::blockBallQuery(cur_cloud, tree, block_sampled,
                                 stage.radius, stage.k, pool, ws,
                                 neighbors);
@@ -416,7 +426,7 @@ Network::run(const data::PointCloud &cloud,
             // alongside.
             Level &next = levels[si + 1];
             next.features.resize(neighbors.num_centers, transformed.cols());
-            if (use_blocks && backend.block_grouping) {
+            if (block_grouping) {
                 out.op_stats += ops::blockGatherMaxPool(
                     transformed.data(), transformed.cols(), tree,
                     block_sampled.leaf_offsets, neighbors, pool,
@@ -435,23 +445,20 @@ Network::run(const data::PointCloud &cloud,
         }
 
         // --- Gathering ----------------------------------------------------
-        // Attach current features to the cloud for gathering.
-        feat_cloud = cur_cloud;
-        feat_cloud.allocateFeatures(cur.features.cols());
-        std::copy(cur.features.data().begin(),
-                  cur.features.data().end(),
-                  feat_cloud.features().begin());
-
-        if (use_blocks && backend.block_grouping) {
-            ops::blockGatherNeighborhoods(
-                feat_cloud, tree, sampled, block_sampled.leaf_offsets,
-                neighbors, pool, ws, gathered);
-        } else {
-            ops::gatherNeighborhoods(feat_cloud, sampled, neighbors,
-                                     ws, gathered);
+        // Block grouping has gathered already; the global gather reads
+        // the current features from a copy of the cloud that carries
+        // them.
+        if (!block_grouping) {
+            feat_cloud = cur_cloud;
+            feat_cloud.allocateFeatures(cur.features.cols());
+            std::copy(cur.features.data().begin(),
+                      cur.features.data().end(),
+                      feat_cloud.features().begin());
+            ops::gatherNeighborhoods(feat_cloud, sampled, neighbors, ws,
+                                     gathered);
+            out.op_stats += gathered.stats;
+            lapInto(kStGather);
         }
-        out.op_stats += gathered.stats;
-        lapInto(kStGather);
 
         // --- Feature computation: MLP + max pool -------------------------
         // The MLP reads the gather buffer in place: its input tensor

@@ -141,8 +141,11 @@ struct BackendOptions
      * per functional stage into nn.stage_us{stage=partition|fps|
      * neighbor|gather|mlp|interpolate} histograms — the measured
      * counterpart of the paper's Fig. 2 bottleneck split (neighbor
-     * search and sampling dominating end-to-end latency). Under
-     * Aggregation::Delayed the SA gather/mlp split is recorded as
+     * search and sampling dominating end-to-end latency). Eager
+     * block grouping gathers inside its ball query
+     * (ops::blockGroupGather), so its gather time lands in
+     * {stage=neighbor}. Under Aggregation::Delayed the SA
+     * gather/mlp split is recorded as
      * nn.stage_us{stage=mlp_unique} (the unique-point MLP pass) and
      * nn.stage_us{stage=aggregate} (feature gather + max-pool +
      * rel-coord summary) instead, so the eager-vs-delayed shift is

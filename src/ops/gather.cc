@@ -224,29 +224,30 @@ blockGatherMaxPool(std::span<const float> features, std::size_t channels,
     // Same values as the global form; the accounting streams each
     // leaf's search-space slice of the feature tensor once (the DFT
     // layout makes it contiguous) instead of charging random access.
-    return core::parallelReduce(
-        pool, 0, leaves.size(), 1, OpStats{},
-        [&](std::size_t lb, std::size_t le) {
-            OpStats stats;
-            for (std::size_t li = lb; li < le; ++li) {
-                const part::BlockNode &space =
-                    tree.node(tree.searchSpaceNode(leaves[li]));
-                const std::uint32_t first = center_leaf_offsets[li];
-                const std::uint32_t last = center_leaf_offsets[li + 1];
-                if (first == last)
-                    continue;
-                stats.bytes_gathered +=
-                    static_cast<std::uint64_t>(space.size()) *
-                    channels * 2;
-                for (std::uint32_t row = first; row < last; ++row) {
-                    gatherMaxPoolRow(features, channels, neighbors, row,
-                                     out.data() + row * channels);
-                    stats.points_visited += neighbors.k;
-                }
-            }
-            return stats;
-        },
-        [](OpStats &acc, OpStats &&chunk) { acc += chunk; });
+    // The stats follow from the leaf table alone, so they are summed
+    // in one serial pass and the leaves run as a plain parallelFor.
+    OpStats stats;
+    for (std::size_t li = 0; li < leaves.size(); ++li) {
+        const std::uint32_t first = center_leaf_offsets[li];
+        const std::uint32_t last = center_leaf_offsets[li + 1];
+        if (first == last)
+            continue;
+        const part::BlockNode &space =
+            tree.node(tree.searchSpaceNode(leaves[li]));
+        stats.bytes_gathered +=
+            static_cast<std::uint64_t>(space.size()) * channels * 2;
+        stats.points_visited +=
+            static_cast<std::uint64_t>(last - first) * neighbors.k;
+    }
+    // A chunk of leaves owns the center rows between its offsets.
+    core::parallelFor(
+        pool, 0, leaves.size(), 1, [&](std::size_t lb, std::size_t le) {
+            for (std::uint32_t row = center_leaf_offsets[lb];
+                 row < center_leaf_offsets[le]; ++row)
+                gatherMaxPoolRow(features, channels, neighbors, row,
+                                 out.data() + row * channels);
+        });
+    return stats;
 }
 
 void

@@ -11,6 +11,14 @@
  * capture: global gathering performs random accesses over the whole
  * feature space, block-wise gathering streams only the blocks of each
  * search space.
+ *
+ * blockGatherNeighborhoods gathers a finished neighbor table, reading
+ * every center and neighbor by point id from the cloud. The block
+ * pipelines instead gather inside the ball query:
+ * ops::blockGroupGather (ops/neighbor.h) writes the same values and
+ * stats while each center's hits are still DFT positions, reading the
+ * coordinates from the tree's block layout and only the feature
+ * channels by id.
  */
 
 #ifndef FC_OPS_GATHER_H
@@ -78,7 +86,7 @@ void gatherNeighborhoods(const data::PointCloud &cloud,
  * accounting: accesses are counted per block as streamed reads (the
  * DFT layout makes each block contiguous). Per-leaf work items run
  * over @p pool; rows are disjoint, so the values are bit-identical to
- * sequential execution.
+ * sequential execution. The two-op reference for blockGroupGather.
  */
 GatherResult blockGatherNeighborhoods(
     const data::PointCloud &cloud, const part::BlockTree &tree,

@@ -6,6 +6,7 @@
 #include "core/parallel.h"
 #include "core/simd.h"
 #include "core/workspace.h"
+#include "ops/gather.h"
 #include "ops/topk.h"
 
 namespace fc::ops {
@@ -13,33 +14,42 @@ namespace fc::ops {
 namespace {
 
 /**
- * Ball query for one center over the contiguous positions
- * [begin, end) of @p pts, whose point ids @p order gives (empty =
- * identity). Writes exactly k entries (padded) into @p row; returns
- * the number of real neighbors found. core::simd::ballScan keeps the
- * historical semantics — ascending scan, early stop at k neighbors,
- * stats counted per examined position only.
+ * The ball-query scan for one center over the contiguous positions
+ * [begin, end) of @p pts, charged to @p stats. core::simd::ballScan
+ * keeps the historical semantics — ascending scan, early stop at k
+ * neighbors, stats counted per examined position only. @p row holds
+ * the hits as positions on return.
  */
-std::uint32_t
-ballQueryRow(const core::simd::SoaView &pts, const Vec3 &center_pt,
-             std::span<const PointIdx> order, std::uint32_t begin,
-             std::uint32_t end, float radius2, std::size_t k,
-             PointIdx *row, OpStats &stats)
+core::simd::BallScan
+scanRow(const core::simd::SoaView &pts, const Vec3 &center_pt,
+        std::uint32_t begin, std::uint32_t end, float radius2,
+        std::size_t k, PointIdx *row, OpStats &stats)
 {
     const core::simd::BallScan scan =
         core::simd::ballScan(pts, center_pt, radius2, begin, end, k, row);
     stats.points_visited += scan.examined;
     stats.distance_computations += scan.examined;
+    ++stats.iterations;
+    return scan;
+}
+
+/**
+ * Maps the first @p found positions of @p row to point ids through
+ * @p order (empty = identity) and pads the row to k entries.
+ */
+void
+finishRow(std::span<const PointIdx> order, std::uint32_t found,
+          std::size_t k, PointIdx *row)
+{
     if (!order.empty())
-        for (std::uint32_t j = 0; j < scan.found; ++j)
+        for (std::uint32_t j = 0; j < found; ++j)
             row[j] = order[row[j]];
     // PointNet++ padding: repeat the first neighbor; centers with no
     // neighbor at all (possible when the center is not among the
     // candidates) repeat kInvalidPoint.
-    const PointIdx pad = scan.found > 0 ? row[0] : kInvalidPoint;
-    for (std::size_t j = scan.found; j < k; ++j)
+    const PointIdx pad = found > 0 ? row[0] : kInvalidPoint;
+    for (std::size_t j = found; j < k; ++j)
         row[j] = pad;
-    return scan.found;
 }
 
 } // namespace
@@ -70,11 +80,13 @@ ballQuery(const data::PointCloud &cloud,
         [&](std::size_t cb, std::size_t ce) {
             OpStats stats;
             for (std::size_t ci = cb; ci < ce; ++ci) {
-                out.counts[ci] = ballQueryRow(
-                    pts, cloud[centers[ci]], {}, 0,
+                PointIdx *row = out.indices.data() + ci * k;
+                const core::simd::BallScan scan = scanRow(
+                    pts, cloud[centers[ci]], 0,
                     static_cast<std::uint32_t>(cloud.size()), r2, k,
-                    out.indices.data() + ci * k, stats);
-                ++stats.iterations;
+                    row, stats);
+                finishRow({}, scan.found, k, row);
+                out.counts[ci] = scan.found;
             }
             return stats;
         },
@@ -150,14 +162,81 @@ knnSearch(const data::PointCloud &cloud,
     return out;
 }
 
+namespace {
+
+/** Where blockGroup writes the gathered rows, if anywhere. */
+struct GatherTarget
+{
+    /** Row-major [cloud size x feature_dim], read by point id. */
+    std::span<const float> features;
+    std::size_t feature_dim = 0;
+    /** [num_centers x k x (3 + feature_dim)]. */
+    float *values = nullptr;
+};
+
+/** One chunk's stats: the ball query's and the gather's. */
+struct GroupStats
+{
+    OpStats group;
+    OpStats gather;
+};
+
+/**
+ * Writes the k gathered rows of one center from its scan hits, the
+ * DFT positions hits[0, found): [dx, dy, dz | features] per hit, then
+ * slot 0's row repeated into the padded slots, or zero rows when
+ * nothing was found. That is what blockGatherNeighborhoods writes for
+ * the padded id row, bit for bit: the same float differences of the
+ * same floats. kFeatures false fixes the row at the 3 coordinate
+ * channels, so the compiler sees the constant stride.
+ */
+template <bool kFeatures>
 void
-blockBallQuery(const data::PointCloud &cloud, const part::BlockTree &tree,
-               const BlockSampleResult &centers, float radius,
-               std::size_t k, core::ThreadPool *pool,
-               core::Workspace &ws, NeighborResult &out)
+gatherHits(const core::simd::SoaView &pts,
+           std::span<const PointIdx> order, const Vec3 &center_pt,
+           const PointIdx *hits, std::uint32_t found, std::size_t k,
+           const GatherTarget &target, float *dst)
+{
+    const std::size_t fdim = kFeatures ? target.feature_dim : 0;
+    const std::size_t channels = 3 + fdim;
+    if (found == 0) {
+        std::fill(dst, dst + k * channels, 0.0f);
+        return;
+    }
+    // Locals, so that the stores through dst need not reload them.
+    const float cx = center_pt.x, cy = center_pt.y, cz = center_pt.z;
+    const float *xs = pts.xs, *ys = pts.ys, *zs = pts.zs;
+    for (std::uint32_t j = 0; j < found; ++j) {
+        const std::uint32_t pos = hits[j];
+        float *out = dst + j * channels;
+        out[0] = xs[pos] - cx;
+        out[1] = ys[pos] - cy;
+        out[2] = zs[pos] - cz;
+        if (kFeatures) {
+            const float *feat = target.features.data() +
+                                static_cast<std::size_t>(order[pos]) * fdim;
+            std::copy(feat, feat + fdim, out + 3);
+        }
+    }
+    for (std::size_t j = found; j < k; ++j)
+        for (std::size_t c = 0; c < channels; ++c)
+            dst[j * channels + c] = dst[c];
+}
+
+/**
+ * The per-leaf loop of the block ball query, writing @p out's rows
+ * and, with a @p gather target, each center's gathered rows between
+ * the scan and the id map. Returns the ball query's stats and the
+ * block-wise gather's (zero without a target).
+ */
+GroupStats
+blockGroup(const data::PointCloud &cloud, const part::BlockTree &tree,
+           const BlockSampleResult &centers, float radius,
+           std::size_t k, const GatherTarget *gather,
+           core::ThreadPool *pool, core::Workspace &ws,
+           NeighborResult &out)
 {
     fc_assert(k > 0, "ball query needs k > 0");
-    out.stats = {};
     out.num_centers = centers.indices.size();
     out.k = k;
     out.indices.resize(out.num_centers * k);
@@ -169,6 +248,9 @@ blockBallQuery(const data::PointCloud &cloud, const part::BlockTree &tree,
               "center table does not match tree (%zu offsets, %zu "
               "leaves)",
               centers.leaf_offsets.size(), leaves.size());
+    fc_assert(centers.positions.size() == centers.indices.size(),
+              "center table holds %zu positions for %zu centers",
+              centers.positions.size(), centers.indices.size());
     // The rows scan the tree's copy of the coordinates, so the tree
     // must come from partitioning this cloud.
     fc_assert(tree.numPoints() == cloud.size() && tree.hasPoints(),
@@ -177,34 +259,77 @@ blockBallQuery(const data::PointCloud &cloud, const part::BlockTree &tree,
               tree.numPoints(), tree.hasPoints() ? "stored" : "missing",
               cloud.size());
     const core::simd::SoaView pts = tree.points();
+    const std::span<const PointIdx> order = tree.order();
+    const std::size_t channels =
+        gather != nullptr ? 3 + gather->feature_dim : 0;
+    // Block-wise gathering streams each search space once: fp16
+    // features plus coordinates per point.
+    const std::uint64_t bytes_per_point =
+        gather != nullptr ? gather->feature_dim * 2 + 8 : 0;
 
     // Per-leaf work items. Every center owns one fixed k-wide row of
-    // indices, so leaves write disjoint slots; per-chunk stats fold
-    // in chunk order.
-    out.stats += core::parallelReduce(
-        pool, 0, leaves.size(), 1, OpStats{},
+    // indices (and k gathered rows), so leaves write disjoint slots;
+    // per-chunk stats fold in chunk order.
+    return core::parallelReduce(
+        pool, 0, leaves.size(), 1, GroupStats{},
         [&](std::size_t lb, std::size_t le) {
-            OpStats stats;
+            GroupStats stats;
             for (std::size_t li = lb; li < le; ++li) {
                 const part::BlockNode &space =
                     tree.node(tree.searchSpaceNode(leaves[li]));
-                for (std::uint32_t ci = centers.leaf_offsets[li];
-                     ci < centers.leaf_offsets[li + 1]; ++ci) {
-                    const Vec3 &center_pt =
-                        cloud[centers.indices[ci]];
-                    out.counts[ci] = ballQueryRow(
-                        pts, center_pt, tree.order(), space.begin,
-                        space.end, r2, k,
-                        out.indices.data() +
-                            static_cast<std::size_t>(ci) * k,
-                        stats);
-                    ++stats.iterations;
+                const std::uint32_t first = centers.leaf_offsets[li];
+                const std::uint32_t last = centers.leaf_offsets[li + 1];
+                if (first != last)
+                    stats.gather.bytes_gathered +=
+                        space.size() * bytes_per_point;
+                for (std::uint32_t ci = first; ci < last; ++ci) {
+                    const std::uint32_t pos = centers.positions[ci];
+                    fc_assert(pos < order.size() &&
+                                  order[pos] == centers.indices[ci],
+                              "center %u: position %u does not hold its "
+                              "point %u",
+                              ci, pos, centers.indices[ci]);
+                    const Vec3 center_pt(pts.xs[pos], pts.ys[pos],
+                                         pts.zs[pos]);
+                    const std::size_t slot = std::size_t{ci} * k;
+                    PointIdx *row = out.indices.data() + slot;
+                    const core::simd::BallScan scan =
+                        scanRow(pts, center_pt, space.begin, space.end,
+                                r2, k, row, stats.group);
+                    if (gather != nullptr) {
+                        float *dst = gather->values + slot * channels;
+                        if (gather->feature_dim > 0)
+                            gatherHits<true>(pts, order, center_pt, row,
+                                             scan.found, k, *gather, dst);
+                        else
+                            gatherHits<false>(pts, order, center_pt, row,
+                                              scan.found, k, *gather, dst);
+                        stats.gather.points_visited += k;
+                    }
+                    finishRow(order, scan.found, k, row);
+                    out.counts[ci] = scan.found;
                 }
             }
             return stats;
         },
-        [](OpStats &acc, OpStats &&chunk) { acc += chunk; },
+        [](GroupStats &acc, GroupStats &&chunk) {
+            acc.group += chunk.group;
+            acc.gather += chunk.gather;
+        },
         &ws.arena());
+}
+
+} // namespace
+
+void
+blockBallQuery(const data::PointCloud &cloud, const part::BlockTree &tree,
+               const BlockSampleResult &centers, float radius,
+               std::size_t k, core::ThreadPool *pool,
+               core::Workspace &ws, NeighborResult &out)
+{
+    out.stats =
+        blockGroup(cloud, tree, centers, radius, k, nullptr, pool, ws, out)
+            .group;
 }
 
 NeighborResult
@@ -216,6 +341,29 @@ blockBallQuery(const data::PointCloud &cloud, const part::BlockTree &tree,
     NeighborResult out;
     blockBallQuery(cloud, tree, centers, radius, k, pool, ws, out);
     return out;
+}
+
+void
+blockGroupGather(const data::PointCloud &cloud, const part::BlockTree &tree,
+                 const BlockSampleResult &centers, float radius,
+                 std::size_t k, std::span<const float> features,
+                 std::size_t feature_dim, core::ThreadPool *pool,
+                 core::Workspace &ws, NeighborResult &neighbors,
+                 GatherResult &gathered)
+{
+    fc_assert(features.size() == cloud.size() * feature_dim,
+              "features hold %zu floats, need %zu points x %zu",
+              features.size(), cloud.size(), feature_dim);
+    gathered.num_centers = centers.indices.size();
+    gathered.k = k;
+    gathered.channels = 3 + feature_dim;
+    gathered.values.resize(gathered.num_centers * k * gathered.channels);
+    const GatherTarget target{features, feature_dim,
+                              gathered.values.data()};
+    const GroupStats stats = blockGroup(cloud, tree, centers, radius, k,
+                                        &target, pool, ws, neighbors);
+    neighbors.stats = stats.group;
+    gathered.stats = stats.gather;
 }
 
 } // namespace fc::ops

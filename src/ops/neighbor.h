@@ -13,9 +13,16 @@
  *
  * The block-wise ball query restricts the candidate set of a center
  * in leaf L to the range of searchSpaceNode(L) — the leaf itself at
- * depth <= 1, otherwise its immediate parent (paper Fig. 7(a)).
+ * depth <= 1, otherwise its immediate parent (paper Fig. 7(a)). It
+ * reads only the block layout: each center at its DFT position and
+ * each search space as one contiguous slice of
+ * BlockTree::points(), mapping hits to point ids last.
+ * blockGroupGather is the same per-leaf scan with a gather target
+ * (paper §IV-B, "Block-Wise Gathering"): while a center's hits are
+ * still DFT positions it writes their [dx, dy, dz | features] rows,
+ * so no second pass re-reads the neighbor table.
  *
- * It dispatches per-leaf work items over an optional
+ * Both dispatch per-leaf work items over an optional
  * core::ThreadPool. Every center owns a fixed k-wide output row, so
  * parallel execution writes disjoint slots and the result is
  * bit-identical to the sequential path at any thread count.
@@ -39,6 +46,8 @@ class Workspace;
 }
 
 namespace fc::ops {
+
+struct GatherResult; // ops/gather.h
 
 /** Dense [num_centers x k] neighbor table. */
 struct NeighborResult
@@ -114,6 +123,8 @@ void knnSearch(const data::PointCloud &cloud,
 /**
  * Block-wise ball query. Centers come from block-wise sampling; the
  * candidate range of each center is its leaf's search-space node.
+ * Each center is read from tree.points() at centers.positions[ci],
+ * which must hold point centers.indices[ci] (checked per center).
  */
 NeighborResult blockBallQuery(const data::PointCloud &cloud,
                               const part::BlockTree &tree,
@@ -127,6 +138,23 @@ void blockBallQuery(const data::PointCloud &cloud,
                     const BlockSampleResult &centers, float radius,
                     std::size_t k, core::ThreadPool *pool,
                     core::Workspace &ws, NeighborResult &out);
+
+/**
+ * blockBallQuery and blockGatherNeighborhoods (ops/gather.h) in one
+ * per-leaf pass: @p neighbors and @p gathered equal what the two ops
+ * write, bit for bit and stats included, when the gather's cloud
+ * carries @p features. The coordinate channels come from
+ * tree.points() at the hits' DFT positions; the feature channels come
+ * by point id from @p features, row-major [cloud.size() x
+ * feature_dim] (empty when @p feature_dim is 0).
+ */
+void blockGroupGather(const data::PointCloud &cloud,
+                      const part::BlockTree &tree,
+                      const BlockSampleResult &centers, float radius,
+                      std::size_t k, std::span<const float> features,
+                      std::size_t feature_dim, core::ThreadPool *pool,
+                      core::Workspace &ws, NeighborResult &neighbors,
+                      GatherResult &gathered);
 
 } // namespace fc::ops
 

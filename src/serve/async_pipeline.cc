@@ -36,8 +36,8 @@ AsyncPipeline::AsyncPipeline(const ServeOptions &options)
                  std::max(1u, options.num_shards), &registry_,
                  options.class_capacity)
 {
-    static constexpr const char *kStageLabels[5] = {
-        "partition", "sample", "group", "gather", "inference"};
+    static constexpr const char *kStageLabels[4] = {
+        "partition", "sample", "group", "inference"};
     for (std::size_t i = 0; i < stage_us_.size(); ++i)
         stage_us_[i] = &registry_.histogram(
             std::string("serve.stage_us{stage=") + kStageLabels[i] +
@@ -309,30 +309,24 @@ AsyncPipeline::execute(unsigned shard)
         if (!scheduler_.checkpoint(id, &spill_shard))
             return;
 
-        ops::blockBallQuery(cloud, part.tree, out.sampled,
-                            job->request.radius,
-                            job->request.neighbors, pool(), ws,
-                            out.grouped);
-        lap(2); // group
-        notifyObserver(id, Stage::Grouped);
-        if (!scheduler_.checkpoint(id, &spill_shard))
-            return;
-
-        ops::blockGatherNeighborhoods(
-            cloud, part.tree, out.sampled.indices,
-            out.sampled.leaf_offsets, out.grouped, pool(), ws,
-            out.gathered);
+        // Ball query and gather in one per-leaf pass.
+        ops::blockGroupGather(cloud, part.tree, out.sampled,
+                              job->request.radius,
+                              job->request.neighbors, cloud.features(),
+                              cloud.featureDim(), pool(), ws,
+                              out.grouped, out.gathered);
         out.partition_stats = part.stats;
         out.num_blocks = part.tree.leaves().size();
-        lap(3); // gather
+        lap(2); // group
+        notifyObserver(id, Stage::Grouped);
 
         if (job->request.network != nullptr) {
             // End-to-end inference stage: the serving pool drives the
             // network's internals (per-stage re-partition, block ops,
             // MLPs, pooling), all drawing from this ticket's warm
-            // workspace. Extra checkpoint first — inference is the
-            // most expensive stage, so cancels/deadlines issued
-            // during gathering are honored before it starts.
+            // workspace. Checkpoint first — inference is the most
+            // expensive stage, so cancels/deadlines issued during
+            // grouping are honored before it starts.
             if (!scheduler_.checkpoint(id, &spill_shard))
                 return;
             stage_mark = Clock::now(); // exclude checkpoint wait
@@ -354,7 +348,7 @@ AsyncPipeline::execute(unsigned shard)
                 out.inference.emplace();
             job->request.network->run(cloud, backend, ws,
                                       *out.inference);
-            lap(4); // inference
+            lap(3); // inference
         } else {
             // A recycled record may carry a stale inference payload
             // from a previous network request; waiters key on the

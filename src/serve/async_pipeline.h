@@ -55,8 +55,9 @@
  * scheduling decisions affect wall-clock only.
  *
  * Each request runs the serving stage sequence of runBatch:
- * partition -> block-wise FPS -> ball query -> gather, producing the
- * same BatchResult — plus an optional end-to-end inference stage
+ * partition -> block-wise FPS -> ball query with its gather (one
+ * fused pass, ops::blockGroupGather), producing the same BatchResult
+ * — plus an optional end-to-end inference stage
  * (BatchRequest::network), whose pool-driven nn::Network::run also
  * spills its internal work items under the same policy.
  */
@@ -84,7 +85,7 @@ enum class Stage : std::uint8_t {
     Started,     ///< acquired by a worker, before partitioning
     Partitioned, ///< partition built
     Sampled,     ///< block-wise FPS done
-    Grouped,     ///< ball query done
+    Grouped,     ///< ball query and gather done
 };
 
 const char *stageName(Stage stage);
@@ -129,8 +130,9 @@ struct ServeOptions
      * Test/telemetry hook: invoked on the executing worker at every
      * stage boundary of every request, just before that boundary's
      * cancel/deadline checkpoint (so a cancel() issued while the
-     * observer runs is honored). Must be thread-safe; leave empty
-     * for production use.
+     * observer runs is honored). Grouped is the last boundary, and
+     * its checkpoint runs only before an inference stage. Must be
+     * thread-safe; leave empty for production use.
      */
     std::function<void(Ticket, Stage)> stage_observer;
 };
@@ -398,7 +400,7 @@ class AsyncPipeline
 
     /** Per-stage service-time histograms (serve.stage_us{stage=...}),
      *  recorded on the executing worker between stage boundaries. */
-    std::array<core::metrics::Histogram *, 5> stage_us_{};
+    std::array<core::metrics::Histogram *, 4> stage_us_{};
 
     /** Admission rejections (trySubmit returning nullopt). */
     core::metrics::Counter *rejected_ = nullptr;

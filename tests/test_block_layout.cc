@@ -18,10 +18,18 @@
  * interpolation cases reach the paths FPS samples do not: rows
  * shorter than k, search spaces without a known point, and top-k ties
  * between duplicate points.
+ *
+ * blockGroupGather, the ball query that writes the gather in the same
+ * pass, must equal the reference ball query followed by the two-op
+ * gather (blockGatherNeighborhoods over a cloud that carries the
+ * features), bit for bit and stats included, without feature channels
+ * and with three. Two more cases reach its padding paths: rows
+ * shorter than k, and a NaN center whose row has no hit at all.
  */
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -33,7 +41,9 @@
 #include "core/workspace.h"
 #include "dataset/s3dis.h"
 #include "dataset/synthetic.h"
+#include "nn/network.h"
 #include "ops/fps.h"
+#include "ops/gather.h"
 #include "ops/interpolate.h"
 #include "ops/neighbor.h"
 #include "ops/topk.h"
@@ -248,6 +258,27 @@ expectSameStats(const ops::OpStats &got, const ops::OpStats &want,
     EXPECT_EQ(got.bytes_gathered, want.bytes_gathered) << where;
 }
 
+void
+expectSameNeighbors(const ops::NeighborResult &got,
+                    const ops::NeighborResult &want,
+                    const std::string &where)
+{
+    EXPECT_EQ(got.num_centers, want.num_centers) << where;
+    EXPECT_EQ(got.k, want.k) << where;
+    EXPECT_EQ(got.indices, want.indices) << where;
+    EXPECT_EQ(got.counts, want.counts) << where;
+    expectSameStats(got.stats, want.stats, where + " ball query");
+}
+
+/** Float vectors equal bit for bit (signed zeros and NaNs included). */
+bool
+sameBits(const std::vector<float> &a, const std::vector<float> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
 /**
  * Per method, the quota and counting options the method is served
  * with elsewhere (fixed count for space-uniform blocks), plus one
@@ -342,6 +373,76 @@ expectInterpolateMatchesReference(const std::string &where,
     });
 }
 
+/** One feature layout blockGroupGather runs with, and its reference. */
+struct GatherCase
+{
+    std::size_t feature_dim = 0;
+    /** Row-major [cloud size x feature_dim]. */
+    std::vector<float> features;
+    /** blockGatherNeighborhoods over the reference neighbor table. */
+    ops::GatherResult want;
+};
+
+/**
+ * The reference gathers of @p want_group over @p centers: without
+ * feature channels, and with a [n x 3] feature span carried by a copy
+ * of the cloud, as the eager network level attaches it.
+ */
+std::vector<GatherCase>
+referenceGathers(const data::PointCloud &cloud,
+                 const part::BlockTree &tree,
+                 const ops::BlockSampleResult &centers,
+                 const ops::NeighborResult &want_group)
+{
+    std::vector<GatherCase> cases;
+    for (const std::size_t feature_dim : {std::size_t{0}, std::size_t{3}}) {
+        GatherCase c;
+        c.feature_dim = feature_dim;
+        c.features = knownFeatures(cloud.size(), feature_dim);
+        data::PointCloud feat_cloud = cloud;
+        feat_cloud.allocateFeatures(feature_dim);
+        std::copy(c.features.begin(), c.features.end(),
+                  feat_cloud.features().begin());
+        c.want = ops::blockGatherNeighborhoods(feat_cloud, tree,
+                                               centers.indices,
+                                               centers.leaf_offsets,
+                                               want_group);
+        cases.push_back(std::move(c));
+    }
+    return cases;
+}
+
+/**
+ * blockGroupGather on @p pool against the reference table and every
+ * reference gather: indices, counts, values and both stats.
+ */
+void
+expectGroupGatherMatches(const std::string &where,
+                         const data::PointCloud &cloud,
+                         const part::BlockTree &tree,
+                         const ops::BlockSampleResult &centers,
+                         float radius, std::size_t k,
+                         const ops::NeighborResult &want_group,
+                         const std::vector<GatherCase> &cases,
+                         core::ThreadPool *pool)
+{
+    for (const GatherCase &c : cases) {
+        const std::string at =
+            where + " features " + std::to_string(c.feature_dim);
+        core::Workspace ws;
+        ops::NeighborResult group;
+        ops::GatherResult gathered;
+        ops::blockGroupGather(cloud, tree, centers, radius, k, c.features,
+                              c.feature_dim, pool, ws, group, gathered);
+        expectSameNeighbors(group, want_group, at);
+        EXPECT_EQ(gathered.num_centers, c.want.num_centers) << at;
+        EXPECT_EQ(gathered.k, c.want.k) << at;
+        EXPECT_EQ(gathered.channels, c.want.channels) << at;
+        EXPECT_TRUE(sameBits(gathered.values, c.want.values)) << at;
+        expectSameStats(gathered.stats, c.want.stats, at + " gather");
+    }
+}
+
 /** The partitioners, each at threshold 128. */
 std::vector<std::pair<part::Method, part::PartitionResult>>
 partitionEveryWay(const data::PointCloud &cloud)
@@ -395,6 +496,8 @@ expectMatchesReference(const char *name, const data::PointCloud &cloud,
             referenceBlockFps(cloud, part.tree, rate, options);
         const ops::NeighborResult want_group = referenceBlockBallQuery(
             cloud, part.tree, want_sample, radius, k);
+        const std::vector<GatherCase> want_gathers =
+            referenceGathers(cloud, part.tree, want_sample, want_group);
 
         forEachLevelAndPool([&](core::ThreadPool *pool,
                                 const std::string &label) {
@@ -414,14 +517,10 @@ expectMatchesReference(const char *name, const data::PointCloud &cloud,
             ops::NeighborResult group;
             ops::blockBallQuery(cloud, part.tree, want_sample, radius, k,
                                 pool, ws, group);
-            EXPECT_EQ(group.num_centers, want_group.num_centers)
-                << where << label;
-            EXPECT_EQ(group.k, want_group.k) << where << label;
-            EXPECT_EQ(group.indices, want_group.indices)
-                << where << label;
-            EXPECT_EQ(group.counts, want_group.counts) << where << label;
-            expectSameStats(group.stats, want_group.stats,
-                            where + label + " ball query");
+            expectSameNeighbors(group, want_group, where + label);
+            expectGroupGatherMatches(where + label, cloud, part.tree,
+                                     want_sample, radius, k, want_group,
+                                     want_gathers, pool);
         });
 
         ReferencePaths paths;
@@ -444,6 +543,92 @@ TEST(BlockLayout, LidarFrameMatchesPerCandidateReference)
     Pcg32 rng(77);
     expectMatchesReference("lidar", data::makeLidarFrame(rng, 4096), 1.6f,
                            32);
+}
+
+/**
+ * blockGroupGather over every partition of @p cloud, with @p ids as
+ * centers, against the references at every level and pool. Returns
+ * the reference rows shorter than k, summed over the partitions.
+ */
+std::size_t
+expectGroupGatherMatchesEveryWay(const char *name,
+                                 const data::PointCloud &cloud,
+                                 const std::vector<PointIdx> &ids,
+                                 float radius, std::size_t k)
+{
+    std::size_t short_rows = 0;
+    for (const auto &[method, part] : partitionEveryWay(cloud)) {
+        const std::string where =
+            std::string(name) + " " + part::methodName(method);
+        const ops::BlockSampleResult centers =
+            nn::makeBlockSample(part.tree, ids);
+        const ops::NeighborResult want_group = referenceBlockBallQuery(
+            cloud, part.tree, centers, radius, k);
+        for (const std::uint32_t count : want_group.counts)
+            short_rows += count < k;
+        const std::vector<GatherCase> want_gathers =
+            referenceGathers(cloud, part.tree, centers, want_group);
+        forEachLevelAndPool([&](core::ThreadPool *pool,
+                                const std::string &label) {
+            expectGroupGatherMatches(where + label, cloud, part.tree,
+                                     centers, radius, k, want_group,
+                                     want_gathers, pool);
+        });
+    }
+    return short_rows;
+}
+
+TEST(BlockLayout, GroupGatherPadsRowsShorterThanK)
+{
+    // A radius well below the point spacing of most leaves, for
+    // k = 32: rows end early and repeat slot 0's id and row.
+    const data::PointCloud cloud = data::makeS3disScene(2048, 5);
+    std::vector<PointIdx> ids;
+    for (PointIdx i = 0; i < cloud.size(); i += 7)
+        ids.push_back(i);
+    EXPECT_GT(expectGroupGatherMatchesEveryWay("short rows", cloud, ids,
+                                               0.05f, 32),
+              0u);
+}
+
+TEST(BlockLayout, GroupGatherNanCenterHasAnInvalidZeroRow)
+{
+    // A NaN center is within no radius of any point, itself included:
+    // its row is kInvalidPoint throughout and its gathered rows zero.
+    std::vector<Vec3> coords = data::makeS3disScene(2048, 5).coords();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const PointIdx nan_id = 100;
+    coords[nan_id] = Vec3(nan, nan, nan);
+    const data::PointCloud cloud(coords);
+    const std::vector<PointIdx> ids = {3, nan_id, 900, 1700};
+    part::PartitionConfig config;
+    config.threshold = 128;
+    const part::PartitionResult part =
+        part::makePartitioner(part::Method::Fractal)
+            ->partition(cloud, config);
+    const ops::BlockSampleResult centers =
+        nn::makeBlockSample(part.tree, ids);
+    const std::size_t k = 8;
+    forEachLevelAndPool([&](core::ThreadPool *pool,
+                            const std::string &label) {
+        core::Workspace ws;
+        ops::NeighborResult group;
+        ops::GatherResult gathered;
+        ops::blockGroupGather(cloud, part.tree, centers, 0.3f, k, {}, 0,
+                              pool, ws, group, gathered);
+        const std::size_t row = static_cast<std::size_t>(
+            std::find(centers.indices.begin(), centers.indices.end(),
+                      nan_id) -
+            centers.indices.begin());
+        ASSERT_LT(row, centers.indices.size());
+        EXPECT_EQ(group.counts[row], 0u) << label;
+        for (std::size_t j = 0; j < k; ++j)
+            EXPECT_EQ(group.neighbor(row, j), kInvalidPoint) << label;
+        for (std::size_t j = 0; j < k; ++j)
+            for (std::size_t c = 0; c < 3; ++c)
+                EXPECT_EQ(gathered.at(row, j, c), 0.0f) << label;
+    });
+    expectGroupGatherMatchesEveryWay("nan center", cloud, ids, 0.3f, k);
 }
 
 TEST(BlockLayout, RowsShorterThanKRepeatTheirNearest)

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/workspace.h"
 #include "dataset/point_cloud.h"
 #include "ops/fps.h"
+#include "ops/gather.h"
 #include "ops/interpolate.h"
 #include "ops/neighbor.h"
 #include "partition/block_tree.h"
@@ -139,6 +141,38 @@ TEST(BlockTreeDeathTest, BlockOpsNeedTheTreesCloud)
     const data::PointCloud other(coords);
     EXPECT_DEATH(ops::blockFarthestPointSample(other, part.tree, 0.5),
                  "15 points");
+}
+
+TEST(BlockTreeDeathTest, BlockGroupingNeedsPositionsThatHoldTheCenters)
+{
+    // Block grouping reads each center at its DFT position, so a
+    // center table whose positions disagree with its ids is refused,
+    // naming the center, instead of scanning from the wrong point.
+    std::vector<Vec3> coords;
+    for (int i = 0; i < 16; ++i)
+        coords.emplace_back(0.1f * i, 0.0f, 0.0f);
+    const data::PointCloud cloud(coords);
+    const auto part = FractalPartitioner().partition(cloud, {});
+    ASSERT_EQ(part.tree.leaves().size(), 1u);
+    const auto &order = part.tree.order();
+
+    ops::BlockSampleResult centers;
+    centers.indices = {order[2], order[9]};
+    centers.positions = {2, 8};
+    centers.leaf_offsets = {0, 2};
+    EXPECT_DEATH(ops::blockBallQuery(cloud, part.tree, centers, 0.2f, 4),
+                 "center 1: position 8 does not hold its point");
+    ops::NeighborResult neighbors;
+    ops::GatherResult gathered;
+    core::Workspace ws;
+    EXPECT_DEATH(ops::blockGroupGather(cloud, part.tree, centers, 0.2f, 4,
+                                       {}, 0, nullptr, ws, neighbors,
+                                       gathered),
+                 "center 1: position 8 does not hold its point");
+
+    centers.positions = {2};
+    EXPECT_DEATH(ops::blockBallQuery(cloud, part.tree, centers, 0.2f, 4),
+                 "1 positions for 2 centers");
 }
 
 TEST(BlockTreeDeathTest, InterpolateNeedsTheTreesCoordinates)

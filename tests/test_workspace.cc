@@ -360,6 +360,8 @@ TEST(WorkspaceAlloc, PooledWarmBlockOpsDrawOnlyFromTheWorkspace)
     ops::BlockSampleResult sampled;
     ops::NeighborResult grouped;
     ops::GatherResult gathered;
+    ops::NeighborResult fused_grouped;
+    ops::GatherResult fused_gathered;
     std::vector<float> known_feats;
     ops::InterpolateResult interp;
 
@@ -390,6 +392,9 @@ TEST(WorkspaceAlloc, PooledWarmBlockOpsDrawOnlyFromTheWorkspace)
         ops::blockGatherNeighborhoods(scene, part.tree, sampled.indices,
                                       sampled.leaf_offsets, grouped,
                                       &pool, ws, gathered);
+        ops::blockGroupGather(scene, part.tree, sampled, 0.3f, 8,
+                              scene.features(), scene.featureDim(), &pool,
+                              ws, fused_grouped, fused_gathered);
         known_feats.assign(sampled.indices.size() * 4, 0.5f);
         ops::blockInterpolate(scene, part.tree, known_feats, 4,
                               sampled.indices, 3, &pool, ws, interp);
@@ -399,6 +404,50 @@ TEST(WorkspaceAlloc, PooledWarmBlockOpsDrawOnlyFromTheWorkspace)
     ws.reset();
     const std::uint64_t before = fc::heapAllocCount();
     run_all(); // warm
+    EXPECT_EQ(fc::heapAllocCount() - before, 0u);
+}
+
+TEST(WorkspaceAlloc, PooledWarmDelayedInferOverManyLeavesIsAllocationFree)
+{
+    // The delayed order's blockGatherMaxPool runs one work item per
+    // leaf. Over more than kReduceInlineChunks (64) leaves on a pool,
+    // a per-leaf reduce without an arena stages its partials on the
+    // heap; the warm run must not allocate.
+    const data::PointCloud scene = data::makeS3disScene(4096, 7);
+    const nn::Network network(tinySegModel(), 42);
+    core::ThreadPool pool(2);
+    nn::BackendOptions backend;
+    backend.method = part::Method::Fractal;
+    backend.threshold = 16;
+    backend.aggregation = nn::Aggregation::Delayed;
+    backend.pool = &pool;
+
+    part::PartitionConfig config;
+    config.threshold = backend.threshold;
+    const std::size_t leaves = part::makePartitioner(backend.method)
+                                   ->partition(scene, config)
+                                   .tree.leaves()
+                                   .size();
+    ASSERT_GT(leaves, 64u);
+    {
+        // Pre-grow the pool's task ring past the per-leaf backlog.
+        std::atomic<bool> release{false};
+        core::TaskGroup group(&pool);
+        for (std::size_t i = 0; i < leaves + 200; ++i)
+            group.run([&release] {
+                while (!release.load(std::memory_order_acquire))
+                    std::this_thread::yield();
+            });
+        release.store(true, std::memory_order_release);
+        group.wait();
+    }
+
+    core::Workspace ws;
+    nn::InferenceResult out;
+    network.run(scene, backend, ws, out); // cold
+    ws.reset();
+    const std::uint64_t before = fc::heapAllocCount();
+    network.run(scene, backend, ws, out); // warm
     EXPECT_EQ(fc::heapAllocCount() - before, 0u);
 }
 
