@@ -6,21 +6,24 @@
  * dispatch level forced to Scalar, once at the best level the machine
  * supports — and prints both times plus the speedup.
  *
- * CI contract (Release perf-smoke): the CSV shape (six kernel rows)
+ * CI contract (Release perf-smoke): the CSV shape (seven kernel rows)
  * is gated by scripts/check_bench_csv.sh, and when the AVX2 kernels
  * are active this binary exits non-zero unless the FPS
  * distance-update and LinearRelu rows reach a 2x speedup over scalar
- * — a floor on the two paper-critical kernels. The ball-scan row has
- * no floor. The LinearRelu row is LinearRelu::forward over 500 rows
- * of a 131->136 layer, and its level cell names the MLP kernel the
- * Avx2 table ran: "avx2 zmm" (8-row x 32-output tiles, on CPUs with
- * AVX-512F) or "avx2 ymm" (6-row x 16-output tiles). The floor covers
- * both kernels' edges: 136 outputs are 9 panels, so four zmm panel
- * pairs and one single panel, partial (136 % 16 = 8 lanes) at both
- * kernels; and forward's grain for this layer is 48 rows, so the last
- * chunk of 20 rows ends in a narrower row tile at both (2 x 8 + 4,
- * 3 x 6 + 2). On scalar-only machines the rows print with speedup 1.0
- * and nothing is asserted.
+ * — a floor on the two paper-critical kernels. The fps-leaf and
+ * ball-scan rows have no floor. The fps-leaf row runs block FPS the
+ * way a lidar frame's leaves do: fpsLeaf over 256-point leaves,
+ * quota 64 each (rate 0.25). The LinearRelu row is LinearRelu::forward
+ * over 500 rows of a 131->136 layer. The level cells of those three
+ * rows name the Avx2 table's kernel that ran (detail::kernelTables()):
+ * "avx2 zmm" on CPUs with AVX-512F (16 lanes; 8-row x 32-output MLP
+ * tiles) or "avx2 ymm" (8 lanes; 6-row x 16-output tiles). The floor
+ * covers both MLP kernels' edges: 136 outputs are 9 panels, so four
+ * zmm panel pairs and one single panel, partial (136 % 16 = 8 lanes)
+ * at both kernels; and forward's grain for this layer is 48 rows, so
+ * the last chunk of 20 rows ends in a narrower row tile at both
+ * (2 x 8 + 4, 3 x 6 + 2). On scalar-only machines the rows print with
+ * speedup 1.0 and nothing is asserted.
  */
 
 #include <algorithm>
@@ -29,6 +32,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -113,6 +117,12 @@ simdTable()
     const char *level_name =
         simd::levelName(simd::avx2Available() ? simd::Level::Avx2
                                               : simd::Level::Scalar);
+    // The kernel the Avx2 table runs where ymm and zmm kernels differ.
+    const std::string widest_kernel =
+        simd::avx2Available()
+            ? std::string(level_name) + " " +
+                  simd::detail::kernelTables().back().name
+            : std::string(level_name);
     const auto add_row = [&](const char *kernel, const KernelTiming &t,
                              const char *level = nullptr) {
         table.addRow({kernel, fc::Table::num(t.scalar_ms),
@@ -140,6 +150,23 @@ simdTable()
         kReps);
     add_row("fps-update", fps);
 
+    // Block FPS, shaped like a lidar frame's leaves: each 256-point
+    // window is one leaf sampled at rate 0.25 in one fpsLeaf call.
+    constexpr std::uint32_t kLeaf = 256;
+    constexpr std::size_t kLeafQuota = 64;
+    std::vector<float> leaf_dist(kLeaf);
+    std::vector<std::uint32_t> leaf_positions(kLeafQuota);
+    const KernelTiming fps_leaf = timeBothLevels(
+        [&] {
+            for (std::uint32_t w = 0; w + kLeaf <= n; w += kLeaf) {
+                simd::fpsLeaf(pts, w, w + kLeaf, kLeafQuota,
+                              leaf_dist.data(), leaf_positions.data());
+                benchmark::DoNotOptimize(leaf_positions.data());
+            }
+        },
+        kReps);
+    add_row("fps-leaf", fps_leaf, widest_kernel.c_str());
+
     // Ball-query scan, shaped like one block ball query: each 512-point
     // window (a leaf's search space) answers one center with radius
     // 0.5 and k = 32, which uniform points fill near the window's end.
@@ -159,7 +186,7 @@ simdTable()
                 }
         },
         kReps);
-    add_row("ball-scan", ball);
+    add_row("ball-scan", ball, widest_kernel.c_str());
 
     // Neighbor distance screen.
     std::vector<float> dist_out(n);
@@ -190,11 +217,7 @@ simdTable()
             benchmark::DoNotOptimize(y.data().data());
         },
         kReps);
-    const char *mlp_kernel =
-        !simd::avx2Available()                       ? "scalar"
-        : simd::detail::zmmLinearReluRows() != nullptr ? "avx2 zmm"
-                                                       : "avx2 ymm";
-    add_row("linear-relu-fp32", linear, mlp_kernel);
+    add_row("linear-relu-fp32", linear, widest_kernel.c_str());
 
     // Interpolation blend (axpy).
     std::vector<float> blend_src(n, 0.5f), blend_dst(n, 0.0f);

@@ -18,7 +18,9 @@ namespace {
  * in ops/fps.cc, ops/neighbor.cc, nn/mlp.cc or partition/detail.cc
  * (there, std::min/std::max and std::partition) — same expressions,
  * same evaluation order — so forcing this level reproduces the
- * pre-SIMD library bit for bit.
+ * pre-SIMD library bit for bit. fpsLeaf is that FPS loop run over one
+ * block, with the -inf mark of core/simd.h in place of the sampled
+ * flags.
  */
 
 FpsPartial
@@ -45,6 +47,37 @@ fpsUpdateScalar(const SoaView &pts, std::uint32_t base, const Vec3 &query,
         }
     }
     return p;
+}
+
+void
+fpsLeafScalar(const SoaView &pts, std::uint32_t begin, std::uint32_t end,
+              std::size_t quota, float *min_dist, std::uint32_t *positions)
+{
+    const std::uint32_t n = end - begin;
+    std::fill(min_dist, min_dist + n, std::numeric_limits<float>::max());
+    std::uint32_t current = 0;
+    positions[0] = begin;
+    min_dist[0] = -std::numeric_limits<float>::infinity();
+    for (std::size_t s = 1; s < quota; ++s) {
+        const std::uint32_t cur = begin + current;
+        const Vec3 query(pts.xs[cur], pts.ys[cur], pts.zs[cur]);
+        float best = -1.0f;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            const std::uint32_t idx = begin + i;
+            const float dx = query.x - pts.xs[idx];
+            const float dy = query.y - pts.ys[idx];
+            const float dz = query.z - pts.zs[idx];
+            const float d = dx * dx + dy * dy + dz * dz;
+            if (d < min_dist[i])
+                min_dist[i] = d;
+            if (min_dist[i] > best) {
+                best = min_dist[i];
+                current = i;
+            }
+        }
+        positions[s] = begin + current;
+        min_dist[current] = -std::numeric_limits<float>::infinity();
+    }
 }
 
 BallScan
@@ -165,9 +198,9 @@ linearReluRowsScalar(const float *w, const float *bias, std::size_t in,
 }
 
 constexpr detail::Kernels kScalarKernels = {
-    &fpsUpdateScalar,      &ballScanScalar,   &distance2RangeScalar,
-    &extremaScalar,        &splitBelowScalar, &linearReluRowsScalar,
-    &axpyScalar,           &fp16RoundScalar,
+    &fpsUpdateScalar,      &fpsLeafScalar,    &ballScanScalar,
+    &distance2RangeScalar, &extremaScalar,    &splitBelowScalar,
+    &linearReluRowsScalar, &axpyScalar,       &fp16RoundScalar,
 };
 
 const detail::Kernels *
@@ -238,6 +271,25 @@ active()
     return *activeSlot().load(std::memory_order_relaxed);
 }
 
+std::span<const KernelTable>
+kernelTables()
+{
+    static const std::vector<KernelTable> tables = [] {
+        std::vector<KernelTable> all = {{"scalar", &kScalarKernels}};
+        const std::span<const KernelTable> vector = vectorKernelTables();
+        all.insert(all.end(), vector.begin(), vector.end());
+        return all;
+    }();
+    return tables;
+}
+
+const Kernels *
+avx2Kernels()
+{
+    const std::span<const KernelTable> tables = kernelTables();
+    return tables.size() > 1 ? tables.back().kernels : nullptr;
+}
+
 } // namespace detail
 
 SoaView
@@ -261,6 +313,13 @@ fpsUpdate(const SoaView &pts, std::uint32_t base, const Vec3 &query,
 {
     return detail::active().fps_update(pts, base, query, min_dist,
                                        sampled, begin, end);
+}
+
+void
+fpsLeaf(const SoaView &pts, std::uint32_t begin, std::uint32_t end,
+        std::size_t quota, float *min_dist, std::uint32_t *positions)
+{
+    detail::active().fps_leaf(pts, begin, end, quota, min_dist, positions);
 }
 
 BallScan

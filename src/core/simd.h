@@ -4,30 +4,33 @@
  *
  * The paper's speedup comes from wide PE arrays crunching distance and
  * feature math; on a CPU the equivalent is explicit vectorization of
- * the same three inner loops (the Fig. 4 bottleneck trio): the FPS
- * min-distance update (fpsUpdate), the ball-query scan (ballScan) and
- * the KNN distance screen (distance2Range), and the MLP inner
- * products — a whole LinearRelu layer over a block of rows
- * (linearReluRows, over weights laid out by packLinearWeights), plus
- * the axpy blend and fp16 rounding around them. The partitioners'
- * two traversals, the extrema scan (extrema) and the in-place split
- * (splitBelow), are the Fractal engine's inner loops. This header
- * exposes exactly those primitives, with two implementations behind
- * one function-pointer table:
+ * the same three inner loops (the Fig. 4 bottleneck trio): farthest
+ * point sampling (fpsUpdate, one global sweep, and fpsLeaf, one
+ * block's whole quota), the ball-query scan (ballScan) and the KNN
+ * distance screen (distance2Range), and the MLP inner products — a
+ * whole LinearRelu layer over a block of rows (linearReluRows, over
+ * weights laid out by packLinearWeights), plus the axpy blend and
+ * fp16 rounding around them. The partitioners' two traversals, the
+ * extrema scan (extrema) and the in-place split (splitBelow), are the
+ * Fractal engine's inner loops. This header exposes exactly those
+ * primitives, with two implementations behind one function-pointer
+ * table:
  *
  *   - Scalar: a reference path whose arithmetic is literally the loop
  *     it replaced — bit-identical to the pre-SIMD code, element order
- *     and all. This is the determinism anchor every test compares
- *     against.
+ *     and all. It lives in simd.cc, and it is the determinism anchor
+ *     every test compares against.
  *   - Avx2: AVX2+FMA+F16C kernels compiled in a separate translation
  *     unit (simd_avx2.cc) with per-file -mavx2 flags, selected at
  *     runtime via cpuid so the binary still runs on older x86-64.
- *     Its MLP entry (linearReluRows) is one of two kernels, chosen
- *     once by cpuid when the table is built: on a CPU with AVX-512F
- *     the zmm kernel of simd_avx512.cc (per-file -mavx512f flags;
- *     8 rows x 32 outputs per register tile), else the ymm kernel of
- *     simd_avx2.cc (6 rows x 16 outputs). Both are bit-identical to
- *     Scalar, so the choice adds no level and no level name.
+ *     Its ballScan, fpsLeaf and linearReluRows entries are each one
+ *     of two kernels, chosen once by cpuid when the table is built: on
+ *     a CPU with AVX-512F the zmm kernels of simd_avx512.cc (per-file
+ *     -mavx512f flags; 16 lanes, and 8 rows x 32 outputs per MLP
+ *     register tile), else the ymm kernels of simd_avx2.cc (8 lanes,
+ *     and 6 rows x 16 outputs). Both are bit-identical to Scalar, so
+ *     the choice adds no level and no level name; the ymm table and
+ *     the zmm table built from it are listed by detail::kernelTables().
  *
  * Dispatch is decided once, on first use: cpuid gates Avx2, and the
  * FC_FORCE_SCALAR environment variable (any non-empty value except
@@ -36,14 +39,28 @@
  *
  * Accuracy contract (asserted by tests/test_simd.cc):
  *
- *   - fpsUpdate, ballScan, distance2Range, axpy: the Avx2 path is
- *     bit-identical to Scalar. The distance kernels deliberately avoid
- *     FMA and keep the scalar evaluation order
+ *   - fpsUpdate, fpsLeaf, ballScan, distance2Range, axpy: every
+ *     vector kernel is bit-identical to Scalar. The distance kernels
+ *     deliberately avoid FMA and keep the scalar evaluation order
  *     ((dx*dx + dy*dy) + dz*dz), min/max and argmax semantics match
  *     the scalar comparisons including NaN behaviour, and axpy is
  *     elementwise mul+add. ballScan's radius test is the exact
- *     comparison d <= radius2, so a NaN distance never hits, and its
- *     hits, found and examined counts are equal at both levels.
+ *     comparison d <= radius2 (_CMP_LE_OQ), so a NaN distance never
+ *     hits, and its hits, found and examined counts are equal at every
+ *     kernel: the ymm one packs each 8-lane hit mask through a lane
+ *     table, the zmm one stores each 16-lane mask's hits with the
+ *     memory form of vpcompressd, which keeps lane order, and both run
+ *     bit by bit only in the step that reaches the k-th hit.
+ *   - fpsLeaf marks a sampled candidate by storing -inf in its
+ *     min_dist entry: no distance lowers it (d < -inf never holds) and
+ *     it never beats the running best, which starts at -1, so no flag
+ *     array is needed. min_dist never holds NaN (it starts at FLT_MAX
+ *     and only d < old lowers it), so every sweep picks an unsampled
+ *     candidate. The vector kernels lower min_dist with
+ *     min(d, old) = (d < old) ? d : old, keep a per-lane
+ *     strictly-greater argmax, and end each sweep with one max
+ *     reduction and a min-position reduction over the lanes that hold
+ *     the max: the earliest maximal position, the scalar tie-break.
  *   - extrema: bit-identical to the sequential fold
  *     lo = std::min(lo, k), hi = std::max(hi, k) at both levels. Avx2
  *     keeps per-lane folds with _mm256_min_ps(k, lo) =
@@ -202,17 +219,31 @@ struct FpsPartial
  * candidate i in [begin, end), compute the squared distance from
  * @p query to point base + i of @p pts, lower min_dist[i] with it,
  * and track the running argmax of the updated min_dist — the body of
- * the paper's FPS iteration. Candidates are contiguous: callers pass
- * the first position of their view (a whole cloud, or one block of a
- * BlockTree's DFT-ordered points()) as @p base, so local positions
- * index min_dist/sampled directly. Scalar-loop semantics exactly
- * (see file header); min_dist is updated in place, sampled is
+ * the paper's FPS iteration over a whole cloud. Candidates are
+ * contiguous: callers pass the first position of their view as
+ * @p base, so local positions index min_dist/sampled directly, and a
+ * pooled caller splits [0, n) into chunks. Scalar-loop semantics
+ * exactly (see file header); min_dist is updated in place, sampled is
  * read-only.
  */
 FpsPartial fpsUpdate(const SoaView &pts, std::uint32_t base,
                      const Vec3 &query, float *min_dist,
                      const std::uint8_t *sampled, std::uint32_t begin,
                      std::uint32_t end);
+
+/**
+ * Farthest point sampling over one block, its whole quota in one call:
+ * FPS over the contiguous positions [begin, end) of @p pts, starting
+ * at position @p begin, writes @p quota sampled positions (absolute,
+ * in sampling order) to @p positions. Each sample after the first is
+ * the earliest candidate whose squared distance to the samples so far
+ * is greatest — the serial loop's strictly-greater tie-break.
+ * @p min_dist is caller scratch of end - begin floats (see the file
+ * header for what the kernels keep there). Needs
+ * 1 <= quota <= end - begin.
+ */
+void fpsLeaf(const SoaView &pts, std::uint32_t begin, std::uint32_t end,
+             std::size_t quota, float *min_dist, std::uint32_t *positions);
 
 /** Outcome of one ballScan. */
 struct BallScan
@@ -228,7 +259,7 @@ struct BallScan
  * @p pts: writes every position whose squared distance from @p query
  * is <= @p radius2 to @p hits in ascending order, and stops at the
  * k-th hit. @p hits must hold k entries; those from `found` on are
- * scratch on return (the Avx2 entry stores 8 at a time). A caller
+ * scratch on return (the ymm kernel stores 8 at a time). A caller
  * maps the positions to point ids itself (a BlockTree's order(), or
  * none for a whole cloud) and counts `examined` as its visited
  * candidates.
@@ -361,17 +392,15 @@ void fp16RoundBuffer(float *values, std::size_t n);
 
 namespace detail {
 
-/** The signature of linearReluRows, one entry of a kernel table. */
-using LinearReluRowsFn = void (*)(const float *, const float *,
-                                  std::size_t, std::size_t,
-                                  const float *, std::size_t, float *);
-
-/** Per-level kernel table; one instance per Level. */
+/** A kernel table: Scalar's, or the ymm or zmm one of the Avx2 level
+ *  (see kernelTables()). */
 struct Kernels
 {
     FpsPartial (*fps_update)(const SoaView &, std::uint32_t,
                              const Vec3 &, float *, const std::uint8_t *,
                              std::uint32_t, std::uint32_t);
+    void (*fps_leaf)(const SoaView &, std::uint32_t, std::uint32_t,
+                     std::size_t, float *, std::uint32_t *);
     BallScan (*ball_scan)(const SoaView &, const Vec3 &, float,
                           std::uint32_t, std::uint32_t, std::size_t,
                           std::uint32_t *);
@@ -382,7 +411,9 @@ struct Kernels
                                        std::uint32_t);
     std::uint32_t (*split_below)(const SplitArrays &, int, std::uint32_t,
                                  std::uint32_t, float);
-    LinearReluRowsFn linear_relu_rows;
+    void (*linear_relu_rows)(const float *, const float *, std::size_t,
+                             std::size_t, const float *, std::size_t,
+                             float *);
     void (*axpy)(float, const float *, float *, std::size_t);
     void (*fp16_round)(float *, std::size_t);
 };
@@ -390,21 +421,38 @@ struct Kernels
 /** The active table (atomic pointer swap under setActiveLevel). */
 const Kernels &active();
 
-/** Avx2 table, or null when the build/CPU cannot run it. Defined in
- *  simd_avx2.cc (compiled with -mavx2 -mfma -mf16c). Its
- *  linear_relu_rows entry is zmmLinearReluRows() when that is not
- *  null, else ymmLinearReluRows(). */
+/** A kernel table and the name tests and benches print for it. */
+struct KernelTable
+{
+    const char *name;
+    const Kernels *kernels;
+};
+
+/**
+ * Every table this host can run, narrowest first: "scalar"; then
+ * "ymm" where the build and the CPU have AVX2, FMA and F16C; then
+ * "zmm" where they also have AVX-512F. Tests and benches reach every
+ * variant of every kernel through it.
+ */
+std::span<const KernelTable> kernelTables();
+
+/** The Avx2 level's table: the widest of kernelTables(), or null when
+ *  only Scalar runs. */
 const Kernels *avx2Kernels();
 
-/** The Avx2 table's ymm linearReluRows kernel (simd_avx2.cc), or
- *  null when avx2Kernels() is. Tests call it directly, so both MLP
- *  kernels stay covered on a CPU that installs the zmm one. */
-LinearReluRowsFn ymmLinearReluRows();
+/** The ymm and zmm entries of kernelTables(), defined in simd_avx2.cc
+ *  (compiled with -mavx2 -mfma -mf16c); empty when the build or the
+ *  CPU cannot run them. */
+std::span<const KernelTable> vectorKernelTables();
 
-/** The zmm linearReluRows kernel (simd_avx512.cc, compiled with
- *  -mavx512f -mfma -mf16c), or null when the build or the CPU lacks
- *  AVX-512F. */
-LinearReluRowsFn zmmLinearReluRows();
+/**
+ * Replace the fps_leaf, ball_scan and linear_relu_rows entries of
+ * @p table with the zmm kernels of simd_avx512.cc (compiled with
+ * -mavx512f -mfma -mf16c) and return true; return false and leave it
+ * as it was when the build or the CPU lacks AVX-512F. simd_avx2.cc
+ * builds the zmm table from the ymm one with it, once.
+ */
+bool installZmmKernels(Kernels &table);
 
 /** Swap positions @p a and @p b of every array (both splitBelow
  *  levels). */

@@ -4,17 +4,20 @@
  *
  * This translation unit is compiled with -mavx2 -mfma -mf16c
  * (per-file COMPILE_OPTIONS in CMakeLists.txt; simd_avx512.cc, the
- * other kernel TU, holds the AVX-512F MLP kernel). Everything here is
- * additionally guarded by a cpuid check at runtime, so the library
- * binary stays runnable on plain x86-64. On builds without those
- * flags (other architectures, or a compiler rejecting them),
- * avx2Kernels() returns null and dispatch stays scalar.
+ * other kernel TU, holds the AVX-512F fpsLeaf, ballScan and MLP
+ * kernels). It builds the ymm table and, from it, the zmm table.
+ * Everything here is additionally guarded by a cpuid check at
+ * runtime, so the library binary stays runnable on plain x86-64. On
+ * builds without those flags (other architectures, or a compiler
+ * rejecting them), vectorKernelTables() is empty and dispatch stays
+ * scalar.
  *
  * Bit-identity notes (the contract tests/test_simd.cc asserts):
  *
- *   - fpsUpdate / ballScan / distance2Range avoid FMA on purpose: each
- *     lane evaluates ((dx*dx + dy*dy) + dz*dz) exactly like the scalar
- *     expression, so per-element distances are bit-equal.
+ *   - fpsUpdate / fpsLeaf / ballScan / distance2Range avoid FMA on
+ *     purpose: each lane evaluates ((dx*dx + dy*dy) + dz*dz) exactly
+ *     like the scalar expression, so per-element distances are
+ *     bit-equal.
  *   - ballScan's _CMP_LE_OQ is the scalar d <= radius2: false when
  *     either side is NaN. Each 8-lane hit mask yields its positions
  *     lowest lane first (packed through a 256-entry lane table, or
@@ -34,7 +37,9 @@
  *     NaNs (a NaN distance keeps the old entry; a NaN entry stays).
  *   - The argmax keeps per-lane running bests with a strictly-greater
  *     compare, then resolves ties cross-lane by smallest index — the
- *     earliest maximal index, exactly the serial tie-break.
+ *     earliest maximal index, exactly the serial tie-break. fpsLeaf
+ *     finds both with shuffle reductions; a sampled candidate holds
+ *     -inf, which neither the min nor the argmax ever takes.
  *   - linearReluRows (the ymm kernel; the table runs the zmm one of
  *     simd_avx512.cc instead on CPUs with AVX-512F) vectorizes across
  *     the 16 outputs of a packed weight panel, so every lane runs the
@@ -167,6 +172,93 @@ fpsUpdateAvx2(const SoaView &pts, std::uint32_t base, const Vec3 &query,
         }
     }
     return p;
+}
+
+/**
+ * The greatest of the 8 lanes of @p best (never NaN), and the smallest
+ * of the positions @p at holds in the lanes that reach it.
+ */
+inline std::uint32_t
+argmax8(__m256 best, __m256i at)
+{
+    __m256 top = _mm256_max_ps(best, _mm256_permute2f128_ps(best, best, 1));
+    top = _mm256_max_ps(top, _mm256_permute_ps(top, _MM_SHUFFLE(1, 0, 3, 2)));
+    top = _mm256_max_ps(top, _mm256_permute_ps(top, _MM_SHUFFLE(2, 3, 0, 1)));
+    at = _mm256_castps_si256(_mm256_blendv_ps(
+        _mm256_castsi256_ps(_mm256_set1_epi32(-1)), _mm256_castsi256_ps(at),
+        _mm256_cmp_ps(best, top, _CMP_EQ_OQ)));
+    at = _mm256_min_epu32(at, _mm256_permute2x128_si256(at, at, 1));
+    at = _mm256_min_epu32(at,
+                          _mm256_shuffle_epi32(at, _MM_SHUFFLE(1, 0, 3, 2)));
+    at = _mm256_min_epu32(at,
+                          _mm256_shuffle_epi32(at, _MM_SHUFFLE(2, 3, 0, 1)));
+    return static_cast<std::uint32_t>(_mm256_cvtsi256_si32(at));
+}
+
+void
+fpsLeafAvx2(const SoaView &pts, std::uint32_t begin, std::uint32_t end,
+            std::size_t quota, float *min_dist, std::uint32_t *positions)
+{
+    constexpr float kSampled = -std::numeric_limits<float>::infinity();
+    const std::uint32_t n = end - begin;
+    const float *xs = pts.xs + begin;
+    const float *ys = pts.ys + begin;
+    const float *zs = pts.zs + begin;
+    for (std::uint32_t i = 0; i < n; ++i)
+        min_dist[i] = std::numeric_limits<float>::max();
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    // The last step's lanes that lie in the block; maskload reads the
+    // others as zero without touching memory.
+    const std::uint32_t whole = n & ~7u;
+    const __m256i tail = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(n - whole)), lane);
+    std::uint32_t current = 0;
+    positions[0] = begin;
+    min_dist[0] = kSampled;
+    for (std::size_t s = 1; s < quota; ++s) {
+        const __m256 qx = _mm256_set1_ps(xs[current]);
+        const __m256 qy = _mm256_set1_ps(ys[current]);
+        const __m256 qz = _mm256_set1_ps(zs[current]);
+        __m256 best = _mm256_set1_ps(-1.0f);
+        __m256i best_at = _mm256_setzero_si256();
+        // Lower min_dist[i, i + 8) by the distances @p d, then keep
+        // each lane's strictly greater entries among the lanes @p in.
+        const auto step = [&](std::uint32_t i, __m256 d, __m256 old,
+                              __m256 in) {
+            const __m256 m = _mm256_min_ps(d, old);
+            const __m256 gt =
+                _mm256_and_ps(_mm256_cmp_ps(m, best, _CMP_GT_OQ), in);
+            best = _mm256_blendv_ps(best, m, gt);
+            best_at = _mm256_castps_si256(_mm256_blendv_ps(
+                _mm256_castsi256_ps(best_at),
+                _mm256_castsi256_ps(_mm256_add_epi32(
+                    _mm256_set1_epi32(static_cast<int>(i)), lane)),
+                gt));
+            return m;
+        };
+        const __m256 all = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
+        std::uint32_t i = 0;
+        for (; i < whole; i += 8)
+            _mm256_storeu_ps(
+                min_dist + i,
+                step(i,
+                     distance8(qx, qy, qz, _mm256_loadu_ps(xs + i),
+                               _mm256_loadu_ps(ys + i),
+                               _mm256_loadu_ps(zs + i)),
+                     _mm256_loadu_ps(min_dist + i), all));
+        if (i < n)
+            _mm256_maskstore_ps(
+                min_dist + i, tail,
+                step(i,
+                     distance8(qx, qy, qz, _mm256_maskload_ps(xs + i, tail),
+                               _mm256_maskload_ps(ys + i, tail),
+                               _mm256_maskload_ps(zs + i, tail)),
+                     _mm256_maskload_ps(min_dist + i, tail),
+                     _mm256_castsi256_ps(tail)));
+        current = argmax8(best, best_at);
+        positions[s] = begin + current;
+        min_dist[current] = kSampled;
+    }
 }
 
 /**
@@ -552,26 +644,23 @@ linearReluRowsAvx2(const float *w, const float *bias, std::size_t in,
 
 namespace detail {
 
-const Kernels *
-avx2Kernels()
+std::span<const KernelTable>
+vectorKernelTables()
 {
-    static const LinearReluRowsFn zmm = zmmLinearReluRows();
-    static const Kernels table = {
-        &fpsUpdateAvx2,      &ballScanAvx2,   &distance2RangeAvx2,
-        &extremaAvx2,        &splitBelowAvx2,
-        zmm != nullptr ? zmm : &linearReluRowsAvx2,
-        &axpyAvx2,           &fp16RoundAvx2,
+    static const Kernels ymm = {
+        &fpsUpdateAvx2,      &fpsLeafAvx2,        &ballScanAvx2,
+        &distance2RangeAvx2, &extremaAvx2,        &splitBelowAvx2,
+        &linearReluRowsAvx2, &axpyAvx2,           &fp16RoundAvx2,
     };
+    static Kernels zmm = ymm;
+    static const bool has_zmm = installZmmKernels(zmm);
+    static const KernelTable tables[] = {{"ymm", &ymm}, {"zmm", &zmm}};
     static const bool supported = __builtin_cpu_supports("avx2") &&
                                   __builtin_cpu_supports("fma") &&
                                   __builtin_cpu_supports("f16c");
-    return supported ? &table : nullptr;
-}
-
-LinearReluRowsFn
-ymmLinearReluRows()
-{
-    return avx2Kernels() != nullptr ? &linearReluRowsAvx2 : nullptr;
+    if (!supported)
+        return {};
+    return {tables, has_zmm ? 2u : 1u};
 }
 
 } // namespace detail
@@ -582,16 +671,10 @@ ymmLinearReluRows()
 
 namespace fc::core::simd::detail {
 
-const Kernels *
-avx2Kernels()
+std::span<const KernelTable>
+vectorKernelTables()
 {
-    return nullptr;
-}
-
-LinearReluRowsFn
-ymmLinearReluRows()
-{
-    return nullptr;
+    return {};
 }
 
 } // namespace fc::core::simd::detail

@@ -25,16 +25,11 @@ struct FpsBest
 };
 
 /**
- * FPS over the contiguous positions [begin, end) of @p pts, starting
- * at position @p begin. @p order maps positions to original point
- * indices (empty = identity): a whole cloud's core::simd::soaInto()
- * copy with no order, or a BlockTree's points() with its order().
- * Writes exactly min(num_samples, n) original indices to @p out, and
- * their positions to @p positions unless it is null — callers size
- * their output ranges from the same formula, so disjoint leaves can
- * write one shared buffer. Scratch (distance table + sampled flags) comes from
- * @p arena; the per-iteration sweep dispatches over @p pool
- * (block-wise callers pass null — their parallelism is per leaf).
+ * Global FPS over all @p n points of @p pts (a whole cloud's
+ * core::simd::soaInto() copy), starting at point 0: writes
+ * min(num_samples, n) point ids to @p out. Scratch (distance table +
+ * sampled flags) comes from @p arena; the per-iteration sweep
+ * dispatches over @p pool.
  *
  * The parallel sweep is bit-identical to the serial one: chunk
  * boundaries depend only on (n, grain), each chunk tracks its best
@@ -43,13 +38,10 @@ struct FpsBest
  * exactly the serial tie-break.
  */
 void
-fpsOverView(const core::simd::SoaView &pts,
-            std::span<const PointIdx> order, std::uint32_t begin,
-            std::uint32_t end, std::size_t num_samples,
-            bool window_check, PointIdx *out, std::uint32_t *positions,
+fpsOverView(const core::simd::SoaView &pts, std::uint32_t n,
+            std::size_t num_samples, bool window_check, PointIdx *out,
             OpStats &stats, core::ThreadPool *pool, core::Arena &arena)
 {
-    const std::uint32_t n = end - begin;
     if (n == 0 || num_samples == 0)
         return;
     num_samples = std::min<std::size_t>(num_samples, n);
@@ -62,10 +54,7 @@ fpsOverView(const core::simd::SoaView &pts,
     std::uint32_t current = 0;
     const auto take = [&] {
         sampled[current] = 1;
-        const std::uint32_t pos = begin + current;
-        *out++ = order.empty() ? pos : order[pos];
-        if (positions != nullptr)
-            *positions++ = pos;
+        *out++ = current;
     };
     take();
 
@@ -75,15 +64,13 @@ fpsOverView(const core::simd::SoaView &pts,
     const std::size_t grain = core::costGrain(8, std::size_t{1} << 18);
     for (std::size_t s = 1; s < num_samples; ++s) {
         ++stats.iterations;
-        const std::uint32_t cur = begin + current;
-        const Vec3 cur_pt(pts.xs[cur], pts.ys[cur], pts.zs[cur]);
+        const Vec3 cur_pt(pts.xs[current], pts.ys[current],
+                          pts.zs[current]);
         const FpsBest best = core::parallelReduce(
             pool, 0, n, grain, FpsBest{},
             [&](std::size_t cb, std::size_t ce) {
-                // Kernel-local positions index min_dist/sampled; the
-                // view starts at `begin` of pts.
                 const core::simd::FpsPartial p = core::simd::fpsUpdate(
-                    pts, begin, cur_pt, min_dist.data(),
+                    pts, 0, cur_pt, min_dist.data(),
                     sampled.data(), static_cast<std::uint32_t>(cb),
                     static_cast<std::uint32_t>(ce));
                 FpsBest local;
@@ -124,6 +111,27 @@ fpsOverView(const core::simd::SoaView &pts,
     ++stats.iterations;
 }
 
+/**
+ * Adds the work of one leaf's FPS, @p q samples out of @p n points, to
+ * @p stats. Every sweep picks an unsampled candidate, so sweep s
+ * (1 <= s < q) sees exactly s sampled ones; the window check (paper
+ * Fig. 11(c)) filters those out of the candidate stream, and without
+ * it the hardware still reads and re-compares them. Either way only
+ * unsampled candidates cost a distance evaluation. The first sample
+ * costs one setup iteration.
+ */
+void
+addLeafStats(std::uint64_t n, std::uint64_t q, bool window_check,
+             OpStats &stats)
+{
+    const std::uint64_t sampled_seen = q * (q - 1) / 2;
+    stats.iterations += q;
+    stats.distance_computations += (q - 1) * n - sampled_seen;
+    stats.points_visited +=
+        window_check ? (q - 1) * n - sampled_seen : (q - 1) * n;
+    stats.skipped += window_check ? sampled_seen : 0;
+}
+
 } // namespace
 
 void
@@ -138,13 +146,11 @@ farthestPointSample(const data::PointCloud &cloud,
         return;
     }
     out.indices.resize(std::min(num_samples, cloud.size()));
-    // The identity view is implicit (empty order span): no O(n) index
-    // fill.
     core::Arena &arena = ws.arena();
-    fpsOverView(core::simd::soaInto(cloud.coords(), arena), {}, 0,
+    fpsOverView(core::simd::soaInto(cloud.coords(), arena),
                 static_cast<std::uint32_t>(cloud.size()), num_samples,
-                options.window_check, out.indices.data(), nullptr,
-                out.stats, pool, arena);
+                options.window_check, out.indices.data(), out.stats, pool,
+                arena);
 }
 
 SampleResult
@@ -196,7 +202,8 @@ blockFarthestPointSample(const data::PointCloud &cloud,
     // options, so the per-leaf output ranges are known before any
     // sampling runs: prefix-summing the quotas yields leaf_offsets up
     // front, and each leaf then writes its disjoint slice of
-    // out.indices directly — no per-leaf buffers, no merge copy.
+    // out.indices directly — no per-leaf buffers, no merge copy. The
+    // stats follow from the quotas too.
     std::span<std::size_t> quotas =
         arena.allocSpan<std::size_t>(leaves.size());
     for (std::size_t li = 0; li < leaves.size(); ++li) {
@@ -212,6 +219,8 @@ blockFarthestPointSample(const data::PointCloud &cloud,
                         ? per_block_count
                         : rate * static_cast<double>(size)));
             quotas[li] = std::clamp<std::size_t>(quota, 1, size);
+            addLeafStats(size, quotas[li], options.window_check,
+                         out.stats);
         }
         out.leaf_offsets.push_back(
             out.leaf_offsets[li] +
@@ -220,8 +229,8 @@ blockFarthestPointSample(const data::PointCloud &cloud,
     out.indices.resize(out.leaf_offsets.back());
     out.positions.resize(out.leaf_offsets.back());
 
-    std::span<OpStats> leaf_stats =
-        arena.allocSpan<OpStats>(leaves.size(), OpStats{});
+    const core::simd::SoaView pts = tree.points();
+    const std::span<const PointIdx> order = tree.order();
     core::parallelFor(
         pool, 0, leaves.size(), 1,
         [&](std::size_t lb, std::size_t le) {
@@ -229,15 +238,16 @@ blockFarthestPointSample(const data::PointCloud &cloud,
                 if (quotas[li] == 0)
                     continue;
                 const part::BlockNode &node = tree.node(leaves[li]);
-                fpsOverView(tree.points(), tree.order(), node.begin,
-                            node.end, quotas[li], options.window_check,
-                            out.indices.data() + out.leaf_offsets[li],
-                            out.positions.data() + out.leaf_offsets[li],
-                            leaf_stats[li], nullptr, arena);
+                const std::uint32_t first = out.leaf_offsets[li];
+                core::simd::fpsLeaf(
+                    pts, node.begin, node.end, quotas[li],
+                    arena.allocSpan<float>(node.size()).data(),
+                    out.positions.data() + first);
+                for (std::uint32_t s = first; s < out.leaf_offsets[li + 1];
+                     ++s)
+                    out.indices[s] = order[out.positions[s]];
             }
         });
-    for (std::size_t li = 0; li < leaves.size(); ++li)
-        out.stats += leaf_stats[li];
 }
 
 BlockSampleResult

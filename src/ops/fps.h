@@ -13,6 +13,7 @@
  * core::ThreadPool; per-leaf quotas are prefix-summed up front so
  * every leaf writes a disjoint slice of the output directly, and the
  * result is bit-identical to the sequential path at any thread count.
+ * Each leaf runs its whole quota in one core::simd::fpsLeaf call.
  */
 
 #ifndef FC_OPS_FPS_H
@@ -119,6 +120,15 @@ void farthestPointSample(const data::PointCloud &cloud,
  * Each leaf contributes round(rate * leaf_size) samples (at least one
  * for non-empty leaves, so no region disappears), matching the paper's
  * fixed-rate scheme that relies on Fractal's balanced blocks.
+ *
+ * One core::simd::fpsLeaf call runs a leaf's whole quota over the
+ * tree's DFT-ordered coordinates, with its distance table from @p ws's
+ * arena. The stats are closed-form: a leaf of n points with quota q
+ * costs q iterations and (q - 1) * n - q * (q - 1) / 2 distance
+ * evaluations (each sweep skips the samples taken so far), and visits
+ * that many candidates with the window check, skipping the other
+ * q * (q - 1) / 2, or (q - 1) * n without it — what a per-sweep count
+ * of the serial loop adds up to.
  *
  * @param cloud  input points (original order)
  * @param tree   partition (DFT layout)

@@ -58,6 +58,17 @@ gatherNeighborhoods(const data::PointCloud &cloud,
     const std::size_t bytes_per_row =
         out.k * (cloud.featureDim() * 2 + 8); // fp16 features + coords
     for (std::size_t row = 0; row < out.num_centers; ++row) {
+        // The ids come from the caller, not from a block op over this
+        // cloud: check each before gatherRow reads by it.
+        fc_assert(centers[row] < cloud.size(),
+                  "center id %u out of range (cloud: %zu points)",
+                  centers[row], cloud.size());
+        for (std::size_t j = 0; j < out.k; ++j) {
+            const PointIdx nb = neighbors.neighbor(row, j);
+            fc_assert(nb == kInvalidPoint || nb < cloud.size(),
+                      "neighbor id %u out of range (cloud: %zu points)",
+                      nb, cloud.size());
+        }
         gatherRow(cloud, centers[row], neighbors, row, out.channels,
                   out.values);
         // Global gather: every neighbor row is a random access into

@@ -80,6 +80,9 @@ ballQuery(const data::PointCloud &cloud,
         [&](std::size_t cb, std::size_t ce) {
             OpStats stats;
             for (std::size_t ci = cb; ci < ce; ++ci) {
+                fc_assert(centers[ci] < cloud.size(),
+                          "center id %u out of range (cloud: %zu points)",
+                          centers[ci], cloud.size());
                 PointIdx *row = out.indices.data() + ci * k;
                 const core::simd::BallScan scan = scanRow(
                     pts, cloud[centers[ci]], 0,

@@ -14,7 +14,10 @@
  * indices, positions, interpolated values and every OpStats field
  * must match for every partitioner, on an indoor scene and a LiDAR
  * frame, at both SIMD levels, with no pool and with 2- and 8-thread
- * pools (the pooled cases run in CI's TSan filter). Three more
+ * pools (the pooled cases run in CI's TSan filter), and on a scene
+ * whose coincident points make a leaf far above the threshold and
+ * whose NaN points never lower a distance, which holds block FPS's
+ * closed-form stats to the reference's per-sweep counts. Three more
  * interpolation cases reach the paths FPS samples do not: rows
  * shorter than k, search spaces without a known point, and top-k ties
  * between duplicate points.
@@ -367,7 +370,7 @@ expectInterpolateMatchesReference(const std::string &where,
                               pool, ws, interp);
         EXPECT_EQ(interp.num_points, want.num_points) << where << label;
         EXPECT_EQ(interp.channels, want.channels) << where << label;
-        EXPECT_EQ(interp.values, want.values) << where << label;
+        EXPECT_TRUE(sameBits(interp.values, want.values)) << where << label;
         expectSameStats(interp.stats, want.stats,
                         where + label + " interpolate");
     });
@@ -543,6 +546,31 @@ TEST(BlockLayout, LidarFrameMatchesPerCandidateReference)
     Pcg32 rng(77);
     expectMatchesReference("lidar", data::makeLidarFrame(rng, 4096), 1.6f,
                            32);
+}
+
+TEST(BlockLayout, CoincidentAndNanPointsMatchPerCandidateReference)
+{
+    // 400 copies of one point: no partitioner can split them below the
+    // 128-point threshold, so FPS runs 100 sweeps over a leaf of 400 or
+    // more, in which every distance ties. Points with NaN coordinates
+    // never lower a distance. The closed-form FPS stats must still
+    // equal the reference's per-sweep counts.
+    std::vector<Vec3> coords = data::makeS3disScene(2048, 7).coords();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (std::size_t i = 0; i < 400; ++i)
+        coords[i * 5] = Vec3(1.0f, 1.0f, 1.0f);
+    for (std::size_t i = 1; i < coords.size(); i += 97)
+        coords[i].x = nan;
+    for (std::size_t i = 3; i < coords.size(); i += 131)
+        coords[i] = Vec3(nan, nan, nan);
+    const data::PointCloud cloud(coords);
+    std::size_t largest_leaf = 0;
+    for (const auto &[method, part] : partitionEveryWay(cloud))
+        for (const part::NodeIdx leaf : part.tree.leaves())
+            largest_leaf = std::max<std::size_t>(
+                largest_leaf, part.tree.node(leaf).size());
+    EXPECT_GE(largest_leaf, 400u);
+    expectMatchesReference("coincident", cloud, 0.2f, 16);
 }
 
 /**

@@ -114,5 +114,23 @@ TEST(Gather, ByteAccountingScalesWithK)
     EXPECT_EQ(g16.stats.bytes_gathered, 4 * g4.stats.bytes_gathered);
 }
 
+TEST(GatherDeathTest, GlobalGatherNeedsIdsInRange)
+{
+    // Ids equal to the cloud size name the slot one past the
+    // coordinates, as a center and as a neighbor; kInvalidPoint is
+    // padding and reads as a zero row.
+    const data::PointCloud cloud = featuredCloud(8, 5, 2);
+    NeighborResult nbr;
+    nbr.num_centers = 1;
+    nbr.k = 2;
+    nbr.indices = {3, kInvalidPoint};
+    nbr.counts = {1};
+    EXPECT_DEATH(gatherNeighborhoods(cloud, {8}, nbr),
+                 "center id 8 out of range");
+    nbr.indices = {kInvalidPoint, 8};
+    EXPECT_DEATH(gatherNeighborhoods(cloud, {1}, nbr),
+                 "neighbor id 8 out of range");
+}
+
 } // namespace
 } // namespace fc::ops

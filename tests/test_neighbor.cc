@@ -253,5 +253,14 @@ TEST(BlockOps, WorkFarBelowGlobal)
               global.stats.distance_computations);
 }
 
+TEST(NeighborDeathTest, BallQueryNeedsCenterIdsInRange)
+{
+    // An id equal to the cloud size names the slot one past the
+    // coordinates.
+    const data::PointCloud cloud = randomCloud(16, 3);
+    EXPECT_DEATH(ballQuery(cloud, {2, 16}, 0.5f, 4),
+                 "center id 16 out of range");
+}
+
 } // namespace
 } // namespace fc::ops

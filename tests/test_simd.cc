@@ -5,17 +5,20 @@
  *  - Dispatch resolution (FC_FORCE_SCALAR rule, setActiveLevel
  *    round-trips) as pure unit tests.
  *  - Scalar-vs-Avx2 equivalence for every kernel the contract calls
- *    bit-identical (fpsUpdate, ballScan, distance2Range, axpy, fp16
- *    rounding), on adversarial inputs: all-equal points, NaN, Inf and
- *    denormal coordinates, every binary16 bit pattern, and sizes
- *    straddling the 8-lane vector remainder.
- *  - Every LinearRelu row kernel the host can run (Scalar, and the
- *    Avx2 table's ymm and zmm kernels, reached through
- *    core::simd::detail) bit-equal to one level-free loop (bias,
- *    ascending inputs, ReLU, fp16Round) over every partial row tile
- *    and partial output panel of both vector tiles, NaN and Inf
- *    included; and, outside its fp16-valued precondition, within the
- *    recursive-summation bound core/simd.h documents.
+ *    bit-identical (fpsUpdate, distance2Range, axpy, fp16 rounding),
+ *    on adversarial inputs: all-equal points, NaN, Inf and denormal
+ *    coordinates, every binary16 bit pattern, and sizes straddling
+ *    the 8-lane vector remainder.
+ *  - The kernels that differ between the ymm and zmm tables, run from
+ *    every table the host has (core::simd::detail::kernelTables():
+ *    scalar, ymm, zmm), each against one level-free reference loop:
+ *    ballScan and fpsLeaf over every partial 8- and 16-lane step, NaN,
+ *    Inf, denormal and duplicate points included; and linearReluRows
+ *    (bias, ascending inputs, ReLU, fp16Round) over every partial row
+ *    tile and partial output panel of both vector tiles, NaN and Inf
+ *    included, and, outside its fp16-valued precondition, within the
+ *    recursive-summation bound core/simd.h documents. Each prints a
+ *    "[ kernels  ]" line naming the tables it ran.
  *  - End-to-end: FPS / ball query / KNN and PointNet++ inference
  *    identical across levels, and thread-count determinism of
  *    inference with SIMD active (SimdDeterminism, in the TSan CI
@@ -33,6 +36,7 @@
 #include <iostream>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -143,17 +147,46 @@ TEST(SimdDispatch, SetActiveLevelRoundTrip)
 
 TEST(SimdDispatch, Avx2TableRunsTheWidestMlpKernel)
 {
-    const auto ymm = simd::detail::ymmLinearReluRows();
-    const auto zmm = simd::detail::zmmLinearReluRows();
+    const auto tables = simd::detail::kernelTables();
+    ASSERT_FALSE(tables.empty());
+    EXPECT_STREQ(tables.front().name, "scalar");
     const simd::detail::Kernels *avx2 = simd::detail::avx2Kernels();
-    // Both vector kernels live in the Avx2 table, so neither runs
-    // without it.
-    EXPECT_EQ(ymm != nullptr, avx2 != nullptr);
     if (avx2 == nullptr) {
-        EXPECT_EQ(zmm, nullptr);
+        EXPECT_EQ(tables.size(), 1u);
         GTEST_SKIP() << "AVX2 kernels not available";
     }
-    EXPECT_EQ(avx2->linear_relu_rows, zmm != nullptr ? zmm : ymm);
+    // The Avx2 level runs the widest table: zmm exactly when the host
+    // has AVX-512F, else ymm.
+    EXPECT_EQ(avx2, tables.back().kernels);
+#if defined(__x86_64__) || defined(__i386__)
+    EXPECT_STREQ(tables.back().name,
+                 __builtin_cpu_supports("avx512f") ? "zmm" : "ymm");
+#endif
+    EXPECT_STREQ(tables[1].name, "ymm");
+    if (tables.size() == 3) {
+        // The zmm table is the ymm one with three kernels replaced.
+        const simd::detail::Kernels &ymm = *tables[1].kernels;
+        EXPECT_NE(avx2->linear_relu_rows, ymm.linear_relu_rows);
+        EXPECT_NE(avx2->ball_scan, ymm.ball_scan);
+        EXPECT_NE(avx2->fps_leaf, ymm.fps_leaf);
+        EXPECT_EQ(avx2->fps_update, ymm.fps_update);
+        EXPECT_EQ(avx2->split_below, ymm.split_below);
+    }
+}
+
+/**
+ * Every kernel table this host can run, with their names printed on a
+ * "[ kernels  ]" line, so a test log shows which ran.
+ */
+std::span<const simd::detail::KernelTable>
+hostTables(const char *test)
+{
+    const auto tables = simd::detail::kernelTables();
+    std::string names;
+    for (const simd::detail::KernelTable &table : tables)
+        names += std::string(" ") + table.name;
+    std::cout << "[ kernels  ] " << test << ":" << names << std::endl;
+    return tables;
 }
 
 // ---------------------------------------------------------------------
@@ -303,15 +336,19 @@ referenceBallScan(const SoaCloud &cloud, const Vec3 &q, float radius2,
 
 TEST(SimdEquivalence, BallScanBitIdentical)
 {
-    FC_REQUIRE_AVX2();
-    LevelGuard guard;
     const float inf = std::numeric_limits<float>::infinity();
     const float denorm = std::ldexp(1.0f, -140);
-    for (const std::size_t n : kRemainderSizes) {
+    // Every range tail of the 8- and 16-lane steps (1 to 48 points),
+    // then ranges of several whole steps and a tail.
+    std::vector<std::uint32_t> sizes(48);
+    std::iota(sizes.begin(), sizes.end(), 1u);
+    sizes.insert(sizes.end(), {64u, 100u, 129u, 257u});
+    const auto tables = hostTables("BallScanBitIdentical");
+    for (const std::uint32_t n : sizes) {
         // Three leading points sit before the scanned range, so the
         // positions written are absolute, not range-local.
         const std::uint32_t begin = 3;
-        const std::uint32_t end = begin + static_cast<std::uint32_t>(n);
+        const std::uint32_t end = begin + n;
         SoaCloud cloud = randomSoa(end, n * 11 + 7);
         for (std::size_t i = begin; i < end; i += 5) {
             cloud.xs[i] = std::numeric_limits<float>::quiet_NaN();
@@ -327,37 +364,37 @@ TEST(SimdEquivalence, BallScanBitIdentical)
         // The denormal points' squared distances from the origin
         // underflow to 0, so they hit even at radius 0.
         const Vec3 origin(0.0f, 0.0f, 0.0f);
+        // k around the 8- and 16-lane steps and the served k = 32, and
+        // one past every hit.
         for (const std::size_t k :
-             {std::size_t{0}, std::size_t{1}, std::size_t{7},
-              std::size_t{8}, std::size_t{9}, n, n + 5}) {
+             {std::size_t{0}, std::size_t{1}, std::size_t{15},
+              std::size_t{16}, std::size_t{17}, std::size_t{31},
+              std::size_t{32}, std::size_t{33}, std::size_t{n + 5}}) {
             // Radius 0 (exact hits only), a mid radius whose k-th hit
-            // falls inside an 8-lane mask, one that covers every
-            // finite point, and an infinite one that takes the
-            // infinite points too (NaN distances never hit).
+            // falls inside a lane mask, one that covers every finite
+            // point, and an infinite one that takes the infinite
+            // points too (NaN distances never hit).
             for (const float radius2 : {0.0f, 0.5f, 1.0e30f, inf}) {
                 for (const Vec3 &q : {query, origin}) {
                     std::vector<std::uint32_t> ref(k, 0xdeadbeefu);
                     const simd::BallScan want = referenceBallScan(
                         cloud, q, radius2, begin, end, k, ref.data());
                     ref.resize(want.found);
-                    for (const simd::Level level :
-                         {simd::Level::Scalar, simd::Level::Avx2}) {
-                        ASSERT_TRUE(simd::setActiveLevel(level));
-                        std::vector<std::uint32_t> hits(k, 0xdeadbeefu);
-                        const simd::BallScan got = simd::ballScan(
+                    for (const simd::detail::KernelTable &table : tables) {
+                        // One guard slot past the k the caller holds.
+                        std::vector<std::uint32_t> hits(k + 1, 0xdeadbeefu);
+                        const simd::BallScan got = table.kernels->ball_scan(
                             cloud.view(), q, radius2, begin, end, k,
                             hits.data());
-                        EXPECT_EQ(got.found, want.found)
-                            << simd::levelName(level) << " n=" << n
-                            << " k=" << k << " r2=" << radius2;
-                        EXPECT_EQ(got.examined, want.examined)
-                            << simd::levelName(level) << " n=" << n
-                            << " k=" << k << " r2=" << radius2;
+                        SCOPED_TRACE(::testing::Message()
+                                     << table.name << " n=" << n
+                                     << " k=" << k << " r2=" << radius2);
+                        EXPECT_EQ(got.found, want.found);
+                        EXPECT_EQ(got.examined, want.examined);
+                        EXPECT_EQ(hits[k], 0xdeadbeefu) << "wrote past k";
                         // Entries past `found` are scratch.
                         hits.resize(got.found);
-                        EXPECT_EQ(hits, ref)
-                            << simd::levelName(level) << " n=" << n
-                            << " k=" << k << " r2=" << radius2;
+                        EXPECT_EQ(hits, ref);
                     }
                 }
             }
@@ -367,28 +404,158 @@ TEST(SimdEquivalence, BallScanBitIdentical)
 
 TEST(SimdEquivalence, BallScanStopsMidMask)
 {
-    FC_REQUIRE_AVX2();
-    LevelGuard guard;
-    // 24 points, all hits but position 4: with k = 11 the scan must
-    // stop at position 11, lane 3 of the second 8-lane step, having
-    // examined 12.
+    // 48 points, all hits but position 4. With k = 11 the scan must
+    // stop at position 11 (lane 3 of the second 8-lane step, lane 11 of
+    // the first 16-lane step) having examined 12; with k = 27 at
+    // position 27 (lane 3 of the fourth 8-lane step, lane 11 of the
+    // second 16-lane step) having examined 28.
     SoaCloud cloud;
-    cloud.xs.assign(24, 0.0f);
-    cloud.ys.assign(24, 0.0f);
-    cloud.zs.assign(24, 0.0f);
+    cloud.xs.assign(48, 0.0f);
+    cloud.ys.assign(48, 0.0f);
+    cloud.zs.assign(48, 0.0f);
     cloud.xs[4] = 5.0f; // one miss in the first step
-    for (const simd::Level level :
-         {simd::Level::Scalar, simd::Level::Avx2}) {
-        ASSERT_TRUE(simd::setActiveLevel(level));
-        std::vector<std::uint32_t> hits(11);
-        const simd::BallScan s = simd::ballScan(
-            cloud.view(), Vec3(0.0f, 0.0f, 0.0f), 1.0f, 0, 24, 11,
-            hits.data());
-        EXPECT_EQ(s.found, 11u) << simd::levelName(level);
-        EXPECT_EQ(s.examined, 12u) << simd::levelName(level);
-        EXPECT_EQ(hits, (std::vector<std::uint32_t>{0, 1, 2, 3, 5, 6, 7,
-                                                    8, 9, 10, 11}))
-            << simd::levelName(level);
+    for (const simd::detail::KernelTable &table :
+         hostTables("BallScanStopsMidMask")) {
+        for (const std::uint32_t k : {11u, 27u}) {
+            std::vector<std::uint32_t> want;
+            for (std::uint32_t pos = 0; pos <= k; ++pos)
+                if (pos != 4)
+                    want.push_back(pos);
+            std::vector<std::uint32_t> hits(k);
+            const simd::BallScan s = table.kernels->ball_scan(
+                cloud.view(), Vec3(0.0f, 0.0f, 0.0f), 1.0f, 0, 48, k,
+                hits.data());
+            EXPECT_EQ(s.found, k) << table.name;
+            EXPECT_EQ(s.examined, k + 1) << table.name;
+            EXPECT_EQ(hits, want) << table.name << " k=" << k;
+        }
+    }
+}
+
+/**
+ * The flag-based FPS loop fpsLeaf replaced, over positions
+ * [begin, end) of @p cloud: sampled candidates are skipped, the others
+ * lower their distance and compete with a strictly-greater argmax.
+ * Returns the sampled positions and counts in @p sampled_seen the
+ * sampled candidates each sweep met.
+ */
+std::vector<std::uint32_t>
+referenceFpsLeaf(const SoaCloud &cloud, std::uint32_t begin,
+                 std::uint32_t end, std::size_t quota,
+                 std::vector<std::uint32_t> &sampled_seen)
+{
+    const std::uint32_t n = end - begin;
+    std::vector<float> min_dist(n, std::numeric_limits<float>::max());
+    std::vector<std::uint8_t> sampled(n, 0);
+    std::vector<std::uint32_t> positions;
+    std::uint32_t current = 0;
+    for (;;) {
+        sampled[current] = 1;
+        positions.push_back(begin + current);
+        if (positions.size() == quota)
+            return positions;
+        const std::uint32_t cur = begin + current;
+        const Vec3 q(cloud.xs[cur], cloud.ys[cur], cloud.zs[cur]);
+        float best = -1.0f;
+        std::uint32_t seen = 0;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            if (sampled[i]) {
+                ++seen;
+                continue;
+            }
+            const float dx = q.x - cloud.xs[begin + i];
+            const float dy = q.y - cloud.ys[begin + i];
+            const float dz = q.z - cloud.zs[begin + i];
+            const float d = dx * dx + dy * dy + dz * dz;
+            if (d < min_dist[i])
+                min_dist[i] = d;
+            if (min_dist[i] > best) {
+                best = min_dist[i];
+                current = i;
+            }
+        }
+        sampled_seen.push_back(seen);
+    }
+}
+
+TEST(SimdEquivalence, FpsLeafMatchesFlaggedLoopAtEveryTable)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const char *const kPatterns[] = {"random", "special", "all-equal",
+                                     "duplicates"};
+    // Every tail of the 8- and 16-lane steps up to 70 points, and
+    // leaves around the served 256-point threshold and beyond.
+    std::vector<std::uint32_t> sizes(70);
+    std::iota(sizes.begin(), sizes.end(), 1u);
+    sizes.insert(sizes.end(), {255u, 256u, 257u, 1000u});
+    const auto tables = hostTables("FpsLeafMatchesFlaggedLoopAtEveryTable");
+    for (const std::uint32_t n : sizes) {
+        for (int pattern = 0; pattern < 4; ++pattern) {
+            // Five points before the block, so positions are absolute.
+            const std::uint32_t begin = 5;
+            const std::uint32_t end = begin + n;
+            SoaCloud cloud = randomSoa(end, n * 4 + pattern);
+            Pcg32 rng(n * 13 + pattern);
+            for (std::uint32_t i = begin; i < end; ++i) {
+                if (pattern == 1 && i % 7 == 2)
+                    cloud.xs[i] = nan;
+                if (pattern == 1 && i % 11 == 4)
+                    cloud.zs[i] = (i % 2 == 0) ? inf : -inf;
+                if (pattern == 1 && i % 13 == 6)
+                    cloud.ys[i] = std::ldexp(1.0f, -140);
+                if (pattern == 2) {
+                    // Every distance ties: the earliest must win.
+                    cloud.xs[i] = 0.25f;
+                    cloud.ys[i] = -0.5f;
+                    cloud.zs[i] = 0.125f;
+                }
+                if (pattern == 3) {
+                    // Each point a copy of one of the first six.
+                    const std::uint32_t of =
+                        begin + rng.next() % std::min(n, 6u);
+                    cloud.xs[i] = cloud.xs[of];
+                    cloud.ys[i] = cloud.ys[of];
+                    cloud.zs[i] = cloud.zs[of];
+                }
+            }
+            const std::size_t mid = 1 + rng.next() % n;
+            for (const std::size_t quota : {std::size_t{1}, mid,
+                                            std::size_t{n}}) {
+                std::vector<std::uint32_t> sampled_seen;
+                const std::vector<std::uint32_t> want = referenceFpsLeaf(
+                    cloud, begin, end, quota, sampled_seen);
+                SCOPED_TRACE(::testing::Message()
+                             << "n=" << n << " " << kPatterns[pattern]
+                             << " quota=" << quota);
+                // Sweep s met exactly the s samples taken before it.
+                for (std::size_t s = 0; s < sampled_seen.size(); ++s)
+                    ASSERT_EQ(sampled_seen[s], s + 1);
+                if (pattern == 2) {
+                    for (std::size_t s = 0; s < quota; ++s)
+                        ASSERT_EQ(want[s], begin + s);
+                }
+                for (const simd::detail::KernelTable &table : tables) {
+                    // Guard entries past the caller's spans.
+                    std::vector<float> min_dist(n + 16, -2.0f);
+                    std::vector<std::uint32_t> positions(quota + 16,
+                                                         0xdeadbeefu);
+                    table.kernels->fps_leaf(cloud.view(), begin, end, quota,
+                                            min_dist.data(),
+                                            positions.data());
+                    EXPECT_EQ(std::count(min_dist.begin() + n,
+                                         min_dist.end(), -2.0f),
+                              16)
+                        << table.name << " wrote past min_dist";
+                    EXPECT_EQ(std::count(positions.begin() + quota,
+                                         positions.end(), 0xdeadbeefu),
+                              16)
+                        << table.name << " wrote past the quota";
+                    positions.resize(quota);
+                    EXPECT_EQ(positions, want) << table.name;
+                }
+            }
+        }
     }
 }
 
@@ -757,36 +924,6 @@ referenceLinearRelu(const std::vector<float> &w,
     return y;
 }
 
-/** A linearReluRows kernel and the name a failure prints. */
-struct NamedLinearKernel
-{
-    const char *name;
-    simd::detail::LinearReluRowsFn run;
-};
-
-/**
- * Every linearReluRows kernel this host can run: the Scalar table's,
- * then the Avx2 table's ymm and zmm kernels where the build and the
- * CPU have them. Prints the names, so a test log shows which ran.
- */
-std::vector<NamedLinearKernel>
-linearKernels(const char *test)
-{
-    LevelGuard guard;
-    simd::setActiveLevel(simd::Level::Scalar);
-    std::vector<NamedLinearKernel> kernels = {
-        {"scalar", simd::detail::active().linear_relu_rows}};
-    if (const auto ymm = simd::detail::ymmLinearReluRows())
-        kernels.push_back({"ymm", ymm});
-    if (const auto zmm = simd::detail::zmmLinearReluRows())
-        kernels.push_back({"zmm", zmm});
-    std::string names;
-    for (const NamedLinearKernel &kernel : kernels)
-        names += std::string(" ") + kernel.name;
-    std::cout << "[ kernels  ] " << test << ":" << names << std::endl;
-    return kernels;
-}
-
 TEST(SimdEquivalence, LinearReluRowsMatchesDotAccLoopBitwise)
 {
     constexpr std::ptrdiff_t kLinearGuard = simd::kLinearPanel;
@@ -802,8 +939,8 @@ TEST(SimdEquivalence, LinearReluRowsMatchesDotAccLoopBitwise)
     const std::size_t row_counts[] = {1, 2,  3,  4,  5,  6,  7, 8,
                                       9, 12, 15, 16, 17, 24, 64};
     const std::size_t outs[] = {1, 2, 3, 13, 16, 17, 32, 33, 48, 64};
-    for (const NamedLinearKernel &kernel :
-         linearKernels("LinearReluRowsMatchesDotAccLoopBitwise"))
+    for (const simd::detail::KernelTable &table :
+         hostTables("LinearReluRowsMatchesDotAccLoopBitwise"))
         for (const std::size_t in : ins)
             for (const std::size_t out : outs) {
                 Pcg32 rng(in * 131 + out);
@@ -831,17 +968,18 @@ TEST(SimdEquivalence, LinearReluRowsMatchesDotAccLoopBitwise)
                     // no ReLU output is: a store past the rows shows.
                     std::vector<float> y(rows * out + kLinearGuard,
                                          -1.0f);
-                    kernel.run(packed.data(), bias.data(), in, out,
-                               x.data(), rows, y.data());
+                    table.kernels->linear_relu_rows(
+                        packed.data(), bias.data(), in, out, x.data(), rows,
+                        y.data());
                     EXPECT_EQ(std::count(y.end() - kLinearGuard, y.end(),
                                          -1.0f),
                               kLinearGuard)
-                        << kernel.name << " wrote past the rows, in="
+                        << table.name << " wrote past the rows, in="
                         << in << " rows=" << rows << " out=" << out;
                     y.resize(rows * out);
                     EXPECT_EQ(bitsOf(y), bitsOf(referenceLinearRelu(
                                              w, bias, in, out, x, rows)))
-                        << kernel.name << " in=" << in
+                        << table.name << " in=" << in
                         << " rows=" << rows << " out=" << out;
                 }
             }
@@ -909,7 +1047,7 @@ TEST(SimdAccuracy, LinearReluOutsideFp16PreconditionWithinSummationBound)
     // bound. The ymm and zmm kernels run the same FMA sequence per
     // lane, so they must agree bit for bit. 9 rows: a whole zmm tile
     // and a narrower one, a whole ymm tile and a narrower one.
-    const std::vector<NamedLinearKernel> kernels = linearKernels(
+    const auto tables = hostTables(
         "LinearReluOutsideFp16PreconditionWithinSummationBound");
     const std::size_t rows = 9;
     for (const std::size_t in : {std::size_t{1}, std::size_t{7},
@@ -927,10 +1065,11 @@ TEST(SimdAccuracy, LinearReluOutsideFp16PreconditionWithinSummationBound)
             const std::vector<float> packed =
                 simd::packLinearWeights(w.data(), in, out);
             std::vector<std::vector<float>> ys;
-            for (const NamedLinearKernel &kernel : kernels) {
+            for (const simd::detail::KernelTable &table : tables) {
                 ys.emplace_back(rows * out);
-                kernel.run(packed.data(), bias.data(), in, out, x.data(),
-                           rows, ys.back().data());
+                table.kernels->linear_relu_rows(packed.data(), bias.data(),
+                                                in, out, x.data(), rows,
+                                                ys.back().data());
             }
             // Scalar is the reference loop whatever its operands.
             EXPECT_EQ(bitsOf(ys[0]),
@@ -958,10 +1097,10 @@ TEST(SimdAccuracy, LinearReluOutsideFp16PreconditionWithinSummationBound)
                     for (std::size_t k = 1; k < ys.size(); ++k) {
                         const float y = ys[k][r * out + o];
                         EXPECT_GE(y, relu16(floatBelow(sum - bound)))
-                            << kernels[k].name << " in=" << in
+                            << tables[k].name << " in=" << in
                             << " r=" << r << " o=" << o;
                         EXPECT_LE(y, relu16(floatAbove(sum + bound)))
-                            << kernels[k].name << " in=" << in
+                            << tables[k].name << " in=" << in
                             << " r=" << r << " o=" << o;
                     }
                 }
