@@ -6,18 +6,18 @@
  * dispatch level forced to Scalar, once at the best level the machine
  * supports — and prints both times plus the speedup.
  *
- * CI contract (Release perf-smoke): the CSV shape (seven kernel rows)
+ * CI contract (Release perf-smoke): the CSV shape (six kernel rows)
  * is gated by scripts/check_bench_csv.sh, and when the AVX2 kernels
- * are active this binary exits non-zero unless the FPS
- * distance-update and LinearRelu rows reach a 2x speedup over scalar
- * — a floor on the two paper-critical kernels. The fps-leaf and
- * ball-scan rows have no floor. The fps-leaf row runs block FPS the
- * way a lidar frame's leaves do: fpsLeaf over 256-point leaves,
- * quota 64 each (rate 0.25). The LinearRelu row is LinearRelu::forward
- * over 500 rows of a 131->136 layer. The level cells of those three
- * rows name the Avx2 table's kernel that ran (detail::kernelTables()):
- * "avx2 zmm" on CPUs with AVX-512F (16 lanes; 8-row x 32-output MLP
- * tiles) or "avx2 ymm" (8 lanes; 6-row x 16-output tiles). The floor
+ * are active this binary exits non-zero unless the fps-leaf and
+ * LinearRelu rows reach a 2x speedup over scalar — a floor on the two
+ * paper-critical kernels. The ball-scan row has no floor. The
+ * fps-leaf row runs block FPS the way a lidar frame's leaves do:
+ * fpsLeaf, the one FPS kernel, over 256-point leaves, quota 64 each
+ * (rate 0.25). The LinearRelu row is LinearRelu::forward over 500 rows
+ * of a 131->136 layer. The level cells of those three rows name the
+ * Avx2 table's kernel that ran (detail::kernelTables()): "avx2 zmm"
+ * on CPUs with AVX-512F (16 lanes; 8-row x 32-output MLP tiles) or
+ * "avx2 ymm" (8 lanes; 6-row x 16-output tiles). The floor
  * covers both MLP kernels' edges: 136 outputs are 9 panels, so four
  * zmm panel pairs and one single panel, partial (136 % 16 = 8 lanes)
  * at both kernels; and forward's grain for this layer is 48 rows, so
@@ -131,25 +131,6 @@ simdTable()
                       level != nullptr ? level : level_name});
     };
 
-    // FPS distance update: the fused min-distance + argmax sweep.
-    std::vector<float> min_dist(n);
-    std::vector<std::uint8_t> sampled(n, 0);
-    for (std::size_t i = 0; i < n; i += 37)
-        sampled[i] = 1;
-    const KernelTiming fps = timeBothLevels(
-        [&] {
-            std::fill(min_dist.begin(), min_dist.end(),
-                      std::numeric_limits<float>::max());
-            for (int sweep = 0; sweep < 16; ++sweep) {
-                const simd::FpsPartial p = simd::fpsUpdate(
-                    pts, 0, query, min_dist.data(), sampled.data(), 0,
-                    static_cast<std::uint32_t>(n));
-                benchmark::DoNotOptimize(p.best);
-            }
-        },
-        kReps);
-    add_row("fps-update", fps);
-
     // Block FPS, shaped like a lidar frame's leaves: each 256-point
     // window is one leaf sampled at rate 0.25 in one fpsLeaf call.
     constexpr std::uint32_t kLeaf = 256;
@@ -255,9 +236,9 @@ simdTable()
     // by 2x whenever the AVX2 path is in play.
     if (simd::avx2Available()) {
         bool ok = true;
-        if (fps.speedup() < 2.0) {
-            std::printf("FAIL: fps-update speedup %.2fx < 2x\n",
-                        fps.speedup());
+        if (fps_leaf.speedup() < 2.0) {
+            std::printf("FAIL: fps-leaf speedup %.2fx < 2x\n",
+                        fps_leaf.speedup());
             ok = false;
         }
         if (linear.speedup() < 2.0) {
@@ -270,34 +251,30 @@ simdTable()
     }
 }
 
-/** Micro kernel: one FPS update sweep at the dispatched level. */
+/** Micro kernel: one 256-point leaf's FPS, quota 64, at the dispatched
+ *  level. */
 void
-BM_FpsUpdateSweep(benchmark::State &state)
+BM_FpsLeaf(benchmark::State &state)
 {
-    const std::size_t n = 1 << 14;
+    constexpr std::uint32_t n = 256;
     fc::Pcg32 rng(3);
-    std::vector<float> xs(n), ys(n), zs(n),
-        min_dist(n, std::numeric_limits<float>::max());
-    std::vector<std::uint8_t> sampled(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
+    std::vector<float> xs(n), ys(n), zs(n), min_dist(n);
+    std::vector<std::uint32_t> positions(64);
+    for (std::uint32_t i = 0; i < n; ++i) {
         xs[i] = rng.uniform(-1.0f, 1.0f);
         ys[i] = rng.uniform(-1.0f, 1.0f);
         zs[i] = rng.uniform(-1.0f, 1.0f);
     }
     const simd::SoaView pts{xs.data(), ys.data(), zs.data()};
-    const fc::Vec3 query(0.0f, 0.0f, 0.0f);
     for (auto _ : state) {
-        const simd::FpsPartial p =
-            simd::fpsUpdate(pts, 0, query, min_dist.data(),
-                            sampled.data(), 0,
-                            static_cast<std::uint32_t>(n));
-        benchmark::DoNotOptimize(p.best);
+        simd::fpsLeaf(pts, 0, n, positions.size(), min_dist.data(),
+                      positions.data());
+        benchmark::DoNotOptimize(positions.data());
     }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(n));
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(positions.size()));
 }
-BENCHMARK(BM_FpsUpdateSweep);
+BENCHMARK(BM_FpsLeaf);
 
 } // namespace
 

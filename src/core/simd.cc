@@ -19,35 +19,9 @@ namespace {
  * (there, std::min/std::max and std::partition) — same expressions,
  * same evaluation order — so forcing this level reproduces the
  * pre-SIMD library bit for bit. fpsLeaf is that FPS loop run over one
- * block, with the -inf mark of core/simd.h in place of the sampled
- * flags.
+ * block or one whole cloud, with the -inf mark of core/simd.h in place
+ * of the sampled flags.
  */
-
-FpsPartial
-fpsUpdateScalar(const SoaView &pts, std::uint32_t base, const Vec3 &query,
-                float *min_dist, const std::uint8_t *sampled,
-                std::uint32_t begin, std::uint32_t end)
-{
-    FpsPartial p;
-    for (std::uint32_t i = begin; i < end; ++i) {
-        if (sampled[i]) {
-            ++p.sampled;
-            continue;
-        }
-        const std::uint32_t idx = base + i;
-        const float dx = query.x - pts.xs[idx];
-        const float dy = query.y - pts.ys[idx];
-        const float dz = query.z - pts.zs[idx];
-        const float d = dx * dx + dy * dy + dz * dz;
-        if (d < min_dist[i])
-            min_dist[i] = d;
-        if (min_dist[i] > p.best) {
-            p.best = min_dist[i];
-            p.pos = i;
-        }
-    }
-    return p;
-}
 
 void
 fpsLeafScalar(const SoaView &pts, std::uint32_t begin, std::uint32_t end,
@@ -198,9 +172,9 @@ linearReluRowsScalar(const float *w, const float *bias, std::size_t in,
 }
 
 constexpr detail::Kernels kScalarKernels = {
-    &fpsUpdateScalar,      &fpsLeafScalar,    &ballScanScalar,
-    &distance2RangeScalar, &extremaScalar,    &splitBelowScalar,
-    &linearReluRowsScalar, &axpyScalar,       &fp16RoundScalar,
+    &fpsLeafScalar,        &ballScanScalar,       &distance2RangeScalar,
+    &extremaScalar,        &splitBelowScalar,     &linearReluRowsScalar,
+    &axpyScalar,           &fp16RoundScalar,
 };
 
 const detail::Kernels *
@@ -304,15 +278,6 @@ soaInto(std::span<const Vec3> coords, Arena &arena)
         zs[i] = coords[i].z;
     }
     return {xs.data(), ys.data(), zs.data()};
-}
-
-FpsPartial
-fpsUpdate(const SoaView &pts, std::uint32_t base, const Vec3 &query,
-          float *min_dist, const std::uint8_t *sampled,
-          std::uint32_t begin, std::uint32_t end)
-{
-    return detail::active().fps_update(pts, base, query, min_dist,
-                                       sampled, begin, end);
 }
 
 void

@@ -5,14 +5,14 @@
  * The paper's speedup comes from wide PE arrays crunching distance and
  * feature math; on a CPU the equivalent is explicit vectorization of
  * the same three inner loops (the Fig. 4 bottleneck trio): farthest
- * point sampling (fpsUpdate, one global sweep, and fpsLeaf, one
- * block's whole quota), the ball-query scan (ballScan) and the KNN
- * distance screen (distance2Range), and the MLP inner products — a
- * whole LinearRelu layer over a block of rows (linearReluRows, over
- * weights laid out by packLinearWeights), plus the axpy blend and
- * fp16 rounding around them. The partitioners' two traversals, the
- * extrema scan (extrema) and the in-place split (splitBelow), are the
- * Fractal engine's inner loops. This header exposes exactly those
+ * point sampling (fpsLeaf, one block's or one whole cloud's quota),
+ * the ball-query scan (ballScan) and the KNN distance screen
+ * (distance2Range), and the MLP inner products — a whole LinearRelu
+ * layer over a block of rows (linearReluRows, over weights laid out
+ * by packLinearWeights), plus the axpy blend and fp16 rounding around
+ * them. The partitioners' two traversals, the extrema scan (extrema)
+ * and the in-place split (splitBelow), are the Fractal engine's inner
+ * loops. This header exposes exactly those
  * primitives, with two implementations behind one function-pointer
  * table:
  *
@@ -39,9 +39,9 @@
  *
  * Accuracy contract (asserted by tests/test_simd.cc):
  *
- *   - fpsUpdate, fpsLeaf, ballScan, distance2Range, axpy: every
- *     vector kernel is bit-identical to Scalar. The distance kernels
- *     deliberately avoid FMA and keep the scalar evaluation order
+ *   - fpsLeaf, ballScan, distance2Range, axpy: every vector kernel
+ *     is bit-identical to Scalar. The distance kernels deliberately
+ *     avoid FMA and keep the scalar evaluation order
  *     ((dx*dx + dy*dy) + dz*dz), min/max and argmax semantics match
  *     the scalar comparisons including NaN behaviour, and axpy is
  *     elementwise mul+add. ballScan's radius test is the exact
@@ -51,13 +51,16 @@
  *     table, the zmm one stores each 16-lane mask's hits with the
  *     memory form of vpcompressd, which keeps lane order, and both run
  *     bit by bit only in the step that reaches the k-th hit.
- *   - fpsLeaf marks a sampled candidate by storing -inf in its
- *     min_dist entry: no distance lowers it (d < -inf never holds) and
- *     it never beats the running best, which starts at -1, so no flag
- *     array is needed. min_dist never holds NaN (it starts at FLT_MAX
- *     and only d < old lowers it), so every sweep picks an unsampled
- *     candidate. The vector kernels lower min_dist with
- *     min(d, old) = (d < old) ? d : old, keep a per-lane
+ *   - fpsLeaf, the one FPS kernel, returns the positions of the
+ *     flag-based serial loop: sampled candidates are skipped, every
+ *     other one lowers its min_dist entry and competes in a
+ *     strictly-greater argmax. It marks a sampled candidate by storing
+ *     -inf in its min_dist entry: no distance lowers it (d < -inf
+ *     never holds) and it never beats the running best, which starts
+ *     at -1, so no flag array is needed. min_dist never holds NaN (it
+ *     starts at FLT_MAX and only d < old lowers it), so every sweep
+ *     picks an unsampled candidate. The vector kernels lower min_dist
+ *     with min(d, old) = (d < old) ? d : old, keep a per-lane
  *     strictly-greater argmax, and end each sweep with one max
  *     reduction and a min-position reduction over the lanes that hold
  *     the max: the earliest maximal position, the scalar tie-break.
@@ -200,44 +203,14 @@ struct SoaView
 SoaView soaInto(std::span<const Vec3> coords, Arena &arena);
 
 /**
- * Result of one fpsUpdate sweep over a chunk of local candidates.
- * `best`/`pos` carry the running-argmax state of the serial FPS loop
- * (strictly-greater updates, so `pos` is the earliest maximal local
- * index); `sampled` counts candidates skipped because their sampled
- * flag was set — the caller derives visited/computed/skipped stats
- * from it, keeping the kernel free of policy.
- */
-struct FpsPartial
-{
-    float best = -1.0f;
-    std::uint32_t pos = 0;
-    std::uint32_t sampled = 0;
-};
-
-/**
- * One fused FPS distance-update sweep: for every unsampled local
- * candidate i in [begin, end), compute the squared distance from
- * @p query to point base + i of @p pts, lower min_dist[i] with it,
- * and track the running argmax of the updated min_dist — the body of
- * the paper's FPS iteration over a whole cloud. Candidates are
- * contiguous: callers pass the first position of their view as
- * @p base, so local positions index min_dist/sampled directly, and a
- * pooled caller splits [0, n) into chunks. Scalar-loop semantics
- * exactly (see file header); min_dist is updated in place, sampled is
- * read-only.
- */
-FpsPartial fpsUpdate(const SoaView &pts, std::uint32_t base,
-                     const Vec3 &query, float *min_dist,
-                     const std::uint8_t *sampled, std::uint32_t begin,
-                     std::uint32_t end);
-
-/**
- * Farthest point sampling over one block, its whole quota in one call:
- * FPS over the contiguous positions [begin, end) of @p pts, starting
- * at position @p begin, writes @p quota sampled positions (absolute,
- * in sampling order) to @p positions. Each sample after the first is
- * the earliest candidate whose squared distance to the samples so far
- * is greatest — the serial loop's strictly-greater tie-break.
+ * Farthest point sampling, a whole quota in one call: FPS over the
+ * contiguous positions [begin, end) of @p pts, starting at position
+ * @p begin, writes @p quota sampled positions (absolute, in sampling
+ * order) to @p positions. Each sample after the first is the earliest
+ * candidate whose squared distance to the samples so far is greatest —
+ * the serial loop's strictly-greater tie-break. Block FPS calls it
+ * once per leaf of a BlockTree's points(); global FPS calls it once
+ * over a whole cloud's soaInto() copy, where positions are point ids.
  * @p min_dist is caller scratch of end - begin floats (see the file
  * header for what the kernels keep there). Needs
  * 1 <= quota <= end - begin.
@@ -396,9 +369,6 @@ namespace detail {
  *  (see kernelTables()). */
 struct Kernels
 {
-    FpsPartial (*fps_update)(const SoaView &, std::uint32_t,
-                             const Vec3 &, float *, const std::uint8_t *,
-                             std::uint32_t, std::uint32_t);
     void (*fps_leaf)(const SoaView &, std::uint32_t, std::uint32_t,
                      std::size_t, float *, std::uint32_t *);
     BallScan (*ball_scan)(const SoaView &, const Vec3 &, float,

@@ -14,10 +14,9 @@
  *
  * Bit-identity notes (the contract tests/test_simd.cc asserts):
  *
- *   - fpsUpdate / fpsLeaf / ballScan / distance2Range avoid FMA on
- *     purpose: each lane evaluates ((dx*dx + dy*dy) + dz*dz) exactly
- *     like the scalar expression, so per-element distances are
- *     bit-equal.
+ *   - fpsLeaf / ballScan / distance2Range avoid FMA on purpose: each
+ *     lane evaluates ((dx*dx + dy*dy) + dz*dz) exactly like the scalar
+ *     expression, so per-element distances are bit-equal.
  *   - ballScan's _CMP_LE_OQ is the scalar d <= radius2: false when
  *     either side is NaN. Each 8-lane hit mask yields its positions
  *     lowest lane first (packed through a 256-entry lane table, or
@@ -32,14 +31,14 @@
  *   - splitBelow compares with _CMP_LT_OQ, the scalar k < value, and
  *     swaps the misplaced positions in std::partition's order (see
  *     core/simd.h).
- *   - The running min uses _mm256_min_ps(d, old) = (d < old) ? d : old,
- *     which matches the scalar comparison for every input including
- *     NaNs (a NaN distance keeps the old entry; a NaN entry stays).
- *   - The argmax keeps per-lane running bests with a strictly-greater
+ *   - fpsLeaf's running min uses _mm256_min_ps(d, old) =
+ *     (d < old) ? d : old, which matches the scalar comparison for
+ *     every input including NaNs (a NaN distance keeps the old entry).
+ *     Its argmax keeps per-lane running bests with a strictly-greater
  *     compare, then resolves ties cross-lane by smallest index — the
- *     earliest maximal index, exactly the serial tie-break. fpsLeaf
- *     finds both with shuffle reductions; a sampled candidate holds
- *     -inf, which neither the min nor the argmax ever takes.
+ *     earliest maximal index, exactly the serial tie-break — with
+ *     shuffle reductions; a sampled candidate holds -inf, which
+ *     neither the min nor the argmax ever takes.
  *   - linearReluRows (the ymm kernel; the table runs the zmm one of
  *     simd_avx512.cc instead on CPUs with AVX-512F) vectorizes across
  *     the 16 outputs of a packed weight panel, so every lane runs the
@@ -85,93 +84,6 @@ distance8(__m256 qx, __m256 qy, __m256 qz, __m256 px, __m256 py,
     return _mm256_add_ps(
         _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
         _mm256_mul_ps(dz, dz));
-}
-
-FpsPartial
-fpsUpdateAvx2(const SoaView &pts, std::uint32_t base, const Vec3 &query,
-              float *min_dist, const std::uint8_t *sampled,
-              std::uint32_t begin, std::uint32_t end)
-{
-    FpsPartial p;
-    const __m256 qx = _mm256_set1_ps(query.x);
-    const __m256 qy = _mm256_set1_ps(query.y);
-    const __m256 qz = _mm256_set1_ps(query.z);
-    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    __m256 best_v = _mm256_set1_ps(-1.0f);
-    __m256i bidx_v = _mm256_setzero_si256();
-    std::uint32_t i = begin;
-    bool any_vec = false;
-    for (; i + 8 <= end; i += 8) {
-        const __m128i s8 = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(sampled + i));
-        const __m256i s32 = _mm256_cvtepu8_epi32(s8);
-        const __m256 smask = _mm256_castsi256_ps(
-            _mm256_cmpgt_epi32(s32, _mm256_setzero_si256()));
-        p.sampled += static_cast<std::uint32_t>(__builtin_popcount(
-            static_cast<unsigned>(_mm256_movemask_ps(smask))));
-
-        const __m256 d = distance8(
-            qx, qy, qz, _mm256_loadu_ps(pts.xs + base + i),
-            _mm256_loadu_ps(pts.ys + base + i),
-            _mm256_loadu_ps(pts.zs + base + i));
-
-        const __m256 old = _mm256_loadu_ps(min_dist + i);
-        // (d < old) ? d : old, NaN semantics matching the scalar test.
-        const __m256 newmin = _mm256_min_ps(d, old);
-        const __m256 upd = _mm256_blendv_ps(newmin, old, smask);
-        _mm256_storeu_ps(min_dist + i, upd);
-
-        const __m256 gt = _mm256_cmp_ps(upd, best_v, _CMP_GT_OQ);
-        const __m256 take = _mm256_andnot_ps(smask, gt);
-        best_v = _mm256_blendv_ps(best_v, upd, take);
-        const __m256i cur_iv = _mm256_add_epi32(
-            _mm256_set1_epi32(static_cast<int>(i)), lane);
-        bidx_v = _mm256_castps_si256(
-            _mm256_blendv_ps(_mm256_castsi256_ps(bidx_v),
-                             _mm256_castsi256_ps(cur_iv), take));
-        any_vec = true;
-    }
-    if (any_vec) {
-        alignas(32) float vals[8];
-        alignas(32) std::int32_t idxs[8];
-        _mm256_store_ps(vals, best_v);
-        _mm256_store_si256(reinterpret_cast<__m256i *>(idxs), bidx_v);
-        float m = -1.0f;
-        for (int j = 0; j < 8; ++j)
-            if (vals[j] > m)
-                m = vals[j];
-        if (m > p.best) {
-            // A lane's stored index is its first occurrence of the
-            // lane max, so the smallest index among max lanes is the
-            // first global occurrence — the serial tie-break.
-            std::uint32_t pos = 0xffffffffu;
-            for (int j = 0; j < 8; ++j)
-                if (vals[j] == m)
-                    pos = std::min(
-                        pos, static_cast<std::uint32_t>(idxs[j]));
-            p.best = m;
-            p.pos = pos;
-        }
-    }
-    // Remainder lanes continue the running argmax in index order.
-    for (; i < end; ++i) {
-        if (sampled[i]) {
-            ++p.sampled;
-            continue;
-        }
-        const std::uint32_t idx = base + i;
-        const float dx = query.x - pts.xs[idx];
-        const float dy = query.y - pts.ys[idx];
-        const float dz = query.z - pts.zs[idx];
-        const float d = dx * dx + dy * dy + dz * dz;
-        if (d < min_dist[i])
-            min_dist[i] = d;
-        if (min_dist[i] > p.best) {
-            p.best = min_dist[i];
-            p.pos = i;
-        }
-    }
-    return p;
 }
 
 /**
@@ -648,9 +560,9 @@ std::span<const KernelTable>
 vectorKernelTables()
 {
     static const Kernels ymm = {
-        &fpsUpdateAvx2,      &fpsLeafAvx2,        &ballScanAvx2,
-        &distance2RangeAvx2, &extremaAvx2,        &splitBelowAvx2,
-        &linearReluRowsAvx2, &axpyAvx2,           &fp16RoundAvx2,
+        &fpsLeafAvx2,        &ballScanAvx2,       &distance2RangeAvx2,
+        &extremaAvx2,        &splitBelowAvx2,     &linearReluRowsAvx2,
+        &axpyAvx2,           &fp16RoundAvx2,
     };
     static Kernels zmm = ymm;
     static const bool has_zmm = installZmmKernels(zmm);

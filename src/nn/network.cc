@@ -349,8 +349,8 @@ Network::run(const data::PointCloud &cloud,
             sampled = block_sampled.indices;
             out.op_stats += block_sampled.stats;
         } else {
-            ops::farthestPointSample(cur_cloud, num_samples, {}, pool,
-                                     ws, global_sampled);
+            ops::farthestPointSample(cur_cloud, num_samples, {}, ws,
+                                     global_sampled);
             sampled = global_sampled.indices;
             out.op_stats += global_sampled.stats;
             if (block_grouping) {

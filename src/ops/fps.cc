@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <span>
 
 #include "common/logging.h"
@@ -14,111 +13,14 @@ namespace fc::ops {
 
 namespace {
 
-/** Chunk-local argmax candidate of one FPS sweep. */
-struct FpsBest
-{
-    float dist = -1.0f;
-    std::uint32_t pos = 0;
-    std::uint64_t visited = 0;  ///< candidate reads
-    std::uint64_t computed = 0; ///< distance evaluations
-    std::uint64_t skipped = 0;  ///< window-check filtered
-};
-
 /**
- * Global FPS over all @p n points of @p pts (a whole cloud's
- * core::simd::soaInto() copy), starting at point 0: writes
- * min(num_samples, n) point ids to @p out. Scratch (distance table +
- * sampled flags) comes from @p arena; the per-iteration sweep
- * dispatches over @p pool.
- *
- * The parallel sweep is bit-identical to the serial one: chunk
- * boundaries depend only on (n, grain), each chunk tracks its best
- * with the serial loop's strictly-greater comparison, and chunks fold
- * in ascending order, so the earliest maximal position always wins —
- * exactly the serial tie-break.
- */
-void
-fpsOverView(const core::simd::SoaView &pts, std::uint32_t n,
-            std::size_t num_samples, bool window_check, PointIdx *out,
-            OpStats &stats, core::ThreadPool *pool, core::Arena &arena)
-{
-    if (n == 0 || num_samples == 0)
-        return;
-    num_samples = std::min<std::size_t>(num_samples, n);
-
-    std::span<float> min_dist =
-        arena.allocSpan<float>(n, std::numeric_limits<float>::max());
-    std::span<std::uint8_t> sampled =
-        arena.allocSpan<std::uint8_t>(n, std::uint8_t{0});
-
-    std::uint32_t current = 0;
-    const auto take = [&] {
-        sampled[current] = 1;
-        *out++ = current;
-    };
-    take();
-
-    // Every iteration forks and joins once, so a chunk must outweigh
-    // that: 32768 points per chunk keeps clouds up to that size
-    // inline and still splits larger ones.
-    const std::size_t grain = core::costGrain(8, std::size_t{1} << 18);
-    for (std::size_t s = 1; s < num_samples; ++s) {
-        ++stats.iterations;
-        const Vec3 cur_pt(pts.xs[current], pts.ys[current],
-                          pts.zs[current]);
-        const FpsBest best = core::parallelReduce(
-            pool, 0, n, grain, FpsBest{},
-            [&](std::size_t cb, std::size_t ce) {
-                const core::simd::FpsPartial p = core::simd::fpsUpdate(
-                    pts, 0, cur_pt, min_dist.data(),
-                    sampled.data(), static_cast<std::uint32_t>(cb),
-                    static_cast<std::uint32_t>(ce));
-                FpsBest local;
-                local.dist = p.best;
-                local.pos = p.pos;
-                // The window-check module (paper Fig. 11(c)) filters
-                // sampled points out of the candidate stream entirely;
-                // without it the hardware still reads and re-compares
-                // them. Either way only unsampled candidates cost a
-                // distance evaluation.
-                const std::uint64_t len = ce - cb;
-                local.computed = len - p.sampled;
-                local.visited = window_check ? len - p.sampled : len;
-                local.skipped = window_check ? p.sampled : 0;
-                return local;
-            },
-            [](FpsBest &acc, FpsBest &&chunk) {
-                // Strictly greater: the earliest chunk (and within a
-                // chunk the earliest index) wins ties, matching the
-                // serial sweep.
-                if (chunk.dist > acc.dist) {
-                    acc.dist = chunk.dist;
-                    acc.pos = chunk.pos;
-                }
-                acc.visited += chunk.visited;
-                acc.computed += chunk.computed;
-                acc.skipped += chunk.skipped;
-            },
-            &arena);
-        stats.points_visited += best.visited;
-        stats.distance_computations += best.computed;
-        stats.skipped += best.skipped;
-        current = best.pos;
-        take();
-    }
-    // Final iteration bookkeeping: the first sample costs one setup
-    // iteration as well.
-    ++stats.iterations;
-}
-
-/**
- * Adds the work of one leaf's FPS, @p q samples out of @p n points, to
- * @p stats. Every sweep picks an unsampled candidate, so sweep s
- * (1 <= s < q) sees exactly s sampled ones; the window check (paper
- * Fig. 11(c)) filters those out of the candidate stream, and without
- * it the hardware still reads and re-compares them. Either way only
- * unsampled candidates cost a distance evaluation. The first sample
- * costs one setup iteration.
+ * Adds the work of one FPS run, @p q samples out of @p n points (one
+ * leaf, or a whole cloud), to @p stats. Every sweep picks an unsampled
+ * candidate, so sweep s (1 <= s < q) sees exactly s sampled ones; the
+ * window check (paper Fig. 11(c)) filters those out of the candidate
+ * stream, and without it the hardware still reads and re-compares
+ * them. Either way only unsampled candidates cost a distance
+ * evaluation. The first sample costs one setup iteration.
  */
 void
 addLeafStats(std::uint64_t n, std::uint64_t q, bool window_check,
@@ -137,30 +39,32 @@ addLeafStats(std::uint64_t n, std::uint64_t q, bool window_check,
 void
 farthestPointSample(const data::PointCloud &cloud,
                     std::size_t num_samples, const FpsOptions &options,
-                    core::ThreadPool *pool, core::Workspace &ws,
-                    SampleResult &out)
+                    core::Workspace &ws, SampleResult &out)
 {
     out.stats = {};
     if (cloud.empty() || num_samples == 0) {
         out.indices.clear();
         return;
     }
-    out.indices.resize(std::min(num_samples, cloud.size()));
+    const std::size_t n = cloud.size();
+    const std::size_t q = std::min(num_samples, n);
+    out.indices.resize(q);
+    // soaInto keeps the cloud's order, so the positions are the ids.
     core::Arena &arena = ws.arena();
-    fpsOverView(core::simd::soaInto(cloud.coords(), arena),
-                static_cast<std::uint32_t>(cloud.size()), num_samples,
-                options.window_check, out.indices.data(), out.stats, pool,
-                arena);
+    core::simd::fpsLeaf(core::simd::soaInto(cloud.coords(), arena), 0,
+                        static_cast<std::uint32_t>(n), q,
+                        arena.allocSpan<float>(n).data(),
+                        out.indices.data());
+    addLeafStats(n, q, options.window_check, out.stats);
 }
 
 SampleResult
 farthestPointSample(const data::PointCloud &cloud,
-                    std::size_t num_samples, const FpsOptions &options,
-                    core::ThreadPool *pool)
+                    std::size_t num_samples, const FpsOptions &options)
 {
     core::Workspace ws;
     SampleResult out;
-    farthestPointSample(cloud, num_samples, options, pool, ws, out);
+    farthestPointSample(cloud, num_samples, options, ws, out);
     return out;
 }
 

@@ -9,11 +9,13 @@
  * BlockTree with one fixed sampling rate, and concatenates the
  * results — the decomposition that makes sampling block-parallel.
  *
- * Block-wise FPS dispatches its per-leaf work items over an optional
- * core::ThreadPool; per-leaf quotas are prefix-summed up front so
- * every leaf writes a disjoint slice of the output directly, and the
- * result is bit-identical to the sequential path at any thread count.
- * Each leaf runs its whole quota in one core::simd::fpsLeaf call.
+ * Both run core::simd::fpsLeaf, the one FPS kernel: global FPS calls
+ * it once over the whole cloud on the calling thread, and block-wise
+ * FPS once per leaf. Block-wise FPS dispatches its per-leaf work items
+ * over an optional core::ThreadPool; per-leaf quotas are prefix-summed
+ * up front so every leaf writes a disjoint slice of the output
+ * directly, and the result is bit-identical to the sequential path at
+ * any thread count. Both compute their stats in closed form.
  */
 
 #ifndef FC_OPS_FPS_H
@@ -85,33 +87,31 @@ struct FpsOptions
 };
 
 /**
- * Global farthest point sampling over the whole cloud.
+ * Global farthest point sampling over the whole cloud, starting at
+ * point 0.
  *
- * The per-iteration distance-update/argmax sweep dispatches in chunks
- * over @p pool; chunk-local maxima fold in chunk order with the same
- * strictly-greater comparison as the serial loop, so the sampled set
- * is bit-identical at any thread count.
+ * One core::simd::fpsLeaf call over the cloud's soaInto() copy, whose
+ * positions are the point ids, on the calling thread. The stats are
+ * closed-form, as for one leaf of blockFarthestPointSample with
+ * n = cloud size and q = the clamped sample count.
  *
  * @param cloud       input points
  * @param num_samples sampled-set size (clamped to cloud size)
- * @param pool        optional thread pool; null = sequential
  */
 SampleResult farthestPointSample(const data::PointCloud &cloud,
                                  std::size_t num_samples,
-                                 const FpsOptions &options = {},
-                                 core::ThreadPool *pool = nullptr);
+                                 const FpsOptions &options = {});
 
 /**
  * Workspace overload: writes into @p out (reusing its capacity) and
- * draws the distance/flag scratch from @p ws's arena — the
- * allocation-free steady-state path (zero heap allocations on warm
- * same-shape calls with a null pool). Identical output to the
+ * draws the coordinate copy and the distance table from @p ws's
+ * arena — the allocation-free steady-state path (zero heap
+ * allocations on warm same-shape calls). Identical output to the
  * value-returning form, which wraps this one.
  */
 void farthestPointSample(const data::PointCloud &cloud,
                          std::size_t num_samples,
-                         const FpsOptions &options,
-                         core::ThreadPool *pool, core::Workspace &ws,
+                         const FpsOptions &options, core::Workspace &ws,
                          SampleResult &out);
 
 /**

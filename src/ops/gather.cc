@@ -200,6 +200,16 @@ gatherMaxPool(std::span<const float> features, std::size_t channels,
     fc_assert(out.size() == neighbors.num_centers * channels,
               "pooled output holds %zu floats, need %zu x %zu",
               out.size(), neighbors.num_centers, channels);
+    // The ids come from the caller, not from a block op over these
+    // rows: check each before gatherMaxPoolRow reads by it.
+    const std::size_t rows = channels > 0 ? features.size() / channels : 0;
+    for (std::size_t row = 0; row < neighbors.num_centers; ++row)
+        for (std::size_t j = 0; j < neighbors.k; ++j) {
+            const PointIdx nb = neighbors.neighbor(row, j);
+            fc_assert(nb == kInvalidPoint || nb < rows,
+                      "neighbor id %u out of range (features: %zu rows)",
+                      nb, rows);
+        }
     core::parallelFor(
         pool, 0, neighbors.num_centers,
         core::costGrain(neighbors.k * channels),
@@ -275,12 +285,19 @@ maxPoolRelativeCoords(const data::PointCloud &cloud,
         pool, 0, centers.size(), core::costGrain(neighbors.k),
         [&](std::size_t rb, std::size_t re) {
             for (std::size_t row = rb; row < re; ++row) {
+                fc_assert(centers[row] < cloud.size(),
+                          "center id %u out of range (cloud: %zu points)",
+                          centers[row], cloud.size());
                 const Vec3 &center_pt = cloud[centers[row]];
                 float *dst = out.data() + row * 3;
                 dst[0] = dst[1] = dst[2] = 0.0f;
                 const std::uint32_t count = neighbors.counts[row];
                 for (std::uint32_t j = 0; j < count; ++j) {
                     const PointIdx nb = neighbors.neighbor(row, j);
+                    fc_assert(nb < cloud.size(),
+                              "neighbor id %u out of range (cloud: %zu "
+                              "points)",
+                              nb, cloud.size());
                     const Vec3 &nb_pt = cloud[nb];
                     const float d[3] = {nb_pt.x - center_pt.x,
                                         nb_pt.y - center_pt.y,

@@ -122,9 +122,11 @@ void blockGatherNeighborhoods(
  * dst = std::max(dst, src), and a kInvalidPoint slot reads as a zero
  * row — bit for bit, NaN and signed zeros included.
  *
- * @p out holds num_centers * channels floats. Center rows dispatch in
- * chunks over @p pool into disjoint output rows: bit-identical at any
- * thread count, allocation-free. Global-access accounting: each
+ * @p out holds num_centers * channels floats. Every neighbor id other
+ * than kInvalidPoint must name a row of @p features; one serial pass
+ * checks them before the rows run. Center rows dispatch in chunks over
+ * @p pool into disjoint output rows: bit-identical at any thread
+ * count, allocation-free. Global-access accounting: each
  * (center, neighbor) pair is a random read of an fp16 feature row
  * (2 bytes per channel).
  */
@@ -152,9 +154,11 @@ OpStats blockGatherMaxPool(
  * applies to the feature rows, applied to the 3 relative-coordinate
  * channels the unique-point MLP did not see. @p out is resized to
  * centers.size() * 3 reusing capacity (zeros for centers with no real
- * neighbors). Center rows dispatch in chunks over @p pool;
- * per-center output rows are disjoint, so the result is bit-identical
- * at any thread count, and the warm path performs no heap allocation.
+ * neighbors). Every center id and every counted neighbor id must be
+ * below cloud.size(), checked as each row reads them. Center rows
+ * dispatch in chunks over @p pool; per-center output rows are
+ * disjoint, so the result is bit-identical at any thread count, and
+ * the warm path performs no heap allocation.
  */
 void maxPoolRelativeCoords(const data::PointCloud &cloud,
                            const std::vector<PointIdx> &centers,

@@ -4,8 +4,12 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <limits>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "common/rng.h"
 #include "dataset/s3dis.h"
@@ -105,6 +109,98 @@ TEST(Fps, WindowCheckSkipsSampledPoints)
     EXPECT_LT(a.stats.points_visited, b.stats.points_visited);
     EXPECT_EQ(a.stats.points_visited + a.stats.skipped,
               b.stats.points_visited);
+}
+
+/**
+ * Global FPS as the serial loop with a sampled flag per point, run
+ * over the cloud's own coordinates: sampled points are skipped, every
+ * other point lowers its distance and competes in a strictly-greater
+ * argmax. Each sweep counts its own work, as the RSPU does: with the
+ * window check a sampled point is skipped, without it it is still
+ * visited; only unsampled points cost a distance evaluation.
+ */
+SampleResult
+referenceGlobalFps(const data::PointCloud &cloud, std::size_t num_samples,
+                   bool window_check)
+{
+    SampleResult r;
+    const std::size_t n = cloud.size();
+    const std::size_t quota = std::min(num_samples, n);
+    std::vector<float> min_dist(n, std::numeric_limits<float>::max());
+    std::vector<std::uint8_t> sampled(n, 0);
+    PointIdx current = 0;
+    for (;;) {
+        sampled[current] = 1;
+        r.indices.push_back(current);
+        ++r.stats.iterations;
+        if (r.indices.size() == quota)
+            return r;
+        const Vec3 q = cloud[current];
+        float best = -1.0f;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (sampled[i]) {
+                ++(window_check ? r.stats.skipped : r.stats.points_visited);
+                continue;
+            }
+            ++r.stats.points_visited;
+            ++r.stats.distance_computations;
+            const float dx = q.x - cloud[i].x;
+            const float dy = q.y - cloud[i].y;
+            const float dz = q.z - cloud[i].z;
+            const float d = dx * dx + dy * dy + dz * dz;
+            if (d < min_dist[i])
+                min_dist[i] = d;
+            if (min_dist[i] > best) {
+                best = min_dist[i];
+                current = static_cast<PointIdx>(i);
+            }
+        }
+    }
+}
+
+TEST(Fps, GlobalMatchesPerSweepReference)
+{
+    // NaN, +-inf and duplicate coordinates: NaN distances never lower
+    // a point's distance, and duplicates of a sampled point tie at 0.
+    std::vector<Vec3> special = data::makeS3disScene(2048, 24).coords();
+    const float inf = std::numeric_limits<float>::infinity();
+    for (std::size_t i = 1; i < special.size(); ++i) {
+        if (i % 97 == 5)
+            special[i].x = std::numeric_limits<float>::quiet_NaN();
+        if (i % 89 == 7)
+            special[i].z = i % 2 == 0 ? inf : -inf;
+        if (i % 31 == 3)
+            special[i] = special[i % 50];
+    }
+    const struct
+    {
+        const char *name;
+        data::PointCloud cloud;
+        std::size_t samples;
+    } cases[] = {
+        {"scene-2048", data::makeS3disScene(2048, 23), 300},
+        {"scene-70000", data::makeS3disScene(70000, 23), 64},
+        {"special-2048", data::PointCloud(special), 300},
+    };
+    for (const auto &c : cases) {
+        for (const bool window_check : {true, false}) {
+            SCOPED_TRACE(std::string(c.name) +
+                         (window_check ? " window-check" : " no-check"));
+            FpsOptions options;
+            options.window_check = window_check;
+            const SampleResult got =
+                farthestPointSample(c.cloud, c.samples, options);
+            const SampleResult want =
+                referenceGlobalFps(c.cloud, c.samples, window_check);
+            EXPECT_EQ(got.indices, want.indices);
+            EXPECT_EQ(got.stats.iterations, want.stats.iterations);
+            EXPECT_EQ(got.stats.distance_computations,
+                      want.stats.distance_computations);
+            EXPECT_EQ(got.stats.points_visited,
+                      want.stats.points_visited);
+            EXPECT_EQ(got.stats.skipped, want.stats.skipped);
+        }
+    }
 }
 
 TEST(BlockFps, FixedRatePerLeaf)

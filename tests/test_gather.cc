@@ -132,5 +132,31 @@ TEST(GatherDeathTest, GlobalGatherNeedsIdsInRange)
                  "neighbor id 8 out of range");
 }
 
+TEST(GatherDeathTest, MaxPoolGathersNeedIdsInRange)
+{
+    // The delayed order's pooled gathers: an id equal to the size names
+    // the slot one past the coordinates (maxPoolRelativeCoords, as a
+    // center and as a counted neighbor) or one past the feature rows
+    // (gatherMaxPool, whose kInvalidPoint slots read as zero rows).
+    const data::PointCloud cloud = featuredCloud(8, 5, 2);
+    NeighborResult nbr;
+    nbr.num_centers = 1;
+    nbr.k = 2;
+    nbr.indices = {3, 3};
+    nbr.counts = {1};
+    std::vector<float> relpool;
+    EXPECT_DEATH(maxPoolRelativeCoords(cloud, {8}, nbr, nullptr, relpool),
+                 "center id 8 out of range");
+    nbr.indices = {8, 8};
+    EXPECT_DEATH(maxPoolRelativeCoords(cloud, {1}, nbr, nullptr, relpool),
+                 "neighbor id 8 out of range");
+
+    const std::vector<float> features(8 * 4, 1.0f); // 8 rows x 4
+    std::vector<float> pooled(4);
+    nbr.indices = {kInvalidPoint, 8};
+    EXPECT_DEATH(gatherMaxPool(features, 4, nbr, nullptr, pooled),
+                 "neighbor id 8 out of range");
+}
+
 } // namespace
 } // namespace fc::ops

@@ -5,10 +5,10 @@
  *  - Dispatch resolution (FC_FORCE_SCALAR rule, setActiveLevel
  *    round-trips) as pure unit tests.
  *  - Scalar-vs-Avx2 equivalence for every kernel the contract calls
- *    bit-identical (fpsUpdate, distance2Range, axpy, fp16 rounding),
- *    on adversarial inputs: all-equal points, NaN, Inf and denormal
- *    coordinates, every binary16 bit pattern, and sizes straddling
- *    the 8-lane vector remainder.
+ *    bit-identical (distance2Range, axpy, fp16 rounding), on
+ *    adversarial inputs: NaN, Inf and denormal coordinates, every
+ *    binary16 bit pattern, and sizes straddling the 8-lane vector
+ *    remainder.
  *  - The kernels that differ between the ymm and zmm tables, run from
  *    every table the host has (core::simd::detail::kernelTables():
  *    scalar, ymm, zmm), each against one level-free reference loop:
@@ -169,7 +169,6 @@ TEST(SimdDispatch, Avx2TableRunsTheWidestMlpKernel)
         EXPECT_NE(avx2->linear_relu_rows, ymm.linear_relu_rows);
         EXPECT_NE(avx2->ball_scan, ymm.ball_scan);
         EXPECT_NE(avx2->fps_leaf, ymm.fps_leaf);
-        EXPECT_EQ(avx2->fps_update, ymm.fps_update);
         EXPECT_EQ(avx2->split_below, ymm.split_below);
     }
 }
@@ -198,81 +197,6 @@ hostTables(const char *test)
         if (!simd::avx2Available())                                     \
             GTEST_SKIP() << "AVX2 kernels not available";               \
     } while (0)
-
-TEST(SimdEquivalence, FpsUpdateBitIdentical)
-{
-    FC_REQUIRE_AVX2();
-    LevelGuard guard;
-    for (const std::size_t n : kRemainderSizes) {
-        const SoaCloud cloud = randomSoa(n + 16, n * 7 + 1);
-        Pcg32 rng(n * 13 + 5);
-        std::vector<std::uint8_t> sampled(n);
-        std::vector<float> seed_dist(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            sampled[i] = rng.uniform() < 0.2f ? 1 : 0;
-            seed_dist[i] = rng.uniform(0.0f, 4.0f);
-        }
-        const Vec3 query(0.3f, -0.2f, 0.8f);
-        // A view that starts past the first points (offset base).
-        const std::uint32_t base = 4;
-
-        std::vector<float> dist_scalar = seed_dist;
-        ASSERT_TRUE(simd::setActiveLevel(simd::Level::Scalar));
-        const simd::FpsPartial ps = simd::fpsUpdate(
-            cloud.view(), base, query, dist_scalar.data(),
-            sampled.data(), 0, static_cast<std::uint32_t>(n));
-
-        std::vector<float> dist_avx2 = seed_dist;
-        ASSERT_TRUE(simd::setActiveLevel(simd::Level::Avx2));
-        const simd::FpsPartial pa = simd::fpsUpdate(
-            cloud.view(), base, query, dist_avx2.data(), sampled.data(),
-            0, static_cast<std::uint32_t>(n));
-
-        EXPECT_EQ(ps.best, pa.best) << "n=" << n;
-        EXPECT_EQ(ps.pos, pa.pos) << "n=" << n;
-        EXPECT_EQ(ps.sampled, pa.sampled) << "n=" << n;
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(dist_scalar[i], dist_avx2[i])
-                << "n=" << n << " i=" << i;
-    }
-}
-
-TEST(SimdEquivalence, FpsUpdateAllEqualPointsTieBreak)
-{
-    FC_REQUIRE_AVX2();
-    LevelGuard guard;
-    // Every candidate at the same spot: every updated distance is
-    // equal, so the argmax is decided purely by the tie-break (the
-    // earliest index must win, as in the serial loop).
-    for (const std::size_t n : kRemainderSizes) {
-        SoaCloud cloud;
-        cloud.xs.assign(n, 0.25f);
-        cloud.ys.assign(n, -0.5f);
-        cloud.zs.assign(n, 0.125f);
-        std::vector<std::uint8_t> sampled(n, 0);
-        sampled[0] = 1; // the tie must go to the first *unsampled*
-        const Vec3 query(1.0f, 1.0f, 1.0f);
-
-        for (const simd::Level level :
-             {simd::Level::Scalar, simd::Level::Avx2}) {
-            std::vector<float> dist(
-                n, std::numeric_limits<float>::max());
-            ASSERT_TRUE(simd::setActiveLevel(level));
-            const simd::FpsPartial p = simd::fpsUpdate(
-                cloud.view(), 0, query, dist.data(), sampled.data(), 0,
-                static_cast<std::uint32_t>(n));
-            if (n == 1) {
-                // Sole candidate is sampled: nothing updates.
-                EXPECT_EQ(p.best, -1.0f);
-                EXPECT_EQ(p.sampled, 1u);
-            } else {
-                EXPECT_EQ(p.pos, 1u)
-                    << simd::levelName(level) << " n=" << n;
-                EXPECT_EQ(p.sampled, 1u);
-            }
-        }
-    }
-}
 
 TEST(SimdEquivalence, Distance2RangeBitIdenticalIncludingDenormals)
 {
@@ -1122,7 +1046,7 @@ TEST(SimdEquivalence, GeometryOpsIdenticalAcrossLevels)
 
     ASSERT_TRUE(simd::setActiveLevel(simd::Level::Scalar));
     const ops::SampleResult fps_scalar =
-        ops::farthestPointSample(scene, 64, {}, nullptr);
+        ops::farthestPointSample(scene, 64);
     const ops::NeighborResult ball_scalar =
         ops::ballQuery(scene, fps_scalar.indices, 0.3f, 8, nullptr);
     const ops::NeighborResult knn_scalar =
@@ -1130,7 +1054,7 @@ TEST(SimdEquivalence, GeometryOpsIdenticalAcrossLevels)
 
     ASSERT_TRUE(simd::setActiveLevel(simd::Level::Avx2));
     const ops::SampleResult fps_avx2 =
-        ops::farthestPointSample(scene, 64, {}, nullptr);
+        ops::farthestPointSample(scene, 64);
     const ops::NeighborResult ball_avx2 =
         ops::ballQuery(scene, fps_scalar.indices, 0.3f, 8, nullptr);
     const ops::NeighborResult knn_avx2 =
@@ -1202,20 +1126,6 @@ tinySegModel()
 // ---------------------------------------------------------------------
 // Thread-count determinism with SIMD active (TSan CI filter)
 // ---------------------------------------------------------------------
-
-TEST(SimdDeterminism, FpsIdenticalAcrossThreadCounts)
-{
-    const data::PointCloud scene = data::makeS3disScene(2048, 9);
-    const ops::SampleResult serial =
-        ops::farthestPointSample(scene, 256, {}, nullptr);
-    for (const unsigned threads : {2u, 4u}) {
-        core::ThreadPool pool(threads);
-        const ops::SampleResult pooled =
-            ops::farthestPointSample(scene, 256, {}, &pool);
-        EXPECT_EQ(serial.indices, pooled.indices)
-            << threads << " threads";
-    }
-}
 
 TEST(SimdDeterminism, LinearReluIdenticalAcrossThreadCounts)
 {

@@ -11,9 +11,10 @@
  *    byte for byte — value API vs workspace API, across thread
  *    counts, and through the serve path (which must also reuse its
  *    pooled workspaces rather than growing).
- *  - The pooled global FPS / ball-query / KNN / interpolation
- *    fallbacks match their serial selves at every thread count
- *    (GlobalOpsParallel, in the TSan CI filter).
+ *  - The pooled global ball-query / KNN / interpolation fallbacks
+ *    match their serial selves at every thread count
+ *    (GlobalOpsParallel, in the TSan CI filter). Global FPS takes no
+ *    pool: it is one fpsLeaf call on the calling thread.
  */
 
 #include <atomic>
@@ -311,8 +312,9 @@ TEST(WorkspaceAlloc, WideReduceStagesPartialsInTheArena)
 
 TEST(WorkspaceAlloc, WarmOpsDrawOnlyFromTheWorkspace)
 {
-    // The block ops' workspace overloads, exercised directly: cold
-    // call grows, warm same-shape call is allocation-free.
+    // The block ops' workspace overloads and global FPS's, exercised
+    // directly: cold call grows, warm same-shape call is
+    // allocation-free.
     const data::PointCloud scene = data::makeS3disScene(2048, 7);
     const auto partitioner = part::makePartitioner(part::Method::Fractal);
     part::PartitionConfig config;
@@ -320,6 +322,7 @@ TEST(WorkspaceAlloc, WarmOpsDrawOnlyFromTheWorkspace)
 
     core::Workspace ws;
     part::PartitionResult part;
+    ops::SampleResult global_sampled;
     ops::BlockSampleResult sampled;
     ops::NeighborResult grouped;
     ops::InterpolateResult interp;
@@ -327,6 +330,7 @@ TEST(WorkspaceAlloc, WarmOpsDrawOnlyFromTheWorkspace)
 
     const auto run_all = [&] {
         partitioner->partitionInto(scene, config, nullptr, ws, part);
+        ops::farthestPointSample(scene, 512, {}, ws, global_sampled);
         ops::blockFarthestPointSample(scene, part.tree, 0.25, {},
                                       nullptr, ws, sampled);
         ops::blockBallQuery(scene, part.tree, sampled, 0.3f, 8,
@@ -698,56 +702,8 @@ TEST(WorkspaceDeterminism, PipelineInferOverloadsAgree)
 }
 
 // ---------------------------------------------------------------------
-// Pooled global fallbacks (ROADMAP leftovers) stay bit-identical
+// Pooled global fallbacks stay bit-identical (global FPS takes no pool)
 // ---------------------------------------------------------------------
-
-TEST(GlobalOpsParallel, FarthestPointSampleMatchesSerial)
-{
-    // A sweep chunk holds 32768 points: the small cloud runs inline
-    // on every pool, the large one forks three chunks per iteration.
-    struct Case
-    {
-        std::size_t points;
-        std::size_t samples;
-    };
-    for (const Case c : {Case{2048, 300}, Case{70000, 24}}) {
-        SCOPED_TRACE("points=" + std::to_string(c.points));
-        const data::PointCloud scene =
-            data::makeS3disScene(c.points, 23);
-        const ops::SampleResult serial =
-            ops::farthestPointSample(scene, c.samples);
-        for (const unsigned threads : {2u, 8u}) {
-            SCOPED_TRACE("threads=" + std::to_string(threads));
-            core::ThreadPool pool(threads);
-            const ops::SampleResult pooled =
-                ops::farthestPointSample(scene, c.samples, {}, &pool);
-            EXPECT_EQ(pooled.indices, serial.indices);
-            EXPECT_EQ(pooled.stats.distance_computations,
-                      serial.stats.distance_computations);
-            EXPECT_EQ(pooled.stats.points_visited,
-                      serial.stats.points_visited);
-            EXPECT_EQ(pooled.stats.skipped, serial.stats.skipped);
-            EXPECT_EQ(pooled.stats.iterations,
-                      serial.stats.iterations);
-        }
-    }
-}
-
-TEST(GlobalOpsParallel, FarthestPointSampleNoWindowCheckMatchesSerial)
-{
-    const data::PointCloud scene = data::makeS3disScene(1024, 29);
-    ops::FpsOptions options;
-    options.window_check = false;
-    const ops::SampleResult serial =
-        ops::farthestPointSample(scene, 200, options);
-    core::ThreadPool pool(8);
-    const ops::SampleResult pooled =
-        ops::farthestPointSample(scene, 200, options, &pool);
-    EXPECT_EQ(pooled.indices, serial.indices);
-    EXPECT_EQ(pooled.stats.points_visited, serial.stats.points_visited);
-    EXPECT_EQ(pooled.stats.distance_computations,
-              serial.stats.distance_computations);
-}
 
 TEST(GlobalOpsParallel, BallQueryMatchesSerial)
 {
