@@ -12,9 +12,10 @@
  *    counts, and through the serve path (which must also reuse its
  *    pooled workspaces rather than growing).
  *  - The pooled global ball-query / KNN / interpolation fallbacks
- *    match their serial selves at every thread count
- *    (GlobalOpsParallel, in the TSan CI filter). Global FPS takes no
- *    pool: it is one fpsLeaf call on the calling thread.
+ *    match their serial selves at every thread count, and global FPS
+ *    (one fpsLeaf call on the calling thread, no pool parameter) run
+ *    concurrently from pool workers matches itself run on the main
+ *    thread (GlobalOpsParallel, in the TSan CI filter).
  */
 
 #include <atomic>
@@ -702,8 +703,78 @@ TEST(WorkspaceDeterminism, PipelineInferOverloadsAgree)
 }
 
 // ---------------------------------------------------------------------
-// Pooled global fallbacks stay bit-identical (global FPS takes no pool)
+// Pooled global fallbacks stay bit-identical
 // ---------------------------------------------------------------------
+
+/**
+ * Runs global FPS from @p tasks pool tasks at once, each on its own
+ * copy of the output, and expects every copy to equal @p serial:
+ * global FPS keeps no state outside its arguments, so concurrent
+ * callers (pipeline stages on worker threads) cannot disturb each
+ * other.
+ */
+void
+expectConcurrentFpsMatches(const data::PointCloud &scene,
+                           std::size_t samples,
+                           const ops::FpsOptions &options,
+                           core::ThreadPool &pool, std::size_t tasks,
+                           const ops::SampleResult &serial)
+{
+    std::vector<ops::SampleResult> pooled(tasks);
+    {
+        core::TaskGroup group(&pool);
+        for (ops::SampleResult &out : pooled)
+            group.run([&scene, samples, &options, &out] {
+                out = ops::farthestPointSample(scene, samples, options);
+            });
+        group.wait();
+    }
+    for (std::size_t t = 0; t < tasks; ++t) {
+        SCOPED_TRACE("task=" + std::to_string(t));
+        EXPECT_EQ(pooled[t].indices, serial.indices);
+        EXPECT_EQ(pooled[t].stats.distance_computations,
+                  serial.stats.distance_computations);
+        EXPECT_EQ(pooled[t].stats.points_visited,
+                  serial.stats.points_visited);
+        EXPECT_EQ(pooled[t].stats.skipped, serial.stats.skipped);
+        EXPECT_EQ(pooled[t].stats.iterations, serial.stats.iterations);
+    }
+}
+
+TEST(GlobalOpsParallel, FarthestPointSampleMatchesSerial)
+{
+    // Two calls per worker, so every worker runs global FPS while the
+    // others do too.
+    struct Case
+    {
+        std::size_t points;
+        std::size_t samples;
+    };
+    for (const Case c : {Case{2048, 300}, Case{70000, 24}}) {
+        SCOPED_TRACE("points=" + std::to_string(c.points));
+        const data::PointCloud scene =
+            data::makeS3disScene(c.points, 23);
+        const ops::SampleResult serial =
+            ops::farthestPointSample(scene, c.samples);
+        for (const unsigned threads : {2u, 8u}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            core::ThreadPool pool(threads);
+            expectConcurrentFpsMatches(scene, c.samples, {}, pool,
+                                       2 * threads, serial);
+        }
+    }
+}
+
+TEST(GlobalOpsParallel, FarthestPointSampleNoWindowCheckMatchesSerial)
+{
+    const data::PointCloud scene = data::makeS3disScene(1024, 29);
+    ops::FpsOptions options;
+    options.window_check = false;
+    const ops::SampleResult serial =
+        ops::farthestPointSample(scene, 200, options);
+    core::ThreadPool pool(8);
+    expectConcurrentFpsMatches(scene, 200, options, pool, 16, serial);
+}
 
 TEST(GlobalOpsParallel, BallQueryMatchesSerial)
 {
